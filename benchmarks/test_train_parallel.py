@@ -1,7 +1,8 @@
-"""Parallel training benchmark: wall speedup, serial-equality, honesty.
+"""Parallel training benchmark: wall speedup, model equality, honesty.
 
-Trains the same corpus serially and through the batched sharded pipeline
-(``workers`` = 1, 2, 4) and writes ``BENCH_train.json``
+Trains the same corpus with the default ``train()`` (the sharded
+pipeline run inline, ``workers=1``) as the baseline, then with
+``workers`` = 1, 2, 4, and writes ``BENCH_train.json``
 (``benchmarks/results/``) with:
 
 * ``cpu_count`` — the benchmark host's core count, and ``gate`` — an
@@ -9,17 +10,17 @@ Trains the same corpus serially and through the batched sharded pipeline
   or ``skipped (cores<4)``.  CI fails the job when the marker is
   missing or inconsistent (``tools/check_train_gate.py``), so an
   under-provisioned runner can never silently skip the real gate;
-* ``serial_wall`` and per-worker-count wall times / wall speedups.  On
-  hosts with >= 4 cores the **measured** wall speedup is asserted:
-  >= 1.5x at 4 workers and >= 1.0x at 2 (parallel must actually win,
-  not just model a win);
+* ``inline_wall`` and per-worker-count wall times / wall speedups over
+  it.  On hosts with >= 4 cores the **measured** wall speedup is
+  asserted: >= 1.5x at 4 workers and >= 1.0x at 2 (parallel must
+  actually win, not just model a win);
 * ``modeled_speedup`` — the critical-path speedup obtained by
   LPT-scheduling the measured per-batch CPU seconds onto N ideal cores
   and adding the parent's serial stages (merge, extraction, apply) —
   asserted >= 1.8x at 4 workers on every host, and recomputable from
   the serialized per-run ``report`` artifacts;
-* ``model_equality`` — serial vs parallel canonical model digests
-  (asserted: byte-identical for every worker count);
+* ``model_equality`` — inline vs per-worker-count canonical model
+  digests (asserted: byte-identical for every worker count);
 * extraction-cache accounting (asserted conserved across worker
   counts) and per-batch payload bytes shipped over IPC.
 """
@@ -66,8 +67,12 @@ def test_parallel_training_speedup_and_equality():
     sessions = _corpus()
     cpu_count = os.cpu_count() or 1
 
-    serial, serial_wall = _train(sessions)
-    serial_digest = ModelStore.from_intellog(serial).digest()
+    # One untimed warm-up run builds the process-wide extractor (lexicon
+    # + POS tagger) and fills the per-process NLP caches, so the timed
+    # baseline does not pay that one-time cost alone.
+    _train(sessions)
+    inline, inline_wall = _train(sessions)
+    inline_digest = ModelStore.from_intellog(inline).digest()
 
     results = {
         "scale": SCALE,
@@ -83,7 +88,7 @@ def test_parallel_training_speedup_and_equality():
             "sessions": len(sessions),
             "records": sum(len(s.records) for s in sessions),
         },
-        "serial_wall": serial_wall,
+        "inline_wall": inline_wall,
         "runs": {},
         "model_equality": {},
     }
@@ -92,17 +97,17 @@ def test_parallel_training_speedup_and_equality():
     for workers in WORKER_COUNTS:
         parallel, wall = _train(sessions, workers=workers)
         digest = ModelStore.from_intellog(parallel).digest()
-        equal = digest == serial_digest
+        equal = digest == inline_digest
         results["model_equality"][str(workers)] = equal
         assert equal, (
-            f"workers={workers}: parallel model diverged from serial "
-            f"({digest[:12]} != {serial_digest[:12]})"
+            f"workers={workers}: model diverged from the inline run "
+            f"({digest[:12]} != {inline_digest[:12]})"
         )
         report = parallel.last_parallel_report
         reports[workers] = report
         results["runs"][str(workers)] = {
             "wall": wall,
-            "wall_speedup_vs_serial": serial_wall / wall,
+            "wall_speedup_vs_inline": inline_wall / wall,
             "pool_workers": report.pool_workers,
             "batches": report.batches,
             "batch_target_records": report.batch_target_records,
@@ -148,36 +153,16 @@ def test_parallel_training_speedup_and_equality():
     # The honest gate: on a host that can actually run 4 workers,
     # parallel training must WIN wall-clock, not just model a win.
     if results["gate"] == GATE_ENFORCED:
-        wall_4 = results["runs"]["4"]["wall_speedup_vs_serial"]
+        wall_4 = results["runs"]["4"]["wall_speedup_vs_inline"]
         assert wall_4 >= WALL_SPEEDUP_FLOOR_4, (
             f"wall 4-worker speedup {wall_4:.2f}x on a {cpu_count}-core "
             f"host is below the {WALL_SPEEDUP_FLOOR_4}x floor"
         )
-        wall_2 = results["runs"]["2"]["wall_speedup_vs_serial"]
+        wall_2 = results["runs"]["2"]["wall_speedup_vs_inline"]
         assert wall_2 >= WALL_SPEEDUP_FLOOR_2, (
             f"wall 2-worker speedup {wall_2:.2f}x on a {cpu_count}-core "
             f"host is below the {WALL_SPEEDUP_FLOOR_2}x floor"
         )
-
-    # Extraction cache on vs off (workers=1: same process, no pool).
-    cached, cached_wall = _train(sessions, workers=1, cache=True)
-    uncached, uncached_wall = _train(sessions, workers=1, cache=False)
-    assert (
-        ModelStore.from_intellog(uncached).digest() == serial_digest
-    ), "cache=False changed the model"
-    results["extraction_cache"] = {
-        "on": {
-            "wall": cached_wall,
-            "hits": cached.last_parallel_report.cache_hits,
-            "misses": cached.last_parallel_report.cache_misses,
-        },
-        "off": {
-            "wall": uncached_wall,
-            "hits": uncached.last_parallel_report.cache_hits,
-            "misses": uncached.last_parallel_report.cache_misses,
-        },
-    }
-    assert uncached.last_parallel_report.cache_hits == 0
 
     text = json.dumps(results, indent=2)
     (RESULTS_DIR / "BENCH_train.json").write_text(text + "\n")
@@ -188,13 +173,13 @@ def test_parallel_training_speedup_and_equality():
         f"({results['corpus']['jobs_per_system']} jobs x "
         f"{len(results['corpus']['systems'])} systems), "
         f"host cpu_count={cpu_count}, wall gate: {results['gate']}",
-        f"serial wall: {serial_wall:.3f}s",
+        f"inline wall: {inline_wall:.3f}s",
     ]
     for workers in WORKER_COUNTS:
         run = results["runs"][str(workers)]
         lines.append(
             f"workers={workers}: wall {run['wall']:.3f}s "
-            f"({run['wall_speedup_vs_serial']:.2f}x), "
+            f"({run['wall_speedup_vs_inline']:.2f}x), "
             f"{run['batches']} batches (pool {run['pool_workers']}), "
             f"{run['payload_bytes_total']} payload bytes, "
             f"model identical: "
@@ -206,11 +191,5 @@ def test_parallel_training_speedup_and_equality():
             f"{n}w={results['modeled_speedup'][str(n)]:.2f}x"
             for n in (2, 4, 8)
         )
-    )
-    cache = results["extraction_cache"]
-    lines.append(
-        f"extraction cache: on {cache['on']['wall']:.3f}s "
-        f"({cache['on']['hits']} hits), off "
-        f"{cache['off']['wall']:.3f}s ({cache['off']['misses']} misses)"
     )
     write_result("BENCH_train.txt", "\n".join(lines))

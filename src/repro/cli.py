@@ -73,16 +73,10 @@ def _write_metrics(registry, args: argparse.Namespace) -> None:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    if args.workers is not None and args.workers < 1:
+    if args.workers < 1:
         raise SystemExit(
             f"error: --workers must be a positive integer, "
             f"got {args.workers}"
-        )
-    batch_records = getattr(args, "batch_records", None)
-    if batch_records is not None and batch_records < 1:
-        raise SystemExit(
-            f"error: --batch-records must be a positive integer, "
-            f"got {batch_records}"
         )
     config = IntelLogConfig(
         spell_tau=args.tau, formatter=args.formatter
@@ -90,8 +84,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     intellog = IntelLog(config)
     registry = _metrics_registry(args)
     summary = intellog.train_lines(
-        _read_lines(args.logs), workers=args.workers, cache=args.cache,
-        batch_records=batch_records, registry=registry,
+        _read_lines(args.logs), workers=args.workers, registry=registry,
     )
     print(
         f"trained on {summary.sessions} sessions / {summary.messages} "
@@ -100,15 +93,14 @@ def cmd_train(args: argparse.Namespace) -> int:
         f"({summary.critical_groups} critical)"
     )
     report = intellog.last_parallel_report
-    if report is not None:
-        print(
-            f"parallel: {report.workers} workers "
-            f"(pool {report.pool_workers}), {report.batches} batches / "
-            f"{report.shards} shards, {report.distinct_forms} distinct "
-            f"forms, extraction cache {report.cache_hits} hits / "
-            f"{report.cache_misses} misses, "
-            f"{report.payload_bytes_total} payload bytes"
-        )
+    print(
+        f"parallel: {report.workers} workers "
+        f"(pool {report.pool_workers}), {report.batches} batches / "
+        f"{report.shards} shards, {report.distinct_forms} distinct "
+        f"forms, extraction cache {report.cache_hits} hits / "
+        f"{report.cache_misses} misses, "
+        f"{report.payload_bytes_total} payload bytes"
+    )
     ModelStore.from_intellog(intellog).save(args.model)
     print(f"model written to {args.model}")
     _write_metrics(registry, args)
@@ -569,21 +561,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="hadoop | spark | tez | yarn | generic")
     train.add_argument("--tau", type=float, default=1.7,
                        help="Spell matching threshold t (paper: 1.7)")
-    train.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="train via the sharded parallel pipeline with "
-                            "N worker processes (model is byte-identical "
-                            "to serial; default: serial)")
-    train.add_argument("--no-cache", dest="cache", action="store_false",
-                       help="disable the Intel Key extraction memo cache "
-                            "(slower; model is unchanged)")
-    train.add_argument("--batch-records", type=int, default=None,
-                       metavar="R",
-                       help="target records per parallel shard batch "
-                            "(performance knob; default derived from the "
-                            "corpus size; model is unchanged)")
+    train.add_argument("--workers", type=int, default=1, metavar="N",
+                       help="worker processes for the sharded training "
+                            "pipeline (default 1: inline, no subprocesses; "
+                            "the model is byte-identical for every N)")
     train.add_argument("--metrics-out", default=None, metavar="PATH",
                        help="write a JSON metrics snapshot on exit")
-    train.set_defaults(func=cmd_train, cache=True)
+    train.set_defaults(func=cmd_train)
 
     detect = sub.add_parser("detect", help="check logs against a model")
     detect.add_argument("logs", nargs="+")

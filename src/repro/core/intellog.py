@@ -29,9 +29,14 @@ from ..detection.detector import AnomalyDetector
 from ..detection.report import JobReport, SessionReport
 from ..extraction.intelkey import IntelKey, IntelMessage
 from ..extraction.pipeline import InformationExtractor
-from ..graph.hwgraph import HWGraph, HWGraphBuilder
+from ..graph.hwgraph import HWGraph
 from ..parsing.formatters import default_registry
-from ..parsing.records import LogRecord, Session, split_sessions
+from ..parsing.records import (
+    LogRecord,
+    Session,
+    split_sessions,
+    yarn_session_key,
+)
 from ..parsing.spell import SpellParser
 from .config import IntelLogConfig
 from .errors import (
@@ -65,7 +70,7 @@ class IntelLog:
         self.graph: HWGraph | None = None
         self.intel_keys: dict[str, IntelKey] = {}
         self._detector: AnomalyDetector | None = None
-        #: Timings/accounting of the last ``train(workers=N)`` run
+        #: Timings/accounting of the last ``train()`` run
         #: (:class:`repro.parallel.ParallelReport`), if any.
         self.last_parallel_report = None
 
@@ -75,82 +80,34 @@ class IntelLog:
         self,
         sessions: Iterable[Session],
         *,
-        workers: int | None = None,
-        cache: bool = True,
-        batch_records: int | None = None,
+        workers: int = 1,
         registry: "MetricsRegistry | None" = None,
     ) -> TrainingSummary:
         """Learn log keys, Intel Keys and the HW-graph from normal runs.
 
-        ``workers=None`` (the default) runs the original fused serial
-        loop.  ``workers=N`` routes through the sharded pipeline
-        (:mod:`repro.parallel`): per-session shards are grouped into
-        size-targeted batches, processed by up to ``N`` warm worker
-        processes (inline for ``N=1`` or a single batch) and merged
-        deterministically — the resulting model is byte-identical to the
-        serial one for every ``N``.  ``cache=False`` disables the Intel
-        Key extraction memo and ``batch_records`` overrides the derived
-        records-per-batch target; neither ever changes the model, only
-        speed.
+        Runs the sharded pipeline (:func:`repro.parallel.train_parallel`):
+        per-session shards are grouped into size-targeted batches,
+        processed inline (``workers=1``, the default, or a single batch)
+        or by up to ``workers`` warm worker processes, and merged
+        deterministically — the model is byte-identical for every
+        ``workers``.  Timings and accounting land on
+        :attr:`last_parallel_report`.
+
+        Each call builds a fresh model from ``sessions`` alone: log keys,
+        Intel Keys, HW-graph and detector from an earlier ``train`` are
+        replaced, never extended.
 
         ``registry`` attaches a :class:`~repro.obs.MetricsRegistry`:
         per-stage ``train.*`` spans land in its ``trace_span_seconds``
-        histogram (both the serial and the sharded path), which is what
-        ``repro train --metrics-out`` snapshots.  Never changes the
-        model.
+        histogram, which is what ``repro train --metrics-out``
+        snapshots.  Never changes the model.
         """
-        if workers is not None:
-            from ..parallel import train_parallel
+        # Imported here: detection-only processes never pay for the
+        # pipeline's process-pool machinery.
+        from ..parallel import train_parallel
 
-            return train_parallel(
-                self, sessions, workers=workers, cache=cache,
-                batch_records=batch_records, registry=registry,
-            )
-        from ..obs import Tracer
-
-        tracer = Tracer(registry=registry)
-        sessions = list(sessions)
-        message_count = 0
-
-        # Stage 1: log keys via Spell (streaming over all sessions).
-        with tracer.span("train.spell"):
-            session_keys: list[list[tuple[LogRecord, str]]] = []
-            for session in sessions:
-                pairs: list[tuple[LogRecord, str]] = []
-                for record in session:
-                    key = self.spell.consume(record.message)
-                    pairs.append((record, key.key_id))
-                    message_count += 1
-                session_keys.append(pairs)
-
-        # Stage 2: Intel Keys.
-        with tracer.span("train.extract"):
-            self.intel_keys = self.extractor.build_all(self.spell.keys())
-
-        # Stage 3: HW-graph.
-        with tracer.span("train.graph"):
-            builder = HWGraphBuilder(self.intel_keys)
-            for session, pairs in zip(sessions, session_keys):
-                messages = self._to_messages(session, pairs)
-                builder.train_session(messages)
-            self.graph = builder.build()
-        if self.config.validate_model:
-            self._validate_graph()
-        self._detector = AnomalyDetector(
-            self.graph,
-            self.spell,
-            self.extractor,
-            self.config.detector,
-        )
-
-        return TrainingSummary(
-            sessions=len(sessions),
-            messages=message_count,
-            log_keys=len(self.spell),
-            intel_keys=len(self.intel_keys),
-            entity_groups=len(self.graph.groups),
-            critical_groups=len(self.graph.critical_groups()),
-            ignored_keys=len(self.graph.ignored_keys),
+        return train_parallel(
+            self, sessions, workers=workers, registry=registry
         )
 
     def train_lines(
@@ -158,16 +115,13 @@ class IntelLog:
         lines: Iterable[str],
         formatter: str | None = None,
         *,
-        workers: int | None = None,
-        cache: bool = True,
-        batch_records: int | None = None,
+        workers: int = 1,
         registry: "MetricsRegistry | None" = None,
     ) -> TrainingSummary:
         """Train from raw log lines (formatted + split into sessions)."""
         records = self._format(lines, formatter)
         return self.train(
-            split_sessions(records), workers=workers, cache=cache,
-            batch_records=batch_records, registry=registry,
+            split_sessions(records), workers=workers, registry=registry
         )
 
     # -- detection ----------------------------------------------------------------
@@ -250,30 +204,14 @@ class IntelLog:
             warnings.warn(diag.render(), ModelValidationWarning,
                           stacklevel=3)
 
-    def _to_messages(
-        self, session: Session, pairs: list[tuple[LogRecord, str]]
-    ) -> list[IntelMessage]:
-        messages: list[IntelMessage] = []
-        for record, key_id in pairs:
-            intel_key = self.intel_keys.get(key_id)
-            if intel_key is None:
-                continue
-            message = self.extractor.to_intel_message(
-                intel_key,
-                record.message,
-                timestamp=record.timestamp,
-                session_id=session.session_id,
-            )
-            if message is not None:
-                messages.append(message)
-        return messages
-
     def _format(
         self, lines: Iterable[str], formatter: str | None
     ) -> list[LogRecord]:
+        """Format raw lines and attribute each record to its YARN
+        container (:func:`~repro.parsing.records.yarn_session_key`)."""
         name = formatter or self.config.formatter
         fmt = default_registry().get(name)
-        return list(fmt.parse_lines(lines))
+        return [yarn_session_key(record) for record in fmt.parse_lines(lines)]
 
     def _require_detector(self) -> AnomalyDetector:
         if self._detector is None:

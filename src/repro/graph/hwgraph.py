@@ -60,8 +60,9 @@ class SessionStats:
 
     Produced by :func:`session_group_stats` (a pure function of the
     session's Intel Messages), applied by
-    :meth:`HWGraphBuilder.apply_session_stats`.  The serial trainer fuses
-    the two; the parallel trainer computes stats in worker processes and
+    :meth:`HWGraphBuilder.apply_session_stats`.
+    :meth:`HWGraphBuilder.train_session` fuses the two; the trainer
+    (:mod:`repro.parallel`) computes stats in worker processes and
     applies them in deterministic corpus order.
     """
 
@@ -346,9 +347,9 @@ class HWGraphBuilder:
         """Fold one session's pre-computed statistics into the model.
 
         This is the only mutating half of training; feeding sessions'
-        stats in corpus order reproduces the fused serial path exactly,
-        which is what lets ``repro.parallel`` compute the stats in worker
-        processes.
+        stats in corpus order reproduces :meth:`train_session` over the
+        same sessions exactly, which is what lets ``repro.parallel``
+        compute the stats in worker processes.
         """
         lifespans: dict[str, Lifespan] = {}
         for group_stats in stats.groups:

@@ -95,7 +95,7 @@ def session_updates(
     Splitting this from :meth:`SubroutineModel.train_session` lets the
     observation (parallelisable, per session) and the model mutation
     (serial, order-sensitive) run in different processes while remaining
-    byte-identical to the fused serial path.
+    byte-identical to :meth:`SubroutineModel.train_session`.
     """
     return [
         (instance.signature, instance.key_sequence)

@@ -1,14 +1,15 @@
 """Sharded, multi-process training with a deterministic merge.
 
-The training corpus is split into per-session shards (a pure function of
-the corpus, never of the worker count) which are grouped into
-size-targeted *shard batches* — the units actually shipped to worker
-processes, themselves a pure function of the corpus.  The per-record
-work runs in a warm process pool, and the merge folds results in an
-order fixed by corpus content — so ``IntelLog.train(sessions,
-workers=N)`` produces a model byte-identical to the serial trainer for
-every ``N`` and every batch layout.  See ``DESIGN.md`` ("Deterministic
-merge") for the invariant and why batching preserves it.
+This is IntelLog's only trainer: :meth:`repro.core.IntelLog.train` calls
+:func:`train_parallel`.  The training corpus is split into per-session
+shards (a pure function of the corpus, never of the worker count) which
+are grouped into size-targeted *shard batches* — the units actually
+shipped to worker processes, themselves a pure function of the corpus.
+The per-record work runs in a warm process pool (or inline at
+``workers=1``), and the merge folds results in an order fixed by corpus
+content — so ``IntelLog.train(sessions, workers=N)`` produces the same
+model bytes for every ``N`` and every batch layout.  See ``DESIGN.md``
+("Deterministic merge") for the invariant and why batching preserves it.
 """
 
 from .cache import ExtractionCache, process_cache
@@ -32,16 +33,12 @@ from .worker import (
     BatchStatsTask,
     ParallelWorkerError,
     ParseSlice,
-    ParseTask,
     ShardParse,
     ShardStats,
     StatsSlice,
-    StatsTask,
     compute_batch_stats,
-    compute_shard_stats,
     init_worker,
     parse_batch,
-    parse_shard,
 )
 
 __all__ = [
@@ -56,16 +53,13 @@ __all__ = [
     "ParallelReport",
     "ParallelWorkerError",
     "ParseSlice",
-    "ParseTask",
     "Shard",
     "ShardBatch",
     "ShardParse",
     "ShardStats",
     "StatsSlice",
-    "StatsTask",
     "batch_hash",
     "compute_batch_stats",
-    "compute_shard_stats",
     "corpus_manifest",
     "derive_batch_target",
     "init_worker",
@@ -74,7 +68,6 @@ __all__ = [
     "make_shards",
     "merge_shards",
     "parse_batch",
-    "parse_shard",
     "process_cache",
     "shard_hash",
     "train_parallel",

@@ -6,7 +6,9 @@ sample message)`` — everything else in the :class:`IntelKey` derives from
 those two.  The cache memoises that function per process: every worker
 process keeps one instance alive across tasks, so a template that dozens
 of shards rediscover is POS-tagged once per process and served from the
-memo afterwards.
+memo afterwards.  :func:`~repro.parallel.pipeline.train_parallel`
+clears the parent's memo when it starts, so the memo holds at most one
+training run's keys; pool workers are fresh processes for each run.
 
 The cached value is stored key-id-agnostic (``key_id=""``) because the
 same template can receive different canonical ids in different training
@@ -51,36 +53,30 @@ class ExtractionCache:
         return len(self._memo)
 
     def extract(
-        self,
-        key_id: str,
-        tokens: tuple[str, ...],
-        sample: str,
-        enabled: bool = True,
+        self, key_id: str, tokens: tuple[str, ...], sample: str
     ) -> IntelKey:
-        """The Intel Key for one log key, memoised on (tokens, sample).
-
-        With ``enabled=False`` the memo is bypassed entirely (no lookup,
-        no store) — used to benchmark the cache off and to guarantee a
-        cold extraction when callers need one.
-        """
+        """The Intel Key for one log key, memoised on (tokens, sample)."""
         memo_key = (tuple(tokens), sample)
-        if enabled:
-            cached = self._memo.get(memo_key)
-            if cached is not None:
-                self.hits += 1
-                return replace(cached, key_id=key_id)
+        cached = self._memo.get(memo_key)
+        if cached is not None:
+            self.hits += 1
+            return replace(cached, key_id=key_id)
         self.misses += 1
         built = self.extractor.build_intel_key(
             LogKey(key_id=key_id, tokens=list(tokens), sample=sample)
         )
-        if enabled:
-            self._memo[memo_key] = replace(built, key_id="")
+        self._memo[memo_key] = replace(built, key_id="")
         return built
 
     def stats(self) -> tuple[int, int]:
         return self.hits, self.misses
 
-    def reset_stats(self) -> None:
+    def clear(self) -> None:
+        """Drop every memoised key and zero the counters.
+
+        The warm extractor is kept: it holds no corpus state.
+        """
+        self._memo.clear()
         self.hits = 0
         self.misses = 0
 

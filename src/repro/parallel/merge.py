@@ -1,16 +1,17 @@
 """Deterministic merge of per-shard parse results.
 
 Spell is a streaming algorithm: the key table it produces depends on the
-order messages arrive.  The merge reproduces the *serial* table exactly by
-replaying the corpus's **distinct masked forms** — in first-global-
-occurrence order — through a fresh :class:`SpellParser`:
+order messages arrive.  The merge reproduces the table of one streaming
+pass over every record exactly by replaying the corpus's **distinct
+masked forms** — in first-global-occurrence order — through a fresh
+:class:`SpellParser`:
 
 * Every record with the same masked form takes the same path through
   ``consume`` (matching, merging and evolution all operate on the masked
   tokens), so replaying each form once yields the same key table and the
   same form → key assignment as consuming every record.
 * First-global-occurrence order of the distinct forms is exactly the
-  order in which the serial stream encounters *new* information, so
+  order in which the streaming pass encounters *new* information, so
   template evolution happens in the same sequence.
 * The shard partition is per-session and the global occurrence index is
   ``shard.base_offset + local position`` — pure functions of the corpus —
@@ -25,8 +26,8 @@ does not match the shard it claims to be.
 Batching never reaches this layer: workers process *shard batches* for
 IPC efficiency, but the pipeline flattens batch results back to
 per-shard :class:`ShardParse` objects in corpus order before calling
-:func:`merge_shards` — which is why the batch layout (a performance
-knob) cannot influence the merged model.
+:func:`merge_shards` — which is why the batch layout cannot influence
+the merged model.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def merge_shards(
     parses: Sequence[ShardParse],
     tau: float = 1.7,
 ) -> MergeResult:
-    """Fold shard form tables into the canonical serial parser state."""
+    """Fold shard form tables into the canonical streaming parser state."""
     ordered = _check_pairing(shards, parses)
 
     # Global form table: form -> [first global index, count, sample].
@@ -107,8 +108,8 @@ def merge_shards(
                     entry[2] = sample
 
     # Replay distinct forms in first-occurrence order: this drives the
-    # exact sequence of template creations and LCS merges the serial
-    # stream performs, producing the same keys with the same samples.
+    # exact sequence of template creations and LCS merges the streaming
+    # pass performs, producing the same keys with the same samples.
     spell = SpellParser(tau=tau)
     assignment: dict[tuple[str, ...], str] = {}
     for form, (_first, _count, sample) in sorted(

@@ -1,8 +1,10 @@
 """The sharded training pipeline with deterministic merge.
 
-:func:`train_parallel` reproduces :meth:`repro.core.IntelLog.train`
-byte-for-byte (same Spell table, Intel Keys, HW-graph and detector) while
-running the per-record work in a process pool:
+:func:`train_parallel` is the trainer behind
+:meth:`repro.core.IntelLog.train`.  It learns the Spell table, Intel
+Keys, HW-graph and detector of Figure 2 while running the per-record
+work in a process pool, and the model it builds is byte-identical for
+every worker count and every batch layout:
 
 * **Batching** — per-session shards (the merge granularity) are grouped
   into size-targeted *shard batches* (the distribution granularity,
@@ -11,18 +13,19 @@ running the per-record work in a process pool:
 * **Phase 1** — every batch is masked into per-shard distinct-form
   tables in a worker (:func:`~repro.parallel.worker.parse_batch`).
 * **Merge** — the parent replays distinct forms in first-global-
-  occurrence order to recover the exact serial key table and per-record
-  assignment (:func:`~repro.parallel.merge.merge_shards` — batching
-  never reaches it: results are flattened back to per-shard parses in
-  corpus order first), then extracts the canonical Intel Keys and builds
-  the entity grouping.
+  occurrence order to recover the exact key table and per-record
+  assignment of one streaming Spell pass over the corpus
+  (:func:`~repro.parallel.merge.merge_shards` — batching never reaches
+  it: results are flattened back to per-shard parses in corpus order
+  first), then extracts the canonical Intel Keys and builds the entity
+  grouping.
 * **Phase 2** — every batch rebuilds its Intel Messages and computes
   per-session HW-graph statistics in a worker
   (:func:`~repro.parallel.worker.compute_batch_stats`).
 * **Apply** — the parent folds the statistics in corpus order (never
-  completion order) through the same
-  :meth:`~repro.graph.hwgraph.HWGraphBuilder.apply_session_stats` the
-  serial trainer uses, then finalises the hierarchy.
+  completion order) through
+  :meth:`~repro.graph.hwgraph.HWGraphBuilder.apply_session_stats`, then
+  finalises the hierarchy.
 
 One :class:`ProcessPoolExecutor` serves both phases: it is created once
 with an initializer that pre-warms the per-process extraction cache
@@ -32,9 +35,8 @@ individually — the batch *is* the chunk, so no per-tiny-task round trips
 remain for a chunksize to amortize.  Payload bytes shipped each way are
 measured per batch and land in the :class:`ParallelReport`.
 
-``workers=1`` (or a single batch) runs both phases inline through the
-very same code path — no subprocesses — which is what the equivalence
-tests lean on.
+``workers=1`` (the default) or a single batch runs both phases inline
+through the very same code path, with no subprocesses.
 """
 
 from __future__ import annotations
@@ -105,7 +107,6 @@ class ParallelReport:
     """Timings and accounting of one :func:`train_parallel` run."""
 
     workers: int
-    cache: bool
     shards: int
     records: int
     distinct_forms: int
@@ -197,7 +198,6 @@ class ParallelReport:
         return {
             "workers": self.workers,
             "pool_workers": self.pool_workers,
-            "cache": self.cache,
             "shards": self.shards,
             "batches": self.batches,
             "batch_target_records": self.batch_target_records,
@@ -232,7 +232,6 @@ class ParallelReport:
         — ``serial_overhead``, totals — are recomputed, not trusted)."""
         return cls(
             workers=int(data["workers"]),
-            cache=bool(data["cache"]),
             shards=int(data["shards"]),
             records=int(data["records"]),
             distinct_forms=int(data["distinct_forms"]),
@@ -395,19 +394,19 @@ def train_parallel(
     sessions: Iterable[Session],
     *,
     workers: int = 1,
-    cache: bool = True,
-    batch_records: int | None = None,
     registry: MetricsRegistry | None = None,
 ) -> "TrainingSummary":
-    """Train ``intellog`` on ``sessions`` using ``workers`` processes.
+    """Train ``intellog`` on ``sessions`` using up to ``workers`` processes.
 
-    Produces a model byte-identical to the serial
-    :meth:`IntelLog.train` for any ``workers >= 1`` and any batch
-    layout; stores a :class:`ParallelReport` on
+    Builds a fresh model from ``sessions`` alone and installs it on
+    ``intellog``, replacing any earlier one.  The model is byte-identical
+    for every ``workers >= 1``.  Stores a :class:`ParallelReport` on
     ``intellog.last_parallel_report``.
 
-    ``batch_records`` overrides the derived records-per-batch target
-    (performance knob only — the model never depends on batching).
+    The batch layout is :func:`~repro.parallel.shard.derive_batch_target`
+    of the corpus size, computed once here; the model never depends on
+    it.  The process-wide extraction memo is cleared first, so it only
+    ever holds one run's keys.
 
     Stage walls come from nested ``train.*`` spans; passing a
     ``registry`` additionally feeds them into its
@@ -419,23 +418,20 @@ def train_parallel(
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
     if workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
-    if batch_records is not None and (
-        not isinstance(batch_records, int)
-        or isinstance(batch_records, bool)
-        or batch_records < 1
-    ):
-        raise ValueError(
-            f"batch_records must be a positive integer, "
-            f"got {batch_records!r}"
-        )
 
     tracer = Tracer(registry=registry)
     total_span = tracer.span("train.parallel")
     with total_span:
         session_list = list(sessions)
         shards = make_shards(session_list)
-        batches = make_batches(shards, target_records=batch_records)
+        batch_target = derive_batch_target(
+            sum(len(shard) for shard in shards)
+        )
+        batches = make_batches(shards, batch_target)
         config = intellog.config
+        # Cleared before the pool forks, so workers start empty too.
+        parent_cache = process_cache()
+        parent_cache.clear()
 
         # Never spawn idle processes: more workers than batches would
         # only add fork/teardown cost with nothing to run.
@@ -447,7 +443,6 @@ def train_parallel(
             if pool_workers > 1
             else None
         )
-        parent_cache = process_cache()
         report_bytes: dict[str, list[int]] = {
             "parse_sent": [], "parse_recv": [],
             "stats_sent": [], "stats_recv": [],
@@ -473,20 +468,19 @@ def train_parallel(
                     shards, parses, tau=config.spell_tau
                 )
 
-            # Canonical Intel Keys, in Spell key order (same order as the
-            # serial ``extractor.build_all(self.spell.keys())``).  The
-            # parent cache delta is measured around exactly this pass so
-            # inline phase-2 traffic is never double counted.
+            # Canonical Intel Keys, in Spell key order (the order
+            # ``InformationExtractor.build_all`` uses).  The memo was
+            # cleared at the start and phase 1 never touches it, so its
+            # counters after this pass are exactly the parent's traffic;
+            # inline phase-2 lookups are counted by the batch tasks.
             with tracer.span("train.extract") as extract_span:
-                hits0, misses0 = parent_cache.stats()
                 intel_keys: dict[str, IntelKey] = {
                     key.key_id: parent_cache.extract(
-                        key.key_id, tuple(key.tokens), key.sample,
-                        enabled=cache,
+                        key.key_id, tuple(key.tokens), key.sample
                     )
                     for key in merged.spell.keys()
                 }
-                hits1, misses1 = parent_cache.stats()
+                parent_hits, parent_misses = parent_cache.stats()
                 builder = HWGraphBuilder(intel_keys)
                 key_labels = {
                     key_id: tuple(sorted(labels))
@@ -535,7 +529,6 @@ def train_parallel(
                                 key_id: key_labels[key_id]
                                 for key_id in used
                             },
-                            cache=cache,
                         )
                     )
                 batch_stats: list[BatchStats] = _run_tasks(
@@ -577,8 +570,7 @@ def train_parallel(
                 )
             graph = builder.build()
 
-        # Install the trained model on the façade (same fields as
-        # train()).
+        # Install the trained model on the façade.
         intellog.spell = merged.spell
         intellog.intel_keys = intel_keys
         intellog.graph = graph
@@ -594,7 +586,6 @@ def train_parallel(
     parse_by_index = {parse.index: parse for parse in parses}
     report = ParallelReport(
         workers=workers,
-        cache=cache,
         shards=len(shards),
         records=merged.total_records,
         distinct_forms=merged.distinct_forms,
@@ -602,11 +593,7 @@ def train_parallel(
         manifest=corpus_manifest(shards),
         pool_workers=pool_workers,
         batches=len(batches),
-        batch_target_records=(
-            batch_records
-            if batch_records is not None
-            else derive_batch_target(merged.total_records)
-        ),
+        batch_target_records=batch_target,
         parse_wall=parse_span.duration_s,
         merge_wall=merge_span.duration_s,
         extract_wall=extract_span.duration_s,
@@ -631,9 +618,9 @@ def train_parallel(
         stats_payload_bytes=report_bytes["stats_sent"],
         parse_result_bytes=report_bytes["parse_recv"],
         stats_result_bytes=report_bytes["stats_recv"],
-        cache_hits=(hits1 - hits0)
+        cache_hits=parent_hits
         + sum(result.cache_hits for result in batch_stats),
-        cache_misses=(misses1 - misses0)
+        cache_misses=parent_misses
         + sum(result.cache_misses for result in batch_stats),
     )
     intellog.last_parallel_report = report

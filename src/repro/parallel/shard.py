@@ -148,20 +148,17 @@ def derive_batch_target(total_records: int) -> int:
 
 
 def make_batches(
-    shards: Sequence[Shard], target_records: int | None = None
+    shards: Sequence[Shard], target_records: int
 ) -> list[ShardBatch]:
     """Greedily fill size-targeted batches of consecutive shards.
 
     Walks the shards in corpus order and closes a batch as soon as it
     holds ``target_records`` records (a single over-sized session still
     forms one batch — sessions are never split, they are the merge
-    granularity).  With ``target_records=None`` the target is derived
-    from the corpus size (:func:`derive_batch_target`), keeping the
+    granularity).  The training pipeline passes
+    :func:`derive_batch_target` of the corpus size, keeping the
     partition a pure function of the corpus.
     """
-    if target_records is None:
-        total = sum(len(shard) for shard in shards)
-        target_records = derive_batch_target(total)
     if target_records < 1:
         raise ValueError(
             f"target_records must be a positive integer, "

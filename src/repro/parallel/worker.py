@@ -24,19 +24,14 @@ and evolution) runs once in the parent over distinct forms only (see
 Phase 2 (:func:`compute_batch_stats`) receives the canonical per-record
 key assignment back, rebuilds each shard's Intel Messages (extracting
 the batch's Intel Keys once through the process-local memo cache) and
-computes per-session HW-graph statistics via the same
-:func:`~repro.graph.hwgraph.session_group_stats` the serial trainer
-uses.
+computes per-session HW-graph statistics via
+:func:`~repro.graph.hwgraph.session_group_stats`, the same pure function
+behind :meth:`~repro.graph.hwgraph.HWGraphBuilder.train_session`.
 
 :func:`init_worker` runs once per pool process (executor initializer):
 it pre-imports the parsing/extraction modules and warms the per-process
 :class:`~repro.parallel.cache.ExtractionCache`'s extractor, so the
 lexicon/POS-tagger setup happens off every task's critical path.
-
-The per-shard task shapes from the pre-batching pipeline
-(:class:`ParseTask`/:func:`parse_shard`,
-:class:`StatsTask`/:func:`compute_shard_stats`) remain as single-shard
-primitives — the batch tasks and the merge-layer tests build on them.
 """
 
 from __future__ import annotations
@@ -45,7 +40,6 @@ import time
 from dataclasses import dataclass, field
 
 from ..graph.hwgraph import session_group_stats
-from ..parsing.records import Session
 from ..parsing.spell import mask_message
 from .cache import ExtractionCache, process_cache
 
@@ -75,15 +69,6 @@ def init_worker() -> None:
 
 
 # -- phase 1: masking + form tables -----------------------------------------
-
-
-@dataclass(slots=True)
-class ParseTask:
-    """Input of :func:`parse_shard` (single-shard primitive)."""
-
-    index: int
-    content_hash: str
-    session: Session
 
 
 @dataclass(slots=True)
@@ -157,21 +142,6 @@ def _mask_form_table(
     return [tuple(entry) for entry in forms], record_forms
 
 
-def parse_shard(task: ParseTask) -> ShardParse:
-    """Mask one shard's messages and collect its distinct-form table."""
-    started = time.process_time()
-    forms, record_forms = _mask_form_table(
-        [record.message for record in task.session.records]
-    )
-    return ShardParse(
-        index=task.index,
-        content_hash=task.content_hash,
-        forms=forms,
-        record_forms=record_forms,
-        duration=time.process_time() - started,
-    )
-
-
 def parse_batch(task: BatchParseTask) -> BatchParse:
     """Mask every shard of one batch (phase-1 worker entry point)."""
     batch_started = time.process_time()
@@ -197,23 +167,6 @@ def parse_batch(task: BatchParseTask) -> BatchParse:
 
 
 # -- phase 2: Intel Messages + per-session HW-graph stats --------------------
-
-
-@dataclass(slots=True)
-class StatsTask:
-    """Input of :func:`compute_shard_stats` (single-shard primitive)."""
-
-    index: int
-    content_hash: str
-    session: Session
-    #: Canonical key id of every record, aligned with ``session.records``.
-    record_keys: list[str]
-    #: Canonical key table restricted to keys this shard uses:
-    #: ``(key_id, template tokens, sample)``.
-    key_table: list[tuple[str, tuple[str, ...], str]]
-    #: key id -> entity-group labels containing it (sorted tuples).
-    key_labels: dict[str, tuple[str, ...]]
-    cache: bool = True
 
 
 @dataclass(slots=True)
@@ -259,7 +212,6 @@ class BatchStatsTask:
         default_factory=list
     )
     key_labels: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    cache: bool = True
 
 
 @dataclass(slots=True)
@@ -305,35 +257,6 @@ def _session_stats(
     )
 
 
-def compute_shard_stats(task: StatsTask) -> ShardStats:
-    """Single-shard phase-2 primitive (kept for the merge-layer tests)."""
-    cache = process_cache()
-    hits0, misses0 = cache.stats()
-    intel_keys = {
-        key_id: cache.extract(key_id, tokens, sample, enabled=task.cache)
-        for key_id, tokens, sample in task.key_table
-    }
-    result = _session_stats(
-        StatsSlice(
-            index=task.index,
-            content_hash=task.content_hash,
-            session_id=task.session.session_id,
-            rows=[
-                (record.timestamp, record.message)
-                for record in task.session.records
-            ],
-            record_keys=task.record_keys,
-        ),
-        intel_keys,
-        task.key_labels,
-        cache,
-    )
-    hits1, misses1 = cache.stats()
-    result.cache_hits = hits1 - hits0
-    result.cache_misses = misses1 - misses0
-    return result
-
-
 def compute_batch_stats(task: BatchStatsTask) -> BatchStats:
     """Phase-2 worker entry point: stats for every shard of one batch.
 
@@ -345,7 +268,7 @@ def compute_batch_stats(task: BatchStatsTask) -> BatchStats:
     cache = process_cache()
     hits0, misses0 = cache.stats()
     intel_keys = {
-        key_id: cache.extract(key_id, tokens, sample, enabled=task.cache)
+        key_id: cache.extract(key_id, tokens, sample)
         for key_id, tokens, sample in task.key_table
     }
     stats = [

@@ -15,6 +15,7 @@ from .records import (
     Session,
     session_bucket,
     split_sessions,
+    yarn_session_key,
 )
 from .spell import (
     STAR,
@@ -46,4 +47,5 @@ __all__ = [
     "lcs_merge",
     "session_bucket",
     "split_sessions",
+    "yarn_session_key",
 ]

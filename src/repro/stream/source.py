@@ -33,11 +33,10 @@ from __future__ import annotations
 
 import logging
 import os
-import re
 from typing import Any, Callable, Iterator, Protocol, Sequence, runtime_checkable
 
 from ..parsing.formatters import Formatter, default_registry
-from ..parsing.records import LogRecord
+from ..parsing.records import LogRecord, yarn_session_key
 from .resilience import (
     REASON_BINARY,
     REASON_DECODE,
@@ -55,27 +54,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-_CONTAINER_RE = re.compile(r"container_\w+")
-_APP_RE = re.compile(r"application_\d+_\d+")
-
-
-def yarn_session_key(record: LogRecord) -> LogRecord:
-    """Default session attribution: scan the raw line for YARN ids.
-
-    One container's logs are one session (paper §5); log files aggregated
-    by YARN interleave many containers, each line carrying its container
-    id.  Records that already have a ``session_id`` are left untouched.
-    """
-    if not record.session_id:
-        match = _CONTAINER_RE.search(record.raw)
-        if match:
-            record.session_id = match.group(0)
-    if not record.app_id:
-        match = _APP_RE.search(record.raw)
-        if match:
-            record.app_id = match.group(0)
-    return record
 
 
 @runtime_checkable

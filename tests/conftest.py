@@ -2,11 +2,13 @@
 
 Expensive fixtures are session-scoped; tests must not mutate them.
 
-Setting ``REPRO_TRAIN_WORKERS=N`` trains every shared model through the
-sharded parallel pipeline (``IntelLog.train(..., workers=N)``) instead of
-the serial loop.  The pipeline's deterministic merge guarantees a
-byte-identical model, so the whole suite doubles as a serial-vs-parallel
-equivalence check — CI runs one matrix leg with it set to 2.
+Setting ``REPRO_TRAIN_WORKERS=N`` trains every shared model with
+``IntelLog.train(..., workers=N)``, a process pool of ``N`` workers,
+instead of the default inline run (``workers=1``).  The pipeline's
+deterministic merge guarantees a byte-identical model, so the whole
+suite doubles as a pool-vs-inline equivalence check — CI runs one matrix
+leg with it set to 2.  A corpus small enough to fit one batch runs
+inline at any ``N``.
 """
 
 from __future__ import annotations

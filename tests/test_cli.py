@@ -105,6 +105,49 @@ class TestCli:
         assert "groups" in payload
 
 
+class TestSessionAttribution:
+    """Raw-line training and detection attribute every record to its
+    YARN container: one session per container, never one ``<default>``
+    session for the whole file."""
+
+    def _jobs(self):
+        sim = MapReduceSimulator(seed=9)
+        return [
+            sim.run_job(
+                "wordcount", MapReduceConfig(input_gb=2.0),
+                base_time=i * 3600.0,
+            )
+            for i in range(4)
+        ]
+
+    def test_train_lines_one_session_per_container(self):
+        from repro import IntelLog
+
+        jobs = self._jobs()
+        lines = [line for job in jobs for line in render_hadoop_lines(job)]
+        containers = {
+            session.session_id for job in jobs for session in job.sessions
+        }
+        summary = IntelLog().train_lines(lines, "hadoop")
+        assert len(containers) > 1
+        assert summary.sessions == len(containers)
+
+    def test_detect_lines_reports_each_container(self):
+        from repro import IntelLog
+
+        jobs = self._jobs()
+        intellog = IntelLog()
+        intellog.train_lines(
+            [line for job in jobs[1:] for line in render_hadoop_lines(job)],
+            "hadoop",
+        )
+        report = intellog.detect_lines(render_hadoop_lines(jobs[0]),
+                                       "hadoop")
+        assert sorted(s.session_id for s in report.sessions) == sorted(
+            session.session_id for session in jobs[0].sessions
+        )
+
+
 class TestTrainParallelCli:
     def _canonical(self, path):
         from repro.query.store import ModelStore
@@ -114,32 +157,40 @@ class TestTrainParallelCli:
     def test_workers_flag_produces_identical_model(self, log_files,
                                                    capsys):
         train_file, _, tmp_path = log_files
-        serial_path = tmp_path / "serial.json"
+        inline_path = tmp_path / "inline.json"
         parallel_path = tmp_path / "parallel.json"
         assert main(["train", str(train_file),
-                     "--model", str(serial_path),
+                     "--model", str(inline_path),
                      "--formatter", "hadoop"]) == 0
         assert main(["train", str(train_file),
                      "--model", str(parallel_path),
                      "--formatter", "hadoop", "--workers", "2"]) == 0
         out = capsys.readouterr().out
+        assert "parallel: 1 workers" in out
         assert "parallel: 2 workers" in out
-        assert self._canonical(serial_path) == self._canonical(
+        assert self._canonical(inline_path) == self._canonical(
             parallel_path
         )
 
-    def test_no_cache_flag_reported_and_model_unchanged(self, log_files,
-                                                        capsys):
+    def test_cache_accounting_reported_and_model_unchanged(self, log_files,
+                                                           capsys):
+        """The extraction memo starts empty on every run, so training
+        twice in one process reports the same cache traffic and writes
+        the same model."""
         train_file, _, tmp_path = log_files
-        cached = tmp_path / "cached.json"
-        uncached = tmp_path / "uncached.json"
-        main(["train", str(train_file), "--model", str(cached),
-              "--formatter", "hadoop", "--workers", "1"])
-        main(["train", str(train_file), "--model", str(uncached),
-              "--formatter", "hadoop", "--workers", "1", "--no-cache"])
-        out = capsys.readouterr().out
-        assert "0 hits" in out  # the --no-cache run never hits the memo
-        assert self._canonical(cached) == self._canonical(uncached)
+        first = tmp_path / "first.json"
+        second = tmp_path / "second.json"
+        main(["train", str(train_file), "--model", str(first),
+              "--formatter", "hadoop"])
+        main(["train", str(train_file), "--model", str(second),
+              "--formatter", "hadoop"])
+        reports = [
+            line for line in capsys.readouterr().out.splitlines()
+            if "extraction cache" in line
+        ]
+        assert len(reports) == 2
+        assert reports[0] == reports[1]
+        assert self._canonical(first) == self._canonical(second)
 
     @pytest.mark.parametrize("bad", ["0", "-3"])
     def test_rejects_non_positive_workers(self, log_files, bad):
@@ -274,7 +325,10 @@ class TestMetricsFlags:
                 "samples"
             ]
         }
-        assert {"train.spell", "train.extract", "train.graph"} <= spans
+        assert {
+            "train.parallel", "train.parse", "train.merge",
+            "train.extract", "train.stats", "train.apply",
+        } <= spans
 
     def test_detect_metrics_out_counts_every_record(self, log_files,
                                                     capsys):

@@ -3,8 +3,8 @@
 A frozen corpus (``tests/golden/corpus.jsonl``) is trained and the
 canonical serialized model (:meth:`ModelStore.canonical_bytes`) must hash
 to the pinned digest in ``tests/golden/expected.json`` — across repeated
-runs, across ``workers=1`` vs ``workers=4``, and across interpreter hash
-randomisation (``PYTHONHASHSEED``).  A digest change means the trained
+runs, across ``workers=1/2/4``, across extreme batch layouts, and across
+interpreter hash randomisation (``PYTHONHASHSEED``).  A digest change means the trained
 model changed: if intentional, regenerate with
 ``python tools/regen_golden.py`` and commit the diff; if not, this suite
 just caught a regression (or nondeterminism).
@@ -81,25 +81,30 @@ class TestGoldenModel:
         assert first == second
 
     def test_parallel_workers_match_pinned_digest(self, corpus, expected):
-        """workers=1 (inline pipeline), workers=2 and workers=4 (real
-        process pools over the default size-targeted batch layout) all
-        reproduce the serial model byte-for-byte."""
+        """workers=1 (inline), workers=2 and workers=4 (real process
+        pools over the default size-targeted batch layout) all
+        reproduce the pinned model byte-for-byte."""
         for workers in (1, 2, 4):
             digest, _ = train_digest(corpus, workers=workers)
             assert digest == expected["digest"], (
                 f"workers={workers}: {REGEN_HINT}"
             )
 
-    def test_batch_layout_cannot_move_the_digest(self, corpus, expected):
-        """Batching is purely a distribution knob: extreme layouts
-        (per-session batches, one giant batch) leave the model bytes
-        untouched."""
-        for batch_records in (1, 10**9):
-            digest, _ = train_digest(
-                corpus, workers=2, batch_records=batch_records
+    def test_batch_layout_cannot_move_the_digest(
+        self, corpus, expected, monkeypatch
+    ):
+        """Batching only decides how work is distributed: extreme
+        layouts (per-session batches, one giant batch) leave the model
+        bytes untouched."""
+        from repro.parallel import pipeline
+
+        for target in (1, 10**9):
+            monkeypatch.setattr(
+                pipeline, "derive_batch_target", lambda _n, t=target: t
             )
+            digest, _ = train_digest(corpus, workers=2)
             assert digest == expected["digest"], (
-                f"batch_records={batch_records}: {REGEN_HINT}"
+                f"batch target {target}: {REGEN_HINT}"
             )
 
     @pytest.mark.parametrize("hash_seed", ["0", "42"])

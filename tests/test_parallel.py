@@ -1,10 +1,11 @@
 """Tests for ``repro.parallel``: sharding, merge determinism, the memo
-cache and the pipeline's serial equivalence.
+cache and the pipeline's equivalence with the fused serial trainer.
 
 The hypothesis suites pin the deterministic-merge invariant directly:
 the merged parser state is a pure function of the corpus — independent of
 the order shard results arrive in and of how many workers produced them —
-and the parallel pipeline is extensionally equal to the serial trainer.
+and the pipeline behind ``IntelLog.train`` is extensionally equal to the
+original fused serial loop, kept below as :func:`fused_train`.
 """
 
 from __future__ import annotations
@@ -21,16 +22,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import IntelLog
+from repro.core.intellog import TrainingSummary
+from repro.graph.hwgraph import HWGraphBuilder
 from repro.parallel import (
     MIN_BATCH_RECORDS,
+    BatchParseTask,
+    BatchStatsTask,
     ExtractionCache,
     MergeError,
     ParallelReport,
     ParallelWorkerError,
-    ParseTask,
-    StatsTask,
+    ParseSlice,
+    StatsSlice,
     batch_hash,
-    compute_shard_stats,
+    compute_batch_stats,
     corpus_manifest,
     derive_batch_target,
     init_worker,
@@ -38,13 +43,118 @@ from repro.parallel import (
     make_batches,
     make_shards,
     merge_shards,
-    parse_shard,
+    parse_batch,
     process_cache,
     shard_hash,
     train_parallel,
 )
+from repro.parallel import pipeline
 from repro.parallel.pipeline import _run_tasks
 from repro.parsing.records import LogRecord, Session
+from repro.query.store import ModelStore
+
+# -- reference trainer --------------------------------------------------------
+
+
+def fused_train(intellog, sessions) -> TrainingSummary:
+    """The original fused serial loop of ``IntelLog.train``, kept as the
+    reference the sharded pipeline must reproduce byte-for-byte.
+
+    Stage 1 streams every record through Spell, stage 2 builds the Intel
+    Keys, stage 3 feeds each session's Intel Messages to the HW-graph
+    builder.  Only the tracing spans were dropped.
+    """
+    from repro.detection.detector import AnomalyDetector
+
+    sessions = list(sessions)
+    message_count = 0
+
+    # Stage 1: log keys via Spell (streaming over all sessions).
+    session_keys: list[list[tuple[LogRecord, str]]] = []
+    for session in sessions:
+        pairs: list[tuple[LogRecord, str]] = []
+        for record in session:
+            key = intellog.spell.consume(record.message)
+            pairs.append((record, key.key_id))
+            message_count += 1
+        session_keys.append(pairs)
+
+    # Stage 2: Intel Keys.
+    intellog.intel_keys = intellog.extractor.build_all(intellog.spell.keys())
+
+    # Stage 3: HW-graph.
+    builder = HWGraphBuilder(intellog.intel_keys)
+    for session, pairs in zip(sessions, session_keys):
+        messages = _to_messages(intellog, session, pairs)
+        builder.train_session(messages)
+    intellog.graph = builder.build()
+    if intellog.config.validate_model:
+        intellog._validate_graph()
+    intellog._detector = AnomalyDetector(
+        intellog.graph,
+        intellog.spell,
+        intellog.extractor,
+        intellog.config.detector,
+    )
+
+    return TrainingSummary(
+        sessions=len(sessions),
+        messages=message_count,
+        log_keys=len(intellog.spell),
+        intel_keys=len(intellog.intel_keys),
+        entity_groups=len(intellog.graph.groups),
+        critical_groups=len(intellog.graph.critical_groups()),
+        ignored_keys=len(intellog.graph.ignored_keys),
+    )
+
+
+def _to_messages(intellog, session, pairs):
+    messages = []
+    for record, key_id in pairs:
+        intel_key = intellog.intel_keys.get(key_id)
+        if intel_key is None:
+            continue
+        message = intellog.extractor.to_intel_message(
+            intel_key,
+            record.message,
+            timestamp=record.timestamp,
+            session_id=session.session_id,
+        )
+        if message is not None:
+            messages.append(message)
+    return messages
+
+
+def force_batch_target(monkeypatch, target: int) -> None:
+    """Make ``train_parallel`` cut batches of ``target`` records."""
+    monkeypatch.setattr(
+        pipeline, "derive_batch_target", lambda _records: target
+    )
+
+
+def default_batches(shards):
+    """The layout ``train_parallel`` cuts for these shards."""
+    return make_batches(
+        shards, derive_batch_target(sum(len(s) for s in shards))
+    )
+
+
+def shard_parses(shards):
+    """Phase 1 over ``shards`` as one batch, flattened to per-shard
+    parses in corpus order."""
+    task = BatchParseTask(
+        index=0,
+        batch_hash=batch_hash(shards),
+        slices=[
+            ParseSlice(
+                index=s.index,
+                content_hash=s.content_hash,
+                messages=tuple(r.message for r in s.session.records),
+            )
+            for s in shards
+        ],
+    )
+    return parse_batch(task).parses
 
 # -- corpus strategies --------------------------------------------------------
 #
@@ -121,12 +231,7 @@ class TestMergeProperties:
         """The merge pairs results by shard index and content hash, so the
         arrival (completion) order of shard results cannot matter."""
         shards = make_shards(sessions)
-        parses = [
-            parse_shard(
-                ParseTask(s.index, s.content_hash, s.session)
-            )
-            for s in shards
-        ]
+        parses = shard_parses(shards)
         merged = merge_shards(shards, parses)
         shuffled = list(parses)
         rng.shuffle(shuffled)
@@ -148,31 +253,24 @@ class TestMergeProperties:
             for session in sessions
         ]
         shards = make_shards(sessions)
-        merged = merge_shards(
-            shards,
-            [
-                parse_shard(
-                    ParseTask(s.index, s.content_hash, s.session)
-                )
-                for s in shards
-            ],
-        )
+        merged = merge_shards(shards, shard_parses(shards))
         assert spell_state(merged.spell) == spell_state(serial)
         assert merged.record_keys == serial_keys
 
-    @given(corpora(), st.integers(1, 3))
+    @given(corpora())
     @settings(max_examples=15, deadline=None)
-    def test_pipeline_equals_serial_trainer(self, sessions, workers):
+    def test_pipeline_equals_serial_trainer(self, sessions):
         """Key tables, Intel Keys, groups and subroutines all agree with
-        the serial trainer for any worker count (inline path)."""
+        the fused serial loop (inline path)."""
         serial = IntelLog()
-        serial.train(sessions)
+        serial_summary = fused_train(serial, sessions)
         # workers>1 would spawn real processes per hypothesis example;
         # the inline path runs the identical shard/merge/apply code, and
-        # the multiprocess leg is covered by the non-property tests and
-        # the golden suite.
+        # the multiprocess leg is covered by
+        # TestTrainParallel.test_multiprocess_equals_serial and the
+        # golden suite.
         parallel = IntelLog()
-        parallel.train(sessions, workers=1)
+        assert parallel.train(sessions, workers=1) == serial_summary
         assert spell_state(parallel.spell) == spell_state(serial.spell)
         assert {
             k: v.to_dict() for k, v in parallel.intel_keys.items()
@@ -227,10 +325,7 @@ class TestSharding:
     def test_merge_rejects_foreign_results(self):
         sessions = self._sessions()
         shards = make_shards(sessions)
-        parses = [
-            parse_shard(ParseTask(s.index, s.content_hash, s.session))
-            for s in shards
-        ]
+        parses = shard_parses(shards)
         with pytest.raises(MergeError, match="duplicate"):
             merge_shards(shards, parses[:-1] + [parses[0]])
         with pytest.raises(MergeError, match="hash mismatch"):
@@ -263,18 +358,23 @@ class TestExtractionCache:
 
         assert replace(first, key_id="") == replace(second, key_id="")
 
-    def test_disabled_cache_always_misses(self):
-        cache = ExtractionCache()
-        cache.extract("K0", self.KEY, self.SAMPLE, enabled=False)
-        cache.extract("K0", self.KEY, self.SAMPLE, enabled=False)
-        assert cache.stats() == (0, 2)
-        assert len(cache) == 0
-
     def test_cached_equals_cold(self):
         cache = ExtractionCache()
+        cache.extract("K0", self.KEY, self.SAMPLE)
         warm = cache.extract("K0", self.KEY, self.SAMPLE)
-        cold = cache.extract("K0", self.KEY, self.SAMPLE, enabled=False)
+        assert cache.stats() == (1, 1)
+        cold = ExtractionCache().extract("K0", self.KEY, self.SAMPLE)
         assert warm == cold
+
+    def test_clear_drops_memo_and_counters(self):
+        cache = ExtractionCache()
+        cache.extract("K0", self.KEY, self.SAMPLE)
+        cache.extract("K0", self.KEY, self.SAMPLE)
+        cache.clear()
+        assert len(cache) == 0
+        assert cache.stats() == (0, 0)
+        cache.extract("K0", self.KEY, self.SAMPLE)
+        assert cache.stats() == (0, 1)
 
     def test_process_cache_is_a_singleton(self):
         assert process_cache() is process_cache()
@@ -331,33 +431,66 @@ class TestTrainParallel:
         # Inline runs ship nothing across a process boundary.
         assert report.payload_bytes_total == 0
 
-    def test_serial_train_leaves_no_report(self):
-        intellog = IntelLog()
-        intellog.train(self._sessions())
-        assert intellog.last_parallel_report is None
-
-    def test_multiprocess_equals_serial(self):
+    def test_multiprocess_equals_serial(self, monkeypatch):
         sessions = self._sessions()
         serial = IntelLog()
-        serial.train(sessions)
+        serial_summary = fused_train(serial, sessions)
         parallel = IntelLog()
-        # batch_records forces >1 batch so a real pool is exercised.
-        parallel.train(sessions, workers=2, batch_records=3)
+        # A 3-record target forces >1 batch so a real pool is exercised.
+        force_batch_target(monkeypatch, 3)
+        assert parallel.train(sessions, workers=2) == serial_summary
         report = parallel.last_parallel_report
         assert report.pool_workers == 2
         assert report.batches > 1
         assert report.payload_bytes_total > 0
         assert spell_state(parallel.spell) == spell_state(serial.spell)
+        assert {
+            k: v.to_dict() for k, v in parallel.intel_keys.items()
+        } == {k: v.to_dict() for k, v in serial.intel_keys.items()}
         assert model_json(parallel) == model_json(serial)
 
-    def test_cache_off_equals_cache_on(self):
-        sessions = self._sessions()
-        with_cache = IntelLog()
-        with_cache.train(sessions, workers=1, cache=True)
-        without = IntelLog()
-        without.train(sessions, workers=1, cache=False)
-        assert model_json(with_cache) == model_json(without)
-        assert without.last_parallel_report.cache_hits == 0
+    def test_retrain_builds_fresh_model(self):
+        """A second ``train`` replaces the first model: training on A
+        then B equals training a fresh instance on B alone."""
+        corpus_a = self._sessions()
+        corpus_b = TestBatching()._sessions()
+        retrained = IntelLog()
+        retrained.train(corpus_a)
+        retrained.train(corpus_b)
+        fresh = IntelLog()
+        fresh.train(corpus_b)
+        assert (
+            ModelStore.from_intellog(retrained).digest()
+            == ModelStore.from_intellog(fresh).digest()
+        )
+
+    def test_cache_holds_only_last_run(self):
+        """The process-wide memo is cleared per run: after training A
+        then B it holds exactly B's keys."""
+        corpus_a = self._sessions()
+        corpus_b = [
+            Session(
+                session_id=f"b{i}",
+                records=[
+                    LogRecord(
+                        timestamp=float(i * 10 + j),
+                        level="INFO",
+                        source="S",
+                        message=f"committed output of attempt_{i}{j}",
+                    )
+                    for j in range(3)
+                ],
+            )
+            for i in range(3)
+        ]
+        model_a = IntelLog()
+        model_a.train(corpus_a)
+        model_b = IntelLog()
+        model_b.train(corpus_b)
+        keys_a = {(tuple(k.tokens), k.sample) for k in model_a.spell.keys()}
+        keys_b = {(tuple(k.tokens), k.sample) for k in model_b.spell.keys()}
+        assert keys_a and keys_b and not keys_a & keys_b
+        assert set(process_cache()._memo) == keys_b
 
     def test_detector_works_after_parallel_training(self):
         sessions = self._sessions()
@@ -472,19 +605,20 @@ class TestBatching:
         layouts = []
         for cores in (1, 2, 64, None):
             with mock.patch("os.cpu_count", return_value=cores):
-                batches = make_batches(shards)
+                batches = default_batches(shards)
                 layouts.append(
                     [(b.index, b.batch_hash, len(b)) for b in batches]
                 )
         assert all(layout == layouts[0] for layout in layouts)
 
-    def test_partition_ignores_worker_count(self):
+    def test_partition_ignores_worker_count(self, monkeypatch):
         """Reports from different worker counts agree on the layout."""
         sessions = self._sessions()
+        force_batch_target(monkeypatch, 8)
         layouts = []
         for workers in (1, 2, 3):
             intellog = IntelLog()
-            intellog.train(sessions, workers=workers, batch_records=8)
+            intellog.train(sessions, workers=workers)
             report = intellog.last_parallel_report
             layouts.append(
                 (
@@ -496,15 +630,16 @@ class TestBatching:
             )
         assert all(layout == layouts[0] for layout in layouts)
 
-    def test_model_independent_of_batch_layout(self):
-        """Batching is a performance knob: any layout, same bytes."""
+    def test_model_independent_of_batch_layout(self, monkeypatch):
+        """Batching only distributes work: any layout, same bytes."""
         sessions = self._sessions()
         digests = set()
-        for batch_records in (1, 3, 7, None):
-            intellog = IntelLog()
-            intellog.train(
-                sessions, workers=1, batch_records=batch_records
-            )
+        for target in (1, 3, 7, None):
+            with monkeypatch.context() as patch:
+                if target is not None:
+                    force_batch_target(patch, target)
+                intellog = IntelLog()
+                intellog.train(sessions, workers=1)
             digests.add(model_json(intellog))
         assert len(digests) == 1
 
@@ -533,9 +668,9 @@ class TestBatching:
         wildly different advertised core counts are identical."""
         shards = make_shards(sessions)
         with mock.patch("os.cpu_count", return_value=1):
-            one = make_batches(shards)
+            one = default_batches(shards)
         with mock.patch("os.cpu_count", return_value=96):
-            many = make_batches(shards)
+            many = default_batches(shards)
         assert [(b.index, b.batch_hash) for b in one] == [
             (b.index, b.batch_hash) for b in many
         ]
@@ -602,18 +737,17 @@ class TestWorkerFailure:
         assert excinfo.value.batch_index == 0
         assert "injected parse failure" in str(excinfo.value)
 
-    def test_poisoned_shard_surfaces_batch_index(self):
+    def test_poisoned_shard_surfaces_batch_index(self, monkeypatch):
         """A shard whose payload dies on the way to the pool fails the
         run with a typed error naming the poisoned batch."""
         sessions = self._sessions()
         sessions[3].records[1].message = _PoisonMessage(
             sessions[3].records[1].message
         )
+        # A 3-record target -> one 3-record session per batch.
+        force_batch_target(monkeypatch, 3)
         with pytest.raises(ParallelWorkerError) as excinfo:
-            # batch_records=3 -> one 3-record session per batch.
-            train_parallel(
-                IntelLog(), sessions, workers=2, batch_records=3
-            )
+            train_parallel(IntelLog(), sessions, workers=2)
         assert excinfo.value.phase == "parse"
         assert excinfo.value.batch_index == 3
 
@@ -650,22 +784,22 @@ class TestWorkerFailure:
 
 
 class TestReportRoundTrip:
-    def _report(self, **kwargs) -> ParallelReport:
+    def _report(self, monkeypatch, workers, batch_target=None):
+        if batch_target is not None:
+            force_batch_target(monkeypatch, batch_target)
         intellog = IntelLog()
-        intellog.train(
-            TestWorkerFailure()._sessions(), **kwargs
-        )
+        intellog.train(TestWorkerFailure()._sessions(), workers=workers)
         return intellog.last_parallel_report
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"workers": 1},
-            {"workers": 2, "batch_records": 3},
+            {"workers": 2, "batch_target": 3},
         ],
     )
-    def test_to_dict_round_trips_through_json(self, kwargs):
-        report = self._report(**kwargs)
+    def test_to_dict_round_trips_through_json(self, kwargs, monkeypatch):
+        report = self._report(monkeypatch, **kwargs)
         data = json.loads(json.dumps(report.to_dict()))
         restored = ParallelReport.from_dict(data)
         assert restored.to_dict() == report.to_dict()
@@ -679,8 +813,8 @@ class TestReportRoundTrip:
         )
         assert restored.payload_bytes_total == report.payload_bytes_total
 
-    def test_artifact_carries_per_batch_series(self):
-        report = self._report(workers=2, batch_records=3)
+    def test_artifact_carries_per_batch_series(self, monkeypatch):
+        report = self._report(monkeypatch, workers=2, batch_target=3)
         data = report.to_dict()
         assert len(data["parse_batch_seconds"]) == report.batches
         assert len(data["stats_batch_seconds"]) == report.batches
@@ -698,26 +832,28 @@ class TestReportRoundTrip:
 
 
 class TestCacheConservation:
-    def test_lookups_invariant_across_worker_counts(self):
+    def test_lookups_invariant_across_worker_counts(self, monkeypatch):
         """For a fixed corpus (and therefore a fixed batch layout),
         hits + misses is conserved no matter how many processes the
         lookups were spread over."""
         sessions = TestWorkerFailure()._sessions()
+        force_batch_target(monkeypatch, 3)
         totals = {}
         for workers in (1, 2, 4):
             intellog = IntelLog()
-            intellog.train(sessions, workers=workers, batch_records=3)
+            intellog.train(sessions, workers=workers)
             report = intellog.last_parallel_report
             totals[workers] = report.cache_lookups
             assert report.cache_lookups > 0
         assert len(set(totals.values())) == 1, totals
 
-    def test_lookup_total_matches_structure(self):
+    def test_lookup_total_matches_structure(self, monkeypatch):
         """Total lookups = one canonical pass over the key table plus
         one batch-key-table pass per batch."""
         sessions = TestWorkerFailure()._sessions()
+        force_batch_target(monkeypatch, 3)
         intellog = IntelLog()
-        intellog.train(sessions, workers=1, batch_records=3)
+        intellog.train(sessions, workers=1)
         report = intellog.last_parallel_report
         # Same key set in every session here, so each of the 5 batches
         # looks up the full table once, plus the canonical pass.
@@ -746,21 +882,24 @@ class TestShardStats:
             ],
         )
         shards = make_shards([session])
-        parses = [
-            parse_shard(ParseTask(s.index, s.content_hash, s.session))
-            for s in shards
-        ]
-        merged = merge_shards(shards, parses)
+        merged = merge_shards(shards, shard_parses(shards))
         key = merged.spell.keys()[0]
-        task = StatsTask(
+        task = BatchStatsTask(
             index=0,
-            content_hash=shards[0].content_hash,
-            session=session,
-            record_keys=merged.record_keys[0],
+            batch_hash=batch_hash(shards),
+            slices=[
+                StatsSlice(
+                    index=0,
+                    content_hash=shards[0].content_hash,
+                    session_id=session.session_id,
+                    rows=[(r.timestamp, r.message) for r in session.records],
+                    record_keys=merged.record_keys[0],
+                )
+            ],
             key_table=[(key.key_id, tuple(key.tokens), key.sample)],
             key_labels={key.key_id: ("worker",)},
         )
-        stats = compute_shard_stats(task)
+        [stats] = compute_batch_stats(task).stats
         assert stats.content_hash == shards[0].content_hash
         assert stats.messages == 3
         [payload] = stats.groups
