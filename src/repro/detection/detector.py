@@ -19,8 +19,9 @@ reported (paper §5).
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable, ContextManager
 
 from ..extraction.idvalue import FieldRole
 from ..extraction.intelkey import IntelKey
@@ -129,22 +130,21 @@ class AnomalyDetector:
 
     # -- public API ---------------------------------------------------------------
 
-    def detect_session(self, session: Session) -> SessionReport:
-        """Consume one complete session and report its anomalies."""
-        return self._detect_one(session, None)
-
-    def _detect_one(
+    def detect_session(
         self,
         session: Session,
-        prematched: list["MatchResult | None"] | None,
+        *,
+        matches: list["MatchResult | None"] | None = None,
     ) -> SessionReport:
+        """Consume one complete session and report its anomalies.
+
+        ``matches``, one per record in session order, are reused instead
+        of matching the session here."""
         tracer = self._tracer
         if tracer is None:
-            return self._detect_session_inner(session, None, prematched)
+            return self._detect_session_inner(session, None, matches)
         with tracer.span("detect.session"):
-            report = self._detect_session_inner(
-                session, tracer, prematched
-            )
+            report = self._detect_session_inner(session, tracer, matches)
         assert self._m_sessions and self._m_records and self._m_anomalies
         self._m_sessions.inc()
         self._m_records.inc(report.message_count)
@@ -156,7 +156,7 @@ class AnomalyDetector:
         self,
         session: Session,
         tracer: "Tracer | None",
-        prematched: list["MatchResult | None"] | None = None,
+        matches: list["MatchResult | None"] | None,
     ) -> SessionReport:
         report = SessionReport(session_id=session.session_id)
         instance = HWGraphInstance(
@@ -165,16 +165,16 @@ class AnomalyDetector:
 
         # Records are matched in one batch up front (memoized per
         # distinct message), then the extraction/graph loop runs over
-        # the precomputed results; when the caller already batch-matched
-        # across sessions (:meth:`detect_batch`), its results are reused
-        # verbatim.  Match/extract phase times are accumulated across
-        # the loop and reported as two pre-measured spans rather than
-        # thousands of micro-spans.
+        # the precomputed results; when the caller already matched the
+        # records (:meth:`detect_batch` across sessions, or a stream's
+        # live pass), its results are reused verbatim.  Match/extract
+        # phase times are accumulated across the loop and reported as
+        # two pre-measured spans rather than thousands of micro-spans.
         timed = tracer is not None
         records = list(session)
         match_s = 0.0
         extract_s = 0.0
-        if prematched is None:
+        if matches is None:
             if timed:
                 t0 = time.perf_counter()
             matches = self.spell.match_batch(
@@ -182,8 +182,6 @@ class AnomalyDetector:
             )
             if timed:
                 match_s = time.perf_counter() - t0
-        else:
-            matches = prematched
         for record, match in zip(records, matches):
             report.message_count += 1
             if match is None:
@@ -231,22 +229,17 @@ class AnomalyDetector:
             instance.add(message)
 
         instance.finalize()
-        if tracer is None:
-            self._check_subroutines(instance, report)
-            if self.config.report_missing_groups:
-                self._check_missing_groups(instance, report)
-            if self.config.check_hierarchy:
-                self._check_hierarchy(instance, report)
-            return report
-
-        tracer.record("detect.match", match_s)
-        tracer.record("detect.extract", extract_s)
-        with tracer.span("detect.subroutines"):
+        span: Callable[[str], ContextManager[Any]] = nullcontext
+        if tracer is not None:
+            tracer.record("detect.match", match_s)
+            tracer.record("detect.extract", extract_s)
+            span = tracer.span
+        with span("detect.subroutines"):
             self._check_subroutines(instance, report)
         if self.config.report_missing_groups:
             self._check_missing_groups(instance, report)
         if self.config.check_hierarchy:
-            with tracer.span("detect.hierarchy"):
+            with span("detect.hierarchy"):
                 self._check_hierarchy(instance, report)
         return report
 
@@ -279,7 +272,9 @@ class AnomalyDetector:
         for session, records in zip(sessions, records_by_session):
             session_matches = matches[pos:pos + len(records)]
             pos += len(records)
-            reports.append(self._detect_one(session, session_matches))
+            reports.append(
+                self.detect_session(session, matches=session_matches)
+            )
         return reports
 
     def detect_job(

@@ -462,6 +462,7 @@ class Tenant:
         detector = lease.detector_view()
         detector.instrument(self.registry)
         self.runtime.detector = StreamingDetector(detector)
+        self.runtime.tracker.forget_matches()
         self.lease = lease
         self.swaps += 1
         old.release()

@@ -93,10 +93,9 @@ def backup_checkpoint_path(path: str | Path) -> Path:
     return path.with_name(path.name + ".bak")
 
 
-def _checksum(body: dict[str, Any]) -> str:
-    return hashlib.sha256(
-        json.dumps(body, sort_keys=True).encode("utf-8")
-    ).hexdigest()
+def _checksum(text: str) -> str:
+    """SHA-256 of a checkpoint body serialised with sorted keys."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @dataclass(slots=True)
@@ -119,8 +118,8 @@ class StreamCheckpoint:
 
     # -- JSON I/O ---------------------------------------------------------
 
-    def to_dict(self) -> dict[str, Any]:
-        body = {
+    def _body(self) -> dict[str, Any]:
+        return {
             "version": self.version,
             "source_position": self.source_position,
             "tracker_state": self.tracker_state,
@@ -128,9 +127,10 @@ class StreamCheckpoint:
             "finalized": list(self.finalized),
             "outbox": list(self.outbox),
         }
-        body["checksum"] = _checksum(
-            {k: v for k, v in body.items() if k != "checksum"}
-        )
+
+    def to_dict(self) -> dict[str, Any]:
+        body = self._body()
+        body["checksum"] = _checksum(json.dumps(body, sort_keys=True))
         return body
 
     def save(
@@ -154,7 +154,9 @@ class StreamCheckpoint:
         fs = fs or REAL_FS
         path = Path(path)
         tmp = path.with_name(path.name + ".tmp")
-        fs.write_text(tmp, json.dumps(self.to_dict()))
+        # Encode once: hash the sorted-key text, splice the checksum in.
+        text = json.dumps(self._body(), sort_keys=True)
+        fs.write_text(tmp, f'{text[:-1]}, "checksum": "{_checksum(text)}"}}')
         if fsync:
             fs.fsync_file(tmp)
         kill_point("checkpoint.tmp")
@@ -181,7 +183,7 @@ class StreamCheckpoint:
         if version == _VERSION:
             stated = data.get("checksum")
             body = {k: v for k, v in data.items() if k != "checksum"}
-            if stated != _checksum(body):
+            if stated != _checksum(json.dumps(body, sort_keys=True)):
                 raise CheckpointCorruptError(
                     "checkpoint checksum mismatch (torn or edited file)"
                 )

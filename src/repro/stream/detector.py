@@ -17,9 +17,12 @@ profiles, and the streaming detector splits them accordingly:
 :meth:`~repro.detection.detector.AnomalyDetector.detect_session` on the
 time-sorted closed session, which makes stream/batch report parity exact
 *by construction*: the same detector code produces the authoritative
-:class:`~repro.detection.report.SessionReport` in both modes.  The live
-pass costs one extra Spell match per record; the full §3 extraction for
-unexpected messages runs once, at finalize time.
+:class:`~repro.detection.report.SessionReport` in both modes.  Each
+record is matched once: the tracker carries the live pass's match to
+``finalize`` (a pure function of the message under the frozen model);
+only sessions restored from a checkpoint are matched again at close.
+The full §3 extraction for unexpected messages runs once, at finalize
+time.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import Sequence
 from ..detection.detector import AnomalyDetector
 from ..detection.report import SessionReport
 from ..parsing.records import LogRecord
+from ..parsing.spell import MatchResult
 from .tracker import ClosedSession
 
 __all__ = ["LiveAlert", "StreamingDetector"]
@@ -61,30 +65,32 @@ class StreamingDetector:
     def __init__(self, detector: AnomalyDetector) -> None:
         self.detector = detector
 
-    def observe(self, record: LogRecord) -> LiveAlert | None:
+    def observe(
+        self, record: LogRecord
+    ) -> tuple[LiveAlert | None, MatchResult | None]:
         """Cheap per-record check: is this message's log key known?
 
-        Returns a :class:`LiveAlert` for unexpected messages, ``None``
-        for messages the model recognizes.  Purely advisory — the
-        authoritative anomaly (with full five-field extraction) appears
-        in the session's :meth:`finalize` report.
+        Returns ``(alert, match)``: a :class:`LiveAlert` for unexpected
+        messages (``None`` for messages the model recognizes) and the
+        record's match, which the caller carries to :meth:`finalize`.
+        The alert is purely advisory — the authoritative anomaly (with
+        full five-field extraction) appears in the session's report.
         """
-        if self.detector.spell.match(record.message) is not None:
-            return None
-        return self._alert(record)
+        match = self.detector.spell.match(record.message)
+        return (self._alert(record) if match is None else None), match
 
     def observe_batch(
         self, records: Sequence[LogRecord]
-    ) -> list[LiveAlert | None]:
+    ) -> list[tuple[LiveAlert | None, MatchResult | None]]:
         """Batched :meth:`observe`: one ``match_batch`` for the whole
         poll batch (duplicate messages match once), same per-record
-        alerts.  The runtime's quantum pumps feed entire source batches
-        through here so the match cost amortizes across the batch."""
+        pairs.  The runtime feeds entire source batches through here so
+        the match cost amortizes across the batch."""
         matches = self.detector.spell.match_batch(
             [record.message for record in records]
         )
         return [
-            None if match is not None else self._alert(record)
+            ((self._alert(record) if match is None else None), match)
             for record, match in zip(records, matches)
         ]
 
@@ -99,5 +105,8 @@ class StreamingDetector:
         )
 
     def finalize(self, closed: ClosedSession) -> SessionReport:
-        """Full HW-graph-instance checks on a closed session."""
-        return self.detector.detect_session(closed.session)
+        """Full HW-graph-instance checks on a closed session, reusing
+        the live matches it carries (if any)."""
+        return self.detector.detect_session(
+            closed.session, matches=closed.matches
+        )

@@ -83,12 +83,6 @@ __all__ = ["RuntimeStats", "StreamRuntime"]
 
 log = logging.getLogger(__name__)
 
-#: Sentinel for ``_ingest``'s ``alert`` parameter: "not pre-matched —
-#: run the per-record observe inline" (``None`` means "pre-matched, no
-#: alert").
-_OBSERVE: object = object()
-
-
 @dataclass(slots=True)
 class RuntimeStats:
     """Point-in-time view of the runtime's registry-backed metrics.
@@ -614,37 +608,28 @@ class StreamRuntime:
         """
         start = self._clock()
         self._run_consumed = 0
+        self._next_stats_at = int(self._m_records.value) + self.stats_every
         consumed = 0
         paused = False
-        next_stats = int(self._m_records.value) + self.stats_every
         while not self.failed:
-            if self._outbox:
-                self._drain_outbox()
-                if self.failed:
-                    break
+            if max_records is not None and consumed >= max_records:
+                paused = True
+                break
             # Clamp the poll so a max_records pause never strands polled
             # but unobserved records (the source position moves with the
             # poll, so anything pulled must be consumed).
             want = self.poll_batch
             if max_records is not None:
                 want = min(want, max_records - consumed)
-            ok, batch = self._attempt(
-                "source.poll", lambda: self.source.poll(want)
-            )
-            if not ok:
+            got = self._cycle(want, start)
+            if got is None:
                 if self.failed:
                     break
                 # Transient outage: behave like an idle poll (never an
                 # end-of-input, even in once mode) and try again.
                 self._sleep(self.poll_interval)
                 continue
-            if not batch:
-                flush_pending = getattr(
-                    self.source, "flush_pending", None
-                )
-                if flush_pending is not None:
-                    batch = flush_pending()
-            if not batch:
+            if not got:
                 if once or self.source.exhausted():
                     break
                 # One stats emission when the stream goes quiet, then
@@ -653,46 +638,8 @@ class StreamRuntime:
                     self._emit_stats(start)
                 self._sleep(self.poll_interval)
                 continue
-
-            emitted_before = int(self._m_reports.value)
-            alerts = self.detector.observe_batch(batch)
-            for record, alert in zip(batch, alerts):
-                consumed += 1
-                next_stats = self._ingest(
-                    record, start, next_stats, alert=alert
-                )
-            overdue = (
-                int(self._m_records.value) - self._last_checkpoint_at
-                >= self.checkpoint_every
-            )
-            if int(self._m_reports.value) != emitted_before or overdue:
-                self.checkpoint()
-            if max_records is not None and consumed >= max_records:
-                paused = True
-                break
-
-        if not paused and not self.failed:
-            finalize = getattr(self.source, "finalize", None)
-            if finalize is not None:
-                ok, tail = self._attempt("source.finalize", finalize)
-                for record in tail or ():
-                    next_stats = self._ingest(record, start, next_stats)
-            for closed in self.tracker.flush():
-                self._finalize(closed)
-            if self._outbox:
-                self._drain_outbox()
-        self.checkpoint()
-        self._emit_stats(start)
-        if self.failed:
-            log.error(
-                "stream runtime FAILED (%s); stopped at last checkpoint",
-                self._failure,
-            )
-            if self.resilience.fail_fast:
-                raise StreamFailedError(
-                    self._failure or "circuit breaker open"
-                )
-        return self.stats
+            consumed += got
+        return self._close_out(start, drain_tail=not paused)
 
     def drain(self) -> RuntimeStats:
         """Convenience: process everything currently available and stop."""
@@ -715,53 +662,16 @@ class StreamRuntime:
         :meth:`run`, so stepped output matches a standalone run on the
         same stream.  Finish a stepped stream with :meth:`finish`.
         """
-        if self._loop_start is None:
-            self._loop_start = self._clock()
-            self._run_consumed = 0
-        if self._next_stats_at is None:
-            self._next_stats_at = (
-                int(self._m_records.value) + self.stats_every
-            )
+        start = self._quantum_start()
         if self.failed:
             return 0
-        if self._outbox:
-            self._drain_outbox()
-            if self.failed:
-                return 0
         want = self.poll_batch
         if max_records is not None:
             want = min(want, max_records)
-        if want <= 0:
-            return 0
-        ok, batch = self._attempt(
-            "source.poll", lambda: self.source.poll(want)
-        )
-        if not ok:
-            return 0
-        if not batch:
-            flush_pending = getattr(self.source, "flush_pending", None)
-            if flush_pending is not None:
-                batch = flush_pending()
-        if not batch:
-            if int(self._m_records.value) != self._stats_emitted_at:
-                self._emit_stats(self._loop_start)
-            return 0
-        emitted_before = int(self._m_reports.value)
-        consumed = 0
-        alerts = self.detector.observe_batch(batch)
-        for record, alert in zip(batch, alerts):
-            consumed += 1
-            self._next_stats_at = self._ingest(
-                record, self._loop_start, self._next_stats_at,
-                alert=alert,
-            )
-        overdue = (
-            int(self._m_records.value) - self._last_checkpoint_at
-            >= self.checkpoint_every
-        )
-        if int(self._m_reports.value) != emitted_before or overdue:
-            self.checkpoint()
-        return consumed
+        got = self._cycle(want, start)
+        if got == 0 and int(self._m_records.value) != self._stats_emitted_at:
+            self._emit_stats(start)
+        return got or 0
 
     def finish(self) -> RuntimeStats:
         """End-of-stream epilogue for a stepped runtime.
@@ -771,33 +681,7 @@ class StreamRuntime:
         gets its report, drain the outbox, checkpoint, and emit a final
         stats snapshot.
         """
-        start = (
-            self._loop_start
-            if self._loop_start is not None else self._clock()
-        )
-        if self._next_stats_at is None:
-            self._next_stats_at = (
-                int(self._m_records.value) + self.stats_every
-            )
-        if not self.failed:
-            finalize = getattr(self.source, "finalize", None)
-            if finalize is not None:
-                ok, tail = self._attempt("source.finalize", finalize)
-                for record in tail or ():
-                    self._next_stats_at = self._ingest(
-                        record, start, self._next_stats_at
-                    )
-            for closed in self.tracker.flush():
-                self._finalize(closed)
-            if self._outbox:
-                self._drain_outbox()
-        self.checkpoint()
-        self._emit_stats(start)
-        if self.failed and self.resilience.fail_fast:
-            raise StreamFailedError(
-                self._failure or "circuit breaker open"
-            )
-        return self.stats
+        return self._close_out(self._quantum_start(), drain_tail=True)
 
     def force_evict(self, count: int) -> int:
         """Force-close ``count`` LRU sessions (global-budget pressure).
@@ -815,29 +699,91 @@ class StreamRuntime:
 
     # -- internals --------------------------------------------------------
 
-    def _ingest(
-        self,
-        record,
-        start: float,
-        next_stats: int,
-        alert: "LiveAlert | None | object" = _OBSERVE,
-    ) -> int:
-        self._m_records.inc()
-        self._run_consumed += 1
-        if alert is _OBSERVE:
-            # Tail paths (source.finalize) ingest a handful of records
-            # outside the batched pre-match; they observe inline.
-            alert = self.detector.observe(record)
-        if alert is not None:
-            self._m_live_alerts.inc()
-            if self.on_alert is not None:
-                self.on_alert(alert)
-        for closed in self.tracker.observe(record):
-            self._finalize(closed)
-        if int(self._m_records.value) >= next_stats:
-            next_stats += self.stats_every
-            self._emit_stats(start)
-        return next_stats
+    def _quantum_start(self) -> float:
+        """Start of a stepped stream: set on its first quantum."""
+        if self._loop_start is None:
+            self._loop_start = self._clock()
+            self._run_consumed = 0
+        if self._next_stats_at is None:
+            self._next_stats_at = int(self._m_records.value) + self.stats_every
+        return self._loop_start
+
+    def _cycle(self, want: int, start: float) -> int | None:
+        """One poll batch of :meth:`run` and :meth:`step` (see there).
+        Returns the records consumed, or ``None`` when nothing was
+        polled: the outbox drain or the poll failed (check
+        :attr:`failed`), or ``want`` is not positive."""
+        if self._outbox:
+            self._drain_outbox()
+            if self.failed:
+                return None
+        if want <= 0:
+            return None
+        ok, batch = self._attempt(
+            "source.poll", lambda: self.source.poll(want)
+        )
+        if not ok:
+            return None
+        if not batch:
+            flush_pending = getattr(self.source, "flush_pending", None)
+            if flush_pending is not None:
+                batch = flush_pending()
+        if not batch:
+            return 0
+        emitted_before = int(self._m_reports.value)
+        self._ingest(batch, start)
+        overdue = (
+            int(self._m_records.value) - self._last_checkpoint_at
+            >= self.checkpoint_every
+        )
+        if int(self._m_reports.value) != emitted_before or overdue:
+            self.checkpoint()
+        return len(batch)
+
+    def _close_out(self, start: float, drain_tail: bool) -> RuntimeStats:
+        """End of :meth:`run` / :meth:`finish`: unless paused or failed,
+        drain the source's tail and flush the tracker; then checkpoint."""
+        if drain_tail and not self.failed:
+            finalize = getattr(self.source, "finalize", None)
+            if finalize is not None:
+                ok, tail = self._attempt("source.finalize", finalize)
+                if tail:
+                    self._ingest(tail, start)
+            for closed in self.tracker.flush():
+                self._finalize(closed)
+            if self._outbox:
+                self._drain_outbox()
+        self.checkpoint()
+        self._emit_stats(start)
+        if self.failed:
+            log.error(
+                "stream runtime FAILED (%s); stopped at last checkpoint",
+                self._failure,
+            )
+            if self.resilience.fail_fast:
+                raise StreamFailedError(
+                    self._failure or "circuit breaker open"
+                )
+        return self.stats
+
+    def _ingest(self, records: list, start: float) -> None:
+        """Live-check a batch (one match per record) and feed it to the
+        tracker, which carries each match to the session's close."""
+        assert self._next_stats_at is not None
+        for record, (alert, match) in zip(
+            records, self.detector.observe_batch(records)
+        ):
+            self._m_records.inc()
+            self._run_consumed += 1
+            if alert is not None:
+                self._m_live_alerts.inc()
+                if self.on_alert is not None:
+                    self.on_alert(alert)
+            for closed in self.tracker.observe(record, match):
+                self._finalize(closed)
+            if int(self._m_records.value) >= self._next_stats_at:
+                self._next_stats_at += self.stats_every
+                self._emit_stats(start)
 
     def _finalize(self, closed: ClosedSession) -> None:
         fid = finalization_id(closed.session)

@@ -15,18 +15,23 @@ The batch pipeline buffers every record and calls
   active session is **evicted** (closed early), keeping memory bounded
   no matter how many containers a job spawns.
 
-Closed sessions come back time-sorted, ready for detection.  The whole
-tracker state round-trips through ``state_dict()`` / ``load_state()``
-for checkpointing.
+Closed sessions come back time-sorted, with the live Spell match each
+record arrived with, ready for detection.  Idle expiry pops a min-heap
+keyed on ``last_seen``, so per-record work does not grow with the number
+of open sessions.  The tracker state (without matches) round-trips
+through ``state_dict()`` / ``load_state()`` for checkpointing.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import re
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..parsing.records import LogRecord, Session, session_bucket
+from ..parsing.spell import MatchResult
 
 __all__ = [
     "DEFAULT_END_MARKERS",
@@ -34,6 +39,10 @@ __all__ = [
     "ClosedSession",
     "SessionTracker",
 ]
+
+#: ``observe``'s default ``match``: the record came without its live
+#: match, so its session is matched again at close.
+_UNMATCHED: object = object()
 
 #: Session-end message markers recognized out of the box: the *final*
 #: line each targeted system prints as a container winds down.  Markers
@@ -68,6 +77,9 @@ class ClosedSession:
 
     session: Session
     reason: str  # "end_marker" | "idle" | "evicted" | "flush"
+    #: Live match per record in ``session`` order, or ``None`` if any
+    #: record came without one (e.g. restored from a checkpoint).
+    matches: list[MatchResult | None] | None = None
     #: Content-addressed identity stamped by the runtime at finalize
     #: time (see :func:`repro.stream.resilience.finalization_id`);
     #: carried through sinks so downstream consumers can dedupe.
@@ -78,6 +90,9 @@ class ClosedSession:
 class _Open:
     session: Session
     last_seen: float  # event time of the newest record
+    touched: int = 0  # observe() sequence number of the newest record
+    pushed: int = 0  # sequence number of its live heap item
+    matches: list[MatchResult | None] | None = field(default_factory=list)
 
 
 class SessionTracker:
@@ -86,40 +101,66 @@ class SessionTracker:
     def __init__(self, config: TrackerConfig | None = None) -> None:
         self.config = config or TrackerConfig()
         self._open: OrderedDict[tuple[str, str], _Open] = OrderedDict()
-        self._markers = [
-            re.compile(p) for p in self.config.end_markers
-        ]
+        markers = self.config.end_markers
+        self._marker = (
+            re.compile("|".join(f"(?:{p})" for p in markers))
+            if markers else None
+        )
+        #: One live ``(time, seq, key)`` item per open entry; ``time`` is
+        #: a lower bound of its ``last_seen``.  Items whose ``seq`` is no
+        #: open entry's ``pushed`` are stale and skipped when popped.
+        self._heap: list[tuple[float, int, tuple[str, str]]] = []
+        self._seq = itertools.count()
         self.watermark = float("-inf")  # newest event time seen
         self.evictions = 0
         self.peak_open = 0
 
     # -- ingest -----------------------------------------------------------
 
-    def observe(self, record: LogRecord) -> list[ClosedSession]:
-        """Ingest one record; return any sessions this closed."""
+    def observe(
+        self,
+        record: LogRecord,
+        match: MatchResult | None | object = _UNMATCHED,
+    ) -> list[ClosedSession]:
+        """Ingest one record, with its live match if the caller has it;
+        return any sessions this closed."""
         closed: list[ClosedSession] = []
         key, sid = session_bucket(record)
         entry = self._open.get(key)
+        timestamp = record.timestamp
         if entry is None:
             entry = _Open(
                 session=Session(session_id=sid, app_id=record.app_id),
-                last_seen=record.timestamp,
+                last_seen=timestamp,
             )
             self._open[key] = entry
+            self._push(key, entry)
+        elif timestamp > entry.last_seen:
+            entry.last_seen = timestamp
         entry.session.append(record)
-        entry.last_seen = max(entry.last_seen, record.timestamp)
+        if entry.matches is not None:
+            if match is _UNMATCHED:
+                entry.matches = None
+            else:
+                entry.matches.append(match)  # type: ignore[arg-type]
+        entry.touched = next(self._seq)
         self._open.move_to_end(key)
-        self.watermark = max(self.watermark, record.timestamp)
+        self.watermark = max(self.watermark, timestamp)
 
-        if any(m.search(record.message) for m in self._markers):
+        if self._marker is not None and self._marker.search(record.message):
             del self._open[key]
             closed.append(self._close(entry, "end_marker"))
 
-        closed.extend(self._expire_idle())
-        closed.extend(self._evict_over_cap())
+        heap = self._heap
+        if heap and heap[0][0] <= self.watermark - self.config.idle_timeout:
+            closed.extend(self._expire_idle())
+        if len(self._open) > self.config.max_open_sessions:
+            closed.extend(self._evict_over_cap())
         # Peak is recorded post-eviction: the cap is a hard bound on
         # tracked sessions, so peak_open never exceeds it.
         self.peak_open = max(self.peak_open, len(self._open))
+        if len(heap) > 2 * len(self._open):
+            self._compact()
         return closed
 
     def flush(self) -> list[ClosedSession]:
@@ -128,6 +169,7 @@ class SessionTracker:
             self._close(entry, "flush") for entry in self._open.values()
         ]
         self._open.clear()
+        self._heap.clear()
         return closed
 
     def evict_lru(self, count: int) -> list[ClosedSession]:
@@ -145,7 +187,14 @@ class SessionTracker:
             _, entry = self._open.popitem(last=False)
             self.evictions += 1
             closed.append(self._close(entry, "evicted"))
+        if len(self._heap) > 2 * len(self._open):
+            self._compact()
         return closed
+
+    def forget_matches(self) -> None:
+        """Open sessions are matched again at close (model replaced)."""
+        for entry in self._open.values():
+            entry.matches = None
 
     @property
     def open_count(self) -> int:
@@ -153,18 +202,40 @@ class SessionTracker:
 
     # -- closure policies -------------------------------------------------
 
+    def _push(self, key: tuple[str, str], entry: _Open) -> None:
+        entry.pushed = next(self._seq)
+        heapq.heappush(self._heap, (entry.last_seen, entry.pushed, key))
+
+    def _compact(self) -> None:
+        """Rebuild the heap from the open entries, once stale items are
+        over half of it: each rebuild costs less than the closes since
+        the last one, so it is amortised O(1) per close."""
+        self._heap.clear()
+        for key, entry in self._open.items():
+            entry.pushed = next(self._seq)
+            self._heap.append((entry.last_seen, entry.pushed, key))
+        heapq.heapify(self._heap)
+
     def _expire_idle(self) -> list[ClosedSession]:
-        # LRU order ≠ event-time order when records arrive out of order
-        # across sessions, so scan for expired entries rather than only
-        # popping from the front.
+        # Pop every item at or below the horizon.  An entry seen since
+        # its push goes back under its new last_seen; the rest expire,
+        # closing in LRU order (oldest touch first) as a scan would.
         horizon = self.watermark - self.config.idle_timeout
-        expired = [
-            key for key, entry in self._open.items()
-            if entry.last_seen <= horizon
-        ]
+        heap = self._heap
+        expired: list[tuple[tuple[str, str], _Open]] = []
+        while heap and heap[0][0] <= horizon:
+            _, seq, key = heapq.heappop(heap)
+            entry = self._open.get(key)
+            if entry is None or entry.pushed != seq:
+                continue
+            if entry.last_seen <= horizon:
+                expired.append((key, entry))
+            else:
+                self._push(key, entry)
+        expired.sort(key=lambda item: item[1].touched)
         closed = []
-        for key in expired:
-            entry = self._open.pop(key)
+        for key, entry in expired:
+            del self._open[key]
             closed.append(self._close(entry, "idle"))
         return closed
 
@@ -178,8 +249,18 @@ class SessionTracker:
 
     @staticmethod
     def _close(entry: _Open, reason: str) -> ClosedSession:
-        entry.session.sort()
-        return ClosedSession(session=entry.session, reason=reason)
+        session, matches = entry.session, entry.matches
+        if matches is None:
+            session.sort()
+        else:
+            # The same stable timestamp sort, applied to both lists.
+            pairs = sorted(
+                zip(session.records, matches),
+                key=lambda pair: pair[0].timestamp,
+            )
+            session.records = [record for record, _ in pairs]
+            matches = [match for _, match in pairs]
+        return ClosedSession(session=session, reason=reason, matches=matches)
 
     # -- checkpoint state -------------------------------------------------
 
@@ -215,6 +296,7 @@ class SessionTracker:
         self.evictions = int(state.get("evictions", 0))
         self.peak_open = int(state.get("peak_open", 0))
         self._open = OrderedDict()
+        self._heap = []
         for item in state.get("open", ()):
             key = tuple(item["key"])
             session = Session(
@@ -223,10 +305,13 @@ class SessionTracker:
             )
             for rec in item.get("records", ()):
                 session.append(_record_from_dict(rec))
-            self._open[key] = _Open(
+            entry = self._open[key] = _Open(
                 session=session,
                 last_seen=float(item["last_seen"]),
+                touched=next(self._seq),
+                matches=None,
             )
+            self._push(key, entry)
 
 
 def _record_to_dict(record: LogRecord) -> dict:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import IntelLog
+from repro import IntelLog, split_sessions
 from repro.core import ServeConfig
 from repro.obs import MetricsRegistry, MetricsServer
 from repro.parsing.records import LogRecord
@@ -404,6 +404,39 @@ class TestAtomicSwap:
             fids = sinks[tid].emitted_ids()
             assert len(fids) == len(set(fids))
             assert len(fids) == len(sinks[tid].reports)
+        svc.close()
+
+    def test_sessions_open_across_swap_close_under_new_model(
+        self, tmp_path, spark_store, mr_model
+    ):
+        """A session still open at the swap is finalized wholly under
+        the new model: matches carried from the old one are dropped."""
+        reg = ModelRegistry(tmp_path / "reg")
+        reg.publish(spark_store, "spark-prod")
+        svc = DetectionService(reg, ServeConfig(workers=0, quantum=25))
+        records = spark_records(11)
+        sink = ListSink()
+        svc.attach(
+            TenantSpec(tenant_id="t", model="spark-prod", **UNBOUNDED),
+            source=IterableSource(list(records)), sink=sink,
+        )
+        for _ in range(3):
+            assert svc.cycle() > 0
+        before = len(sink.reports)
+        # A model of another system: its keys mean other things.
+        reg.publish(ModelStore.from_intellog(mr_model), "spark-prod")
+        svc.swap("t")
+        svc.drain()
+        tenant = svc.tenant("t")
+        assert tenant.swaps == 1
+        after = {r.session_id: r.to_dict() for r in sink.reports[before:]}
+        expected = tenant.lease.detector_view().detect_job(
+            split_sessions(records)
+        )
+        assert after and after == {
+            r.session_id: r.to_dict()
+            for r in expected.sessions if r.session_id in after
+        }
         svc.close()
 
     def test_swap_to_unknown_version_changes_nothing(self, registry):
