@@ -41,6 +41,7 @@ from typing import Any
 from ..core.errors import CheckpointCorruptError
 from ..core.fsio import REAL_FS, FileSystem
 from ..core.killpoints import kill_point
+from .tracker import SessionTracker, object_parts, sorted_json
 
 __all__ = [
     "StreamCheckpoint",
@@ -103,7 +104,12 @@ class StreamCheckpoint:
     """Serializable snapshot of a running stream."""
 
     source_position: dict[str, Any] = field(default_factory=dict)
-    tracker_state: dict[str, Any] = field(default_factory=dict)
+    #: Open sessions in ``SessionTracker.state_dict()`` form.  The
+    #: runtime hands over its live tracker instead, which writes the same
+    #: text from the records it has already encoded (``state_json_parts``).
+    tracker_state: dict[str, Any] | SessionTracker = field(
+        default_factory=dict
+    )
     #: Cumulative counters carried across restarts (records consumed,
     #: reports emitted, closures by reason, anomalies by kind).
     counters: dict[str, Any] = field(default_factory=dict)
@@ -128,10 +134,23 @@ class StreamCheckpoint:
             "outbox": list(self.outbox),
         }
 
+    def _encoded(self) -> bytes:
+        """The file's bytes: the body exactly as ``json.dumps(body,
+        sort_keys=True)`` writes it, with the SHA-256 of that text
+        spliced in before the closing brace."""
+        body = "".join(object_parts({
+            name: (
+                value.state_json_parts()
+                if isinstance(value, SessionTracker)
+                else [sorted_json(value)]
+            )
+            for name, value in self._body().items()
+        })).encode("utf-8")
+        digest = hashlib.sha256(body).hexdigest()
+        return body[:-1] + f', "checksum": "{digest}"}}'.encode("utf-8")
+
     def to_dict(self) -> dict[str, Any]:
-        body = self._body()
-        body["checksum"] = _checksum(json.dumps(body, sort_keys=True))
-        return body
+        return json.loads(self._encoded())
 
     def save(
         self,
@@ -154,9 +173,7 @@ class StreamCheckpoint:
         fs = fs or REAL_FS
         path = Path(path)
         tmp = path.with_name(path.name + ".tmp")
-        # Encode once: hash the sorted-key text, splice the checksum in.
-        text = json.dumps(self._body(), sort_keys=True)
-        fs.write_text(tmp, f'{text[:-1]}, "checksum": "{_checksum(text)}"}}')
+        fs.write_bytes(tmp, self._encoded())
         if fsync:
             fs.fsync_file(tmp)
         kill_point("checkpoint.tmp")

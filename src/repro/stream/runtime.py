@@ -469,7 +469,7 @@ class StreamRuntime:
             return
         snapshot = StreamCheckpoint(
             source_position=self.source.position(),
-            tracker_state=self.tracker.state_dict(),
+            tracker_state=self.tracker,
             counters={
                 "records": int(self._m_records.value),
                 "live_alerts": int(self._m_live_alerts.value),

@@ -19,13 +19,18 @@ Closed sessions come back time-sorted, with the live Spell match each
 record arrived with, ready for detection.  Idle expiry pops a min-heap
 keyed on ``last_seen``, so per-record work does not grow with the number
 of open sessions.  The tracker state (without matches) round-trips
-through ``state_dict()`` / ``load_state()`` for checkpointing.
+through ``state_dict()`` / ``load_state()`` for checkpointing.  A
+checkpoint writes it from ``state_json_parts()``: the same text as
+sorted-key ``json.dumps(state_dict())``, but each open session keeps
+the text of the records it has already encoded, so a save encodes only
+the records that arrived since the previous one.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import json
 import re
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -93,6 +98,12 @@ class _Open:
     touched: int = 0  # observe() sequence number of the newest record
     pushed: int = 0  # sequence number of its live heap item
     matches: list[MatchResult | None] | None = field(default_factory=list)
+    #: Sorted-key JSON of ``session.records[:encoded_count]``, one piece
+    #: per save that found new records (pieces join with ``", "``): what
+    #: ``state_json_parts`` has encoded so far.  It dies with the entry
+    #: when the session closes.
+    encoded: list[str] = field(default_factory=list)
+    encoded_count: int = 0
 
 
 class SessionTracker:
@@ -267,24 +278,48 @@ class SessionTracker:
     def state_dict(self) -> dict:
         """JSON-serialisable snapshot of every open session."""
         return {
-            "watermark": (
-                None if self.watermark == float("-inf")
-                else self.watermark
-            ),
-            "evictions": self.evictions,
-            "peak_open": self.peak_open,
+            **self._state_header(),
             "open": [
                 {
-                    "key": list(key),
-                    "session_id": entry.session.session_id,
-                    "app_id": entry.session.app_id,
-                    "last_seen": entry.last_seen,
+                    **_item_header(key, entry),
                     "records": [
                         _record_to_dict(r) for r in entry.session.records
                     ],
                 }
                 for key, entry in self._open.items()
             ],
+        }
+
+    def state_json_parts(self) -> list[str]:
+        """Pieces of ``json.dumps(self.state_dict(), sort_keys=True)``,
+        each session's records taken from its cached pieces: only the
+        records appended since the previous call are encoded."""
+        items: list[str] = []
+        for key, entry in self._open.items():
+            records = entry.session.records
+            if entry.encoded_count < len(records):
+                entry.encoded.append(sorted_json([
+                    _record_to_dict(r)
+                    for r in records[entry.encoded_count:]
+                ])[1:-1])
+                entry.encoded_count = len(records)
+            members = _encode_members(_item_header(key, entry))
+            members["records"] = ["[", ", ".join(entry.encoded), "]"]
+            if items:
+                items.append(", ")
+            items += object_parts(members)
+        members = _encode_members(self._state_header())
+        members["open"] = ["[", *items, "]"]
+        return object_parts(members)
+
+    def _state_header(self) -> dict:
+        return {
+            "watermark": (
+                None if self.watermark == float("-inf")
+                else self.watermark
+            ),
+            "evictions": self.evictions,
+            "peak_open": self.peak_open,
         }
 
     def load_state(self, state: dict) -> None:
@@ -312,6 +347,36 @@ class SessionTracker:
                 matches=None,
             )
             self._push(key, entry)
+
+
+def _item_header(key: tuple[str, str], entry: _Open) -> dict:
+    """An open session's checkpoint fields other than its records."""
+    return {
+        "key": list(key),
+        "session_id": entry.session.session_id,
+        "app_id": entry.session.app_id,
+        "last_seen": entry.last_seen,
+    }
+
+
+#: ``json.dumps(value, sort_keys=True)``, without building an encoder
+#: per call.
+sorted_json = json.JSONEncoder(sort_keys=True).encode
+
+
+def _encode_members(fields: dict) -> dict[str, list[str]]:
+    return {name: [sorted_json(value)] for name, value in fields.items()}
+
+
+def object_parts(members: dict[str, list[str]]) -> list[str]:
+    """Pieces of the JSON object whose members' values are already
+    encoded (each as pieces), laid out as ``json.dumps(...,
+    sort_keys=True)`` lays it out."""
+    parts = ["{"]
+    for i, name in enumerate(sorted(members)):
+        parts += [", " if i else "", f"{sorted_json(name)}: ", *members[name]]
+    parts.append("}")
+    return parts
 
 
 def _record_to_dict(record: LogRecord) -> dict:
