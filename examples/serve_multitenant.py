@@ -8,9 +8,12 @@ this example drives the serving layer (``repro.serve``):
    versioned, content-addressed registry;
 2. **attach three tenants** — each its own record stream — and watch
    them share a single in-memory model (ref-counted);
-3. drain the fleet with the sweep scheduler, then publish a v2 model
-   and **atomically swap** one tenant onto it while the others keep
-   their lease;
+3. drain the fleet with the sweep scheduler — one thread pumping every
+   tenant in id order (``service.run()`` would serve live instead,
+   sweeping again as soon as a tenant's source reports a backlog and
+   waiting at most ``ServeConfig.poll_interval`` otherwise) — then
+   publish a v2 model and **atomically swap** one tenant onto it while
+   the others keep their lease;
 4. print the fleet status document the ``/tenants`` endpoint serves.
 
 Run:  python examples/serve_multitenant.py
@@ -59,7 +62,7 @@ def main() -> None:
     # --- 2. attach three tenants against the one shared model -------------
     service = DetectionService(
         registry,
-        ServeConfig(workers=0, quantum=128),
+        ServeConfig(quantum=128),
         checkpoint_dir=workdir / "ckpt",
     )
     sinks: dict[str, ListSink] = {}

@@ -367,7 +367,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if not specs:
         raise SystemExit("error: tenants file declares no tenants")
     config = ServeConfig(
-        workers=args.workers,
         global_session_budget=args.budget,
         quantum=args.quantum,
         queue_capacity=args.queue_capacity,
@@ -686,9 +685,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "session, and exit")
     serve.add_argument("--duration", type=float, default=None,
                        metavar="SECONDS", help="stop after this long")
-    serve.add_argument("--workers", type=int, default=4,
-                       help="scheduler threads (0 = inline, "
-                            "deterministic; default 4)")
     serve.add_argument("--budget", type=int, default=100_000,
                        help="global cap on open sessions across all "
                             "tenants (default 100000)")
@@ -699,7 +695,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-tenant ingest queue bound; overflow "
                             "sheds oldest (default 8192)")
     serve.add_argument("--poll-interval", type=float, default=0.2,
-                       help="idle pacing between sweeps (default 0.2)")
+                       help="longest idle wait between sweeps in "
+                            "seconds; a tenant with a backlog ends the "
+                            "wait sooner (default 0.2)")
     serve.add_argument("--fsync", action="store_true",
                        help="fsync checkpoints, registry and journal "
                             "writes (power-loss durability)")

@@ -163,8 +163,11 @@ class ServeConfig:
     rather than blocking the poller.  ``global_session_budget`` caps
     open sessions summed over all tenants — the fleet scheduler evicts
     LRU sessions from the largest tenants first until back under it.
-    ``workers=0`` runs the scheduler inline (deterministic round-robin,
-    used by tests and ``--drain`` batch runs).
+    The scheduler pumps every tenant on one thread, in tenant-id order.
+    ``poll_interval`` is the longest idle wait: after an empty sweep the
+    scheduler sweeps again as soon as a tenant's source reports a
+    backlog, and only sources that cannot tell (plus tenants-file
+    reloads and supervised restarts) wait the whole interval.
     """
 
     #: Max records one tenant consumes per scheduling quantum.
@@ -175,11 +178,9 @@ class ServeConfig:
     queue_capacity: int = 8192
     #: Cap on open sessions summed across every tenant.
     global_session_budget: int = 100_000
-    #: Scheduler threads (0 = inline deterministic round-robin).
-    workers: int = 4
     #: Pre-deserialized model artifacts kept warm for cold-start reuse.
     warm_capacity: int = 4
-    #: Idle pacing between scheduling sweeps (threaded mode).
+    #: Longest idle wait between scheduling sweeps (seconds).
     poll_interval: float = 0.2
     #: Seconds between tenants-file freshness checks (hot-reload).
     reload_every: float = 2.0
@@ -201,10 +202,6 @@ class ServeConfig:
             raise ConfigurationError(
                 "global_session_budget must be >= 1, got "
                 f"{self.global_session_budget}"
-            )
-        if self.workers < 0:
-            raise ConfigurationError(
-                f"workers must be >= 0, got {self.workers}"
             )
         if self.warm_capacity < 0:
             raise ConfigurationError(

@@ -14,8 +14,8 @@ is the long-running service layer above it (ROADMAP item 1):
 * :mod:`~repro.serve.budget` — fair largest-first planning for the
   global open-session budget;
 * :mod:`~repro.serve.service` — the sweep scheduler multiplexing every
-  tenant (inline-deterministic or thread-pool), with per-tenant health
-  isolation and fleet metrics;
+  tenant on one thread, waking on source backlog between sweeps, with
+  per-tenant health isolation and fleet metrics;
 * :mod:`~repro.serve.admin` — tenants files (TOML/JSON), hot-reload
   reconciliation, model refs;
 * :mod:`~repro.serve.supervisor` — per-tenant restart policy

@@ -106,7 +106,7 @@ def _serve_service(workdir: Path) -> tuple[DetectionService, TenantSpec]:
     )
     service = DetectionService(
         registry,
-        ServeConfig(workers=0, quantum=40),
+        ServeConfig(quantum=40),
         checkpoint_dir=workdir / "ckpt",
         durability=DurabilityConfig.durable(),
     )

@@ -4,14 +4,22 @@
 (:class:`~repro.serve.tenant.Tenant`) over a shared
 :class:`~repro.serve.registry.ModelRegistry`.  Scheduling is
 sweep-based: each sweep pumps every healthy tenant for one bounded
-quantum (``ServeConfig.quantum`` records), then enforces the global
-session budget (:func:`~repro.serve.budget.plan_evictions`) and mirrors
-per-tenant stats into the fleet metrics registry.  With
-``ServeConfig.workers == 0`` sweeps run inline in deterministic
-tenant-id order (tests, ``--drain`` batch runs); with workers the pumps
-of one sweep run on a thread pool — still at most one worker per tenant
-(the sweep is a barrier), which is what lets tenant internals stay
-lock-free.
+quantum (``ServeConfig.quantum`` records), in sorted tenant-id order on
+the calling thread, then enforces the global session budget
+(:func:`~repro.serve.budget.plan_evictions`) and, when the sweep changed
+something, mirrors per-tenant stats into the fleet metrics registry.
+One thread pumps every tenant, which is what lets tenant internals stay
+lock-free (pumps are CPU-bound Python, so a thread pool bought no
+throughput).
+
+Between sweeps the loop waits for work rather than for a fixed pause:
+after an empty sweep it probes every healthy tenant's ``backlog()``
+every few milliseconds and sweeps again as soon as one reports records
+(or a probe raises ``OSError``, which the pump's retry/breaker path must
+see), :meth:`DetectionService.stop` is called, or
+``ServeConfig.poll_interval`` — the longest idle wait — has passed.
+Sources whose backlog is unknowable (``None``), tenants-file reloads
+and supervised restarts are paced by that ceiling.
 
 Health isolation is now *self-healing*: a pump that raises (or a
 breaker that opens) marks that tenant failed — with the exception type
@@ -36,7 +44,6 @@ import logging
 import threading
 import time
 import traceback as _traceback
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Callable
 
@@ -59,6 +66,10 @@ from .tenant import Tenant, TenantSpec
 __all__ = ["DetectionService"]
 
 log = logging.getLogger(__name__)
+
+#: Longest single sleep of the idle wait: how late the loop notices a
+#: record that became visible, a ``stop()`` or a newly attached tenant.
+_WAIT_SLICE = 0.005
 
 
 class DetectionService:
@@ -305,6 +316,15 @@ class DetectionService:
                 self._tenants[tid] for tid in sorted(self._tenants)
             ]
 
+    def _healthy(self) -> list[Tenant]:
+        """Tenants the sweep pumps: not failed, parked or quarantined."""
+        return [
+            t for t in self._snapshot()
+            if t.quarantined is None
+            and t.failure is None
+            and not t.runtime.failed
+        ]
+
     @staticmethod
     def _trace_tail(limit: int = 12) -> str:
         """Last ``limit`` lines of the current exception's traceback."""
@@ -315,8 +335,7 @@ class DetectionService:
         self, tenant: Tenant
     ) -> tuple[int, tuple[str, str] | None]:
         """Pump one quantum.  Returns ``(consumed, failure)`` where
-        ``failure`` is ``(reason, traceback_tail)`` if the pump raised —
-        the supervisor call itself happens back on the sweep thread."""
+        ``failure`` is ``(reason, traceback_tail)`` if the pump raised."""
         try:
             return tenant.pump(self.config.quantum), None
         except Exception as exc:  # noqa: BLE001 - isolation boundary
@@ -348,8 +367,10 @@ class DetectionService:
                 tenant.tenant_id, reason, status["next_restart_in"],
             )
 
-    def _revive_due(self) -> None:
-        """Restart every tenant whose backoff has elapsed."""
+    def _revive_due(self) -> int:
+        """Restart every tenant whose backoff has elapsed; return how
+        many restarts were attempted (successful or not)."""
+        attempted = 0
         for tenant_id in self.supervisor.due():
             with self._lock:
                 tenant = self._tenants.get(tenant_id)
@@ -361,6 +382,7 @@ class DetectionService:
                 or tenant.detach_requested
             ):
                 continue
+            attempted += 1
             try:
                 tenant.restart()
             except Exception as exc:  # noqa: BLE001 - isolation boundary
@@ -378,43 +400,35 @@ class DetectionService:
                 "restarted tenant %s (restart #%d)",
                 tenant_id, tenant.restarts,
             )
+        return attempted
 
-    def cycle(self, executor: ThreadPoolExecutor | None = None) -> int:
+    def cycle(self) -> int:
         """One sweep: pump every healthy tenant once, enforce budget.
 
-        Returns total records consumed.  Inline (no executor) the
-        tenants run in sorted-id order — fully deterministic; with an
-        executor the pumps of the sweep run concurrently, one task per
-        tenant, and the sweep itself is the barrier that keeps a tenant
-        from ever being pumped twice at once.  Supervision happens at
-        the sweep edges, always on the calling thread: due restarts
-        first, then pump failures and newly opened breakers are fed to
-        the supervisor after the barrier.
+        Returns total records consumed.  Tenants run in sorted-id order
+        on the calling thread, so a sweep is fully deterministic and no
+        tenant is ever pumped twice at once.  Supervision happens at the
+        sweep edges: due restarts first, then pump failures and newly
+        opened breakers are fed to the supervisor.  Fleet metrics are
+        mirrored only when the sweep changed something — consumed
+        records, a failure, a restart, a swap, a detach or a budget
+        eviction — so idle sweeps cost no status pass.
         """
-        self._revive_due()
-        tenants = [
-            t for t in self._snapshot()
-            if t.quarantined is None
-            and t.failure is None
-            and not t.runtime.failed
-        ]
-        if executor is None:
-            results = [(t, *self._pump_one(t)) for t in tenants]
-        else:
-            futures = [
-                (t, executor.submit(self._pump_one, t))
-                for t in tenants
-            ]
-            results = [(t, *f.result()) for t, f in futures]
+        changed = self._revive_due()
         consumed = 0
-        for tenant, n, failure in results:
+        for tenant in self._healthy():
+            swaps = tenant.swaps
+            n, failure = self._pump_one(tenant)
             consumed += n
+            changed += tenant.swaps - swaps
             if failure is not None:
+                changed += 1
                 self._register_failure(tenant, *failure)
             elif tenant.runtime.failed:
                 # The pump returned but left the breaker open (e.g. a
                 # run of source errors): same supervision path as a
                 # raised exception, minus the traceback.
+                changed += 1
                 note = (
                     "breaker: "
                     f"{tenant.runtime.stats.failure or 'circuit open'}"
@@ -423,18 +437,22 @@ class DetectionService:
                 self._register_failure(tenant, note, None)
             else:
                 self.supervisor.record_success(tenant.tenant_id)
-        self._apply_detaches()
-        self.enforce_budget()
-        self._mirror_metrics()
+        changed += self._apply_detaches()
+        changed += self.enforce_budget()
+        if consumed or changed:
+            self._mirror_metrics()
         return consumed
 
-    def _apply_detaches(self) -> None:
+    def _apply_detaches(self) -> int:
+        detached = 0
         for tenant in self._snapshot():
             if tenant.detach_requested:
                 try:
                     self.detach(tenant.tenant_id, flush=True)
                 except KeyError:  # pragma: no cover - benign race
-                    pass
+                    continue
+                detached += 1
+        return detached
 
     def enforce_budget(self) -> int:
         """Evict LRU sessions until the fleet fits the global budget."""
@@ -464,52 +482,39 @@ class DetectionService:
         each tenant's tracker is flushed so every open session reports.
         Tenants stay attached (callers can inspect, swap, keep going).
         """
-        executor = self._executor()
-        try:
-            while True:
-                consumed = self.cycle(executor)
-                if consumed:
-                    continue
-                # An empty sweep ends the drain — mirroring
-                # run(once=True), which stops on an OK-but-empty poll —
-                # unless some tenant is mid-retry (DEGRADED: its poll
-                # *failed* rather than came back empty; run() keeps
-                # polling through transient outages, so the drain must
-                # too, until the tenant recovers or its breaker opens).
-                retrying = [
-                    t for t in self._snapshot()
-                    if t.failure is None and not t.runtime.failed
-                    and t.runtime.stats.health == "degraded"
-                ]
-                # Likewise a tenant waiting out a supervised backoff is
-                # *healing*, not done — sleep through the backoff so its
-                # restart (and replay) happens inside the drain.
-                healing = [
-                    t for t in self._snapshot()
-                    if t.quarantined is None
-                    and self.supervisor.state(t.tenant_id) == BACKOFF
-                ]
-                if healing:
-                    self._sleep(self.config.poll_interval)
-                    continue
-                if not retrying:
-                    break
-        finally:
-            if executor is not None:
-                executor.shutdown(wait=True)
+        while True:
+            consumed = self.cycle()
+            if consumed:
+                continue
+            # An empty sweep ends the drain — mirroring run(once=True),
+            # which stops on an OK-but-empty poll — unless some tenant is
+            # mid-retry (DEGRADED: its poll *failed* rather than came
+            # back empty; run() keeps polling through transient outages,
+            # so the drain must too, until the tenant recovers or its
+            # breaker opens).
+            retrying = [
+                t for t in self._snapshot()
+                if t.failure is None and not t.runtime.failed
+                and t.runtime.stats.health == "degraded"
+            ]
+            # Likewise a tenant waiting out a supervised backoff is
+            # *healing*, not done — sleep through the backoff so its
+            # restart (and replay) happens inside the drain.
+            healing = [
+                t for t in self._snapshot()
+                if t.quarantined is None
+                and self.supervisor.state(t.tenant_id) == BACKOFF
+            ]
+            if healing:
+                self._sleep(self.config.poll_interval)
+                continue
+            if not retrying:
+                break
         for tenant in self._snapshot():
             if tenant.failure is None and not tenant.runtime.failed:
                 tenant.finish()
         self._mirror_metrics()
         return self.tenants_status()
-
-    def _executor(self) -> ThreadPoolExecutor | None:
-        if self.config.workers <= 0:
-            return None
-        return ThreadPoolExecutor(
-            max_workers=self.config.workers,
-            thread_name_prefix="repro-serve",
-        )
 
     def run(
         self,
@@ -527,8 +532,10 @@ class DetectionService:
         ``apply_tenants_file`` (the control plane's diff-based
         reconciler — injected to keep this module free of parsing).
         """
-        executor = self._executor()
         started = self._clock()
+        stop_at = (
+            started + duration if duration is not None else float("inf")
+        )
         cycles = 0
         last_reload_check = started
         last_mtime: float | None = None
@@ -538,56 +545,91 @@ class DetectionService:
                 last_mtime = path.stat().st_mtime
             except OSError:
                 last_mtime = None
-        try:
-            while not self._stop.is_set():
-                if (
-                    duration is not None
-                    and self._clock() - started >= duration
-                ):
-                    break
-                if max_cycles is not None and cycles >= max_cycles:
-                    break
-                if (
-                    path is not None
-                    and apply_tenants_file is not None
-                    and self._clock() - last_reload_check
-                    >= self.config.reload_every
-                ):
-                    last_reload_check = self._clock()
+        # Backlog readings the last wait returned.  A tenant whose
+        # backlog stays at the same non-zero reading after an empty sweep
+        # (e.g. a file's unterminated last line) does not end the next
+        # wait again; it is reset after any sweep that consumed records.
+        seen: dict[str, int] = {}
+        while not self._stop.is_set():
+            if self._clock() >= stop_at:
+                break
+            if max_cycles is not None and cycles >= max_cycles:
+                break
+            if (
+                path is not None
+                and apply_tenants_file is not None
+                and self._clock() - last_reload_check
+                >= self.config.reload_every
+            ):
+                last_reload_check = self._clock()
+                try:
+                    mtime = path.stat().st_mtime
+                except OSError:
+                    mtime = None
+                if mtime is not None and mtime != last_mtime:
+                    last_mtime = mtime
                     try:
-                        mtime = path.stat().st_mtime
-                    except OSError:
-                        mtime = None
-                    if mtime is not None and mtime != last_mtime:
-                        last_mtime = mtime
-                        try:
-                            apply_tenants_file(self, path)
-                        except Exception:  # noqa: BLE001 - keep serving
-                            log.exception(
-                                "tenants-file reload failed; keeping "
-                                "the previous fleet"
-                            )
-                consumed = self.cycle(executor)
-                cycles += 1
-                tenants = self._snapshot()
-                if tenants and all(
-                    t.quarantined is not None for t in tenants
-                ):
-                    # Nothing left that can ever recover on its own.
-                    self.fleet_dead = True
-                    log.error(
-                        "FLEET dead: all %d tenant(s) quarantined; "
-                        "stopping the serve loop",
-                        len(tenants),
-                    )
-                    break
-                if not consumed:
-                    self._sleep(self.config.poll_interval)
-        finally:
-            if executor is not None:
-                executor.shutdown(wait=True)
+                        apply_tenants_file(self, path)
+                    except Exception:  # noqa: BLE001 - keep serving
+                        log.exception(
+                            "tenants-file reload failed; keeping "
+                            "the previous fleet"
+                        )
+            consumed = self.cycle()
+            cycles += 1
+            tenants = self._snapshot()
+            if tenants and all(
+                t.quarantined is not None for t in tenants
+            ):
+                # Nothing left that can ever recover on its own.
+                self.fleet_dead = True
+                log.error(
+                    "FLEET dead: all %d tenant(s) quarantined; "
+                    "stopping the serve loop",
+                    len(tenants),
+                )
+                break
+            if consumed:
+                seen = {}
+            else:
+                seen = self._wait_for_work(
+                    min(self._clock() + self.config.poll_interval,
+                        stop_at),
+                    seen,
+                )
         self._mirror_metrics()
         return self.tenants_status()
+
+    def _wait_for_work(
+        self, deadline: float, seen: dict[str, int]
+    ) -> dict[str, int]:
+        """Sleep in :data:`_WAIT_SLICE` steps until a healthy tenant has
+        work, :meth:`stop` is called, or ``deadline`` passes.
+
+        A tenant has work when its ``backlog()`` reading is non-zero and
+        differs from its reading in ``seen``.  A probe that raises
+        ``OSError`` reads ``-1``: the fault is work for the pump's
+        retry/breaker path.  The tenant map is re-read on every probe,
+        so a tenant attached mid-wait is seen too.  Returns the last
+        probe's non-zero readings.
+        """
+        readings: dict[str, int] = {}
+        while not self._stop.is_set():
+            readings = {}
+            for tenant in self._healthy():
+                try:
+                    backlog = tenant.queue.backlog()
+                except OSError:
+                    backlog = -1
+                if backlog:
+                    readings[tenant.tenant_id] = backlog
+            if any(seen.get(tid) != n for tid, n in readings.items()):
+                break
+            left = deadline - self._clock()
+            if left <= 0:
+                break
+            self._sleep(min(_WAIT_SLICE, left))
+        return readings
 
     def stop(self) -> None:
         self._stop.set()

@@ -22,11 +22,10 @@ adds on top is
   parks the new lease, and the scheduler applies it *between* quanta —
   every session is finalized wholly under one model version.
 
-Each tenant is pumped by at most one scheduler thread at a time (the
-service guarantees this), so tenant internals need no locking of their
-own; the single ``_lock`` here guards only the fields the control-plane
-thread touches concurrently with the pump (pending lease, failure
-note).
+Every tenant is pumped by the service's one sweep thread, so tenant
+internals need no locking of their own; the single ``_lock`` here
+guards only the fields the control-plane thread touches concurrently
+with the pump (pending lease, failure note).
 """
 
 from __future__ import annotations
@@ -136,8 +135,8 @@ class BoundedQueueSource:
     inner source's position plus every queued-but-unprocessed record,
     so a restart neither drops nor re-reads them.  Inner-source
     ``OSError``s propagate to the runtime's retry/breaker machinery
-    untouched.  Single-threaded per tenant by construction (the service
-    never pumps one tenant from two workers), so no locking here.
+    untouched.  Only the service's sweep thread touches it, so no
+    locking here.
     """
 
     def __init__(
@@ -402,7 +401,7 @@ class Tenant:
             self.runtime.reset_health()
         self.restarts += 1
 
-    # -- pump side (one worker at a time) ----------------------------------
+    # -- pump side (the sweep thread) --------------------------------------
 
     def _swap_intent_path(self) -> Path | None:
         if self._checkpoint_path is None:

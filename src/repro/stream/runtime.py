@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import logging
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
@@ -242,9 +243,9 @@ class StreamRuntime:
         self._records_per_s = 0.0
         #: Exactly-once ledger: recently finalized session content ids.
         self._finalized_ids: set[str] = set()
-        self._finalized_order: list[str] = []
+        self._finalized_order: deque[str] = deque()
         #: Finalized-but-undelivered reports (sink outage survivors).
-        self._outbox: list[dict[str, Any]] = []
+        self._outbox: deque[dict[str, Any]] = deque()
         #: Finalization ids of parked reports — the O(1) companion index
         #: of ``_outbox`` so replayed closures dedup without scanning it.
         self._parked_fids: set[str] = set()
@@ -423,10 +424,10 @@ class StreamRuntime:
         )
         for fid in checkpoint.finalized:
             self._remember_finalized(fid)
-        self._outbox = [
+        self._outbox = deque(
             entry for entry in checkpoint.outbox
             if isinstance(entry, dict) and entry.get("report")
-        ]
+        )
         # Rebuild the parked-fid index so dedup stays O(1) and exactly
         # as consistent with the outbox as before the restart.
         self._parked_fids = {
@@ -857,7 +858,7 @@ class StreamRuntime:
             )
             if not ok:
                 break
-            self._outbox.pop(0)
+            self._outbox.popleft()
             self._parked_fids.discard(closed.finalization_id)
             self._remember_finalized(closed.finalization_id)
         self._g_outbox.set(len(self._outbox))
@@ -869,7 +870,7 @@ class StreamRuntime:
         self._finalized_order.append(fid)
         cap = self.resilience.finalized_cap
         while cap and len(self._finalized_order) > cap:
-            old = self._finalized_order.pop(0)
+            old = self._finalized_order.popleft()
             self._finalized_ids.discard(old)
 
     def _emit_stats(self, start: float) -> None:

@@ -317,6 +317,11 @@ class FileFollowSource:
     def backlog(self) -> int | None:
         try:
             size = os.path.getsize(self.path)
+        except FileNotFoundError:
+            # Not created yet, or mid-rotation: nothing pending, as in
+            # poll().  The serve loop probes this every few milliseconds
+            # while idle, so a missing file must not log each time.
+            return 0
         except OSError as exc:
             # Routed through the logged IO-error path (not swallowed):
             # the backlog gauge is advisory, so the poll/retry machinery

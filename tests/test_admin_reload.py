@@ -51,7 +51,7 @@ def registry(tmp_path, spark_model, spark_training_jobs):
 
 @pytest.fixture()
 def service(registry):
-    svc = DetectionService(registry, ServeConfig(workers=0, quantum=64))
+    svc = DetectionService(registry, ServeConfig(quantum=64))
     spec = TenantSpec(
         tenant_id="t1", model="spark-prod", version=1, **UNBOUNDED
     )

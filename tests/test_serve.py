@@ -212,10 +212,8 @@ class TestMultiTenantParity:
         ).run(once=True)
         return report_bytes(sink)
 
-    def _serve(self, registry: ModelRegistry, workers: int):
-        svc = DetectionService(
-            registry, ServeConfig(workers=workers, quantum=37)
-        )
+    def _serve(self, registry: ModelRegistry):
+        svc = DetectionService(registry, ServeConfig(quantum=37))
         sinks = {}
         for tid, seed in self.SEEDS.items():
             sinks[tid] = ListSink()
@@ -227,7 +225,7 @@ class TestMultiTenantParity:
         return svc, sinks
 
     def test_three_tenants_byte_identical_to_standalone(self, registry):
-        svc, sinks = self._serve(registry, workers=0)
+        svc, sinks = self._serve(registry)
         _, digest = registry.resolve("spark-prod")
         # One immutable model instance backs the whole fleet.
         tenants = [svc.tenant(tid) for tid in self.SEEDS]
@@ -252,21 +250,8 @@ class TestMultiTenantParity:
         assert stats["cold_loads"] == 1  # one deserialization for 3 tenants
         assert stats["warm_models"] == 1  # parked for the next attach
 
-    def test_threaded_sweeps_match_inline(self, registry):
-        inline_svc, inline_sinks = self._serve(registry, workers=0)
-        inline_svc.drain()
-        inline = {
-            tid: report_bytes(sink) for tid, sink in inline_sinks.items()
-        }
-        inline_svc.close()
-        threaded_svc, threaded_sinks = self._serve(registry, workers=2)
-        threaded_svc.drain()
-        for tid in self.SEEDS:
-            assert report_bytes(threaded_sinks[tid]) == inline[tid]
-        threaded_svc.close()
-
     def test_fleet_metrics_are_mirrored(self, registry):
-        svc, _ = self._serve(registry, workers=0)
+        svc, _ = self._serve(registry)
         svc.drain()
 
         def sample(name, **labels):
@@ -279,6 +264,23 @@ class TestMultiTenantParity:
         assert sample("serve_registry_live_models") == 1
         for tid in self.SEEDS:
             assert sample("serve_tenant_reports", tenant=tid) > 0
+        svc.close()
+
+    def test_failed_tenants_gauge_updates_on_the_failing_sweep(
+        self, registry
+    ):
+        svc = DetectionService(registry, ServeConfig())
+        svc.attach(
+            TenantSpec(tenant_id="bad", model="spark-prod", **UNBOUNDED),
+            source=_ExplodingSource(),
+            sink=ListSink(),
+        )
+        failed = svc.metrics.get("serve_failed_tenants")
+        assert failed.value == 0
+        svc.cycle()
+        assert svc.tenant("bad").failure is not None
+        # Mirrored by the sweep that failed, not by a later drain/close.
+        assert failed.value == 1
         svc.close()
 
 
@@ -326,7 +328,7 @@ class TestBudget:
     def test_enforced_through_real_trackers(self, registry):
         svc = DetectionService(
             registry,
-            ServeConfig(workers=0, global_session_budget=12),
+            ServeConfig(global_session_budget=12),
         )
         sinks = {}
         fleets = {"big-a": 30, "big-b": 20, "small": 3}
@@ -366,7 +368,7 @@ class TestAtomicSwap:
     ):
         reg = ModelRegistry(tmp_path / "reg")
         v1, d1 = reg.publish(spark_store, "spark-prod")
-        svc = DetectionService(reg, ServeConfig(workers=0, quantum=25))
+        svc = DetectionService(reg, ServeConfig(quantum=25))
         streams = {
             tid: spark_records(seed)
             for tid, seed in (("t-a", 11), ("t-b", 22), ("t-c", 33))
@@ -413,7 +415,7 @@ class TestAtomicSwap:
         the new model: matches carried from the old one are dropped."""
         reg = ModelRegistry(tmp_path / "reg")
         reg.publish(spark_store, "spark-prod")
-        svc = DetectionService(reg, ServeConfig(workers=0, quantum=25))
+        svc = DetectionService(reg, ServeConfig(quantum=25))
         records = spark_records(11)
         sink = ListSink()
         svc.attach(
@@ -440,7 +442,7 @@ class TestAtomicSwap:
         svc.close()
 
     def test_swap_to_unknown_version_changes_nothing(self, registry):
-        svc = DetectionService(registry, ServeConfig(workers=0))
+        svc = DetectionService(registry, ServeConfig())
         sink = ListSink()
         svc.attach(
             TenantSpec(tenant_id="t", model="spark-prod", **UNBOUNDED),
@@ -473,7 +475,7 @@ class TestCheckpointNamespacing:
     ):
         ckpt_dir = tmp_path / "ckpt"
         svc = DetectionService(
-            registry, ServeConfig(workers=0), checkpoint_dir=ckpt_dir
+            registry, ServeConfig(), checkpoint_dir=ckpt_dir
         )
         for tid, seed in (("team/a", 41), ("team_a", 42)):
             svc.attach(
@@ -538,7 +540,7 @@ class TestRestartResume:
         ckpt_dir = tmp_path / "ckpt"
 
         first = DetectionService(
-            registry, ServeConfig(workers=0, quantum=40),
+            registry, ServeConfig(quantum=40),
             checkpoint_dir=ckpt_dir,
         )
         sink1 = ListSink()
@@ -550,7 +552,7 @@ class TestRestartResume:
         first.detach("riser", flush=False)  # checkpoint, keep sessions
 
         second = DetectionService(
-            registry, ServeConfig(workers=0, quantum=40),
+            registry, ServeConfig(quantum=40),
             checkpoint_dir=ckpt_dir,
         )
         sink2 = ListSink()
@@ -589,7 +591,7 @@ class _ExplodingSource:
 
 class TestHealthIsolation:
     def test_one_failing_tenant_does_not_stall_the_fleet(self, registry):
-        svc = DetectionService(registry, ServeConfig(workers=0))
+        svc = DetectionService(registry, ServeConfig())
         good_sink = ListSink()
         svc.attach(
             TenantSpec(tenant_id="good", model="spark-prod", **UNBOUNDED),
@@ -677,7 +679,7 @@ class TestAdmin:
         reg.publish(spark_store, "other")
         log_file = tmp_path / "empty.log"
         log_file.touch()
-        svc = DetectionService(reg, ServeConfig(workers=0))
+        svc = DetectionService(reg, ServeConfig())
 
         first = apply_tenants(svc, [
             self._spec("a", "adm", log_file),
@@ -710,7 +712,7 @@ class TestAdmin:
         svc.close()
 
     def test_one_bad_entry_does_not_poison_a_reload(self, registry):
-        svc = DetectionService(registry, ServeConfig(workers=0))
+        svc = DetectionService(registry, ServeConfig())
         good = TenantSpec(
             tenant_id="ok", model="spark-prod", **UNBOUNDED
         )
@@ -723,7 +725,7 @@ class TestAdmin:
 
 class TestTenantsRoute:
     def test_tenants_json_route_reflects_the_fleet(self, registry):
-        svc = DetectionService(registry, ServeConfig(workers=0))
+        svc = DetectionService(registry, ServeConfig())
         svc.attach(
             TenantSpec(tenant_id="t", model="spark-prod", **UNBOUNDED),
             source=IterableSource(spark_records(3, jobs=1)),

@@ -1,9 +1,9 @@
-"""Multi-tenant serving soak: chaos-injected tenants, threaded sweeps.
+"""Multi-tenant serving soak: chaos-injected tenants, one sweep loop.
 
 The serving analogue of ``test_stream_resilience``'s end-to-end chaos
 run: three tenants, each following its own :class:`ChaosLogWriter`-
-damaged hadoop-layout log file through a flaky source, scheduled by a
-two-worker :class:`DetectionService` sharing one registry model.  The
+damaged hadoop-layout log file through a flaky source, scheduled by one
+:class:`DetectionService` sweep thread sharing one registry model.  The
 invariants:
 
 * the service drains without any tenant failing;
@@ -143,7 +143,7 @@ def test_three_chaos_tenants_soak(hadoop_model, tmp_path):
 
     service = DetectionService(
         registry,
-        ServeConfig(workers=2, quantum=256),
+        ServeConfig(quantum=256),
         checkpoint_dir=tmp_path / "ckpt",
         resilience=ResilienceConfig(
             retry_attempts=4, failed_after=50, **FAST

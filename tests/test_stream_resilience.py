@@ -778,3 +778,53 @@ class TestOutboxParking:
         fids = healthy.emitted_ids()
         assert sorted(fids) == sorted(parked)
         assert len(fids) == len(set(fids))
+
+    def test_full_ledger_keeps_newest_ids_and_encodes_like_lists(
+        self, spark_model, tmp_path
+    ):
+        cap = 8
+        ckpt = tmp_path / "ckpt.json"
+        resilience = ResilienceConfig(
+            retry_attempts=2, failed_after=10**6, finalized_cap=cap, **FAST
+        )
+        outage = FlakySink(ListSink(), fail_first=10**6)
+        runtime = StreamRuntime(
+            spark_model, IterableSource(_spark_records(seed=67)),
+            sink=outage, tracker=PARITY_TRACKER, checkpoint_path=ckpt,
+            resilience=resilience, **NO_SLEEP,
+        )
+        runtime.run(once=True)
+        assert runtime._outbox
+        ids = [f"fid-{i:03d}" for i in range(3 * cap + 1)]
+        for fid in ids:
+            runtime._remember_finalized(fid)
+        # At the cap the ledger keeps exactly the newest ids, in order.
+        assert list(runtime._finalized_order) == ids[-cap:]
+        assert runtime._finalized_ids == set(ids[-cap:])
+
+        runtime.checkpoint()
+        saved = StreamCheckpoint.load(ckpt)
+        assert saved.finalized == ids[-cap:]
+        assert saved.outbox == [dict(e) for e in runtime._outbox]
+        as_lists = StreamCheckpoint(
+            source_position=saved.source_position,
+            tracker_state=saved.tracker_state,
+            counters=saved.counters,
+            finalized=list(ids[-cap:]),
+            outbox=list(saved.outbox),
+        )
+        assert ckpt.read_bytes() == as_lists._encoded()
+
+        # A resume restores both in order and keeps them bounded.
+        resumed = StreamRuntime(
+            spark_model, IterableSource([]), sink=ListSink(),
+            tracker=PARITY_TRACKER, checkpoint_path=ckpt,
+            resilience=resilience, **NO_SLEEP,
+        )
+        assert resumed.resumed
+        assert list(resumed._finalized_order) == ids[-cap:]
+        assert list(resumed._outbox) == saved.outbox
+        resumed._remember_finalized("fid-next")
+        assert list(resumed._finalized_order) == ids[-cap + 1:] + [
+            "fid-next"
+        ]

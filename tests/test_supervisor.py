@@ -89,7 +89,7 @@ def registry(tmp_path, spark_model) -> ModelRegistry:
 def service_with(registry, clock, **sup) -> DetectionService:
     return DetectionService(
         registry,
-        ServeConfig(workers=0, quantum=64, poll_interval=1.0),
+        ServeConfig(quantum=64, poll_interval=1.0),
         supervisor=TenantSupervisor(
             SupervisorConfig(**sup), clock=clock
         ),
@@ -409,7 +409,7 @@ class TestServeExitCodes:
             "serve",
             "--tenants", str(tenants),
             "--registry", str(tmp_path / "registry"),
-            "--drain", "--workers", "0",
+            "--drain",
             "--restart-budget", "1",
             "--poll-interval", "0.01",
         ])
