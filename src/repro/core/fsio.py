@@ -29,6 +29,7 @@ import errno as _errno
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 __all__ = [
     "FaultRule",
@@ -36,6 +37,7 @@ __all__ = [
     "FileSystem",
     "REAL_FS",
     "atomic_replace_write",
+    "ends_mid_line",
 ]
 
 
@@ -49,6 +51,10 @@ class FileSystem:
 
     def write_text(self, path: str | Path, text: str) -> int:
         return self.write_bytes(path, text.encode("utf-8"))
+
+    def append_bytes(self, path: str | Path, data: bytes) -> int:
+        with open(path, "ab") as fp:
+            return fp.write(data)
 
     def read_bytes(self, path: str | Path) -> bytes:
         with open(path, "rb") as fp:
@@ -109,9 +115,28 @@ def atomic_replace_write(
         fs.fsync_dir(path.parent)
 
 
+def ends_mid_line(path: str | Path) -> bool:
+    """True when ``path`` is non-empty and its last byte is not ``\\n``.
+
+    That is the mark a crash mid-append leaves on a line-oriented log;
+    an appender must start a fresh line before writing, or its first
+    record is glued onto the torn fragment and lost with it.
+    """
+    try:
+        with open(path, "rb") as fp:
+            if fp.seek(0, os.SEEK_END) == 0:
+                return False
+            fp.seek(-1, os.SEEK_END)
+            return fp.read(1) != b"\n"
+    except FileNotFoundError:
+        return False
+
+
 # -- fault injection --------------------------------------------------------
 
-#: Operation kinds a FaultRule can target.
+#: Operation kinds a FaultRule can target in an atomic publish.
+#: ``append`` (the stream delivery journal) can be targeted too; it is
+#: kept out of this tuple because publish never appends.
 FAULT_OPS = ("write", "read", "replace", "remove", "fsync")
 
 
@@ -120,9 +145,10 @@ class FaultRule:
     """One injected failure: ``op`` calls number ``at .. at+count-1``
     (1-based, per-op counter) raise ``OSError(errno_code)``.
 
-    ``keep`` turns a failing *write* into a torn (short) write: that
-    fraction of the payload lands on disk before the error is raised —
-    the shape a full disk or a crash mid-``write(2)`` leaves behind.
+    ``keep`` turns a failing *write* or *append* into a torn (short)
+    one: that fraction of the payload lands on disk before the error is
+    raised — the shape a full disk or a crash mid-``write(2)`` leaves
+    behind.
     """
 
     op: str
@@ -150,7 +176,9 @@ class FaultyFS(FileSystem):
 
     def __init__(self, rules: list[FaultRule] | None = None) -> None:
         self.rules: list[FaultRule] = list(rules or ())
-        self.calls: dict[str, int] = {op: 0 for op in FAULT_OPS}
+        self.calls: dict[str, int] = {
+            op: 0 for op in (*FAULT_OPS, "append")
+        }
         self.injected = 0
 
     # -- rule construction -------------------------------------------------
@@ -173,11 +201,13 @@ class FaultyFS(FileSystem):
         at: int = 1,
         keep: float = 0.5,
         errno_code: int = _errno.EIO,
+        op: str = "write",
     ) -> "FaultyFS":
-        """Schedule a torn write: ``keep`` of the bytes land, then EIO."""
+        """Schedule a torn ``write`` or ``append``: ``keep`` of the
+        bytes land, then EIO."""
         self.rules.append(
             FaultRule(
-                op="write", at=at, count=1,
+                op=op, at=at, count=1,
                 errno_code=errno_code, keep=keep,
             )
         )
@@ -206,14 +236,28 @@ class FaultyFS(FileSystem):
 
     # -- FileSystem surface ------------------------------------------------
 
-    def write_bytes(self, path: str | Path, data: bytes) -> int:
-        rule = self._check("write")
+    def _faulted_write(
+        self,
+        op: str,
+        write: Callable[[str | Path, bytes], int],
+        path: str | Path,
+        data: bytes,
+    ) -> int:
+        rule = self._check(op)
         if rule is not None:
             if rule.keep is not None:
                 cut = int(len(data) * max(0.0, min(1.0, rule.keep)))
-                super().write_bytes(path, data[:cut])
+                write(path, data[:cut])
             self._raise(rule, path)
-        return super().write_bytes(path, data)
+        return write(path, data)
+
+    def write_bytes(self, path: str | Path, data: bytes) -> int:
+        return self._faulted_write("write", super().write_bytes, path, data)
+
+    def append_bytes(self, path: str | Path, data: bytes) -> int:
+        return self._faulted_write(
+            "append", super().append_bytes, path, data
+        )
 
     def read_bytes(self, path: str | Path) -> bytes:
         rule = self._check("read")

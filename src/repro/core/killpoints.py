@@ -2,15 +2,15 @@
 
 Crash-consistency claims are only as good as the crashes they were
 tested against, so the durable write paths (registry publish, model
-swap, checkpoint save, report finalization) each declare *named* points
-where a crash is interesting — immediately after one side of a
-two-phase operation has hit the disk and before the other has.  The
-harness (:mod:`repro.serve.harness`) runs the service in a subprocess
-with ``REPRO_KILLPOINT=<label>`` in the environment; when execution
-reaches that label the process dies on the spot (``os._exit``, no
-atexit handlers, no flushing — the closest a test can get to
-``kill -9``), and the harness then restarts and asserts the recovery
-invariants.
+swap, checkpoint save, report finalization, delivery journal) each
+declare *named* points where a crash is interesting — immediately
+after one side of a two-phase operation has hit the disk and before
+the other has.  The harness (:mod:`repro.serve.harness`) runs the
+service in a subprocess with ``REPRO_KILLPOINT=<label>`` in the
+environment; when execution reaches that label the process dies on the
+spot (``os._exit``, no atexit handlers, no flushing — the closest a
+test can get to ``kill -9``), and the harness then restarts and
+asserts the recovery invariants.
 
 With the environment variable unset (production, normal tests)
 :func:`kill_point` is a dict lookup and a no-op.  The label registry
@@ -44,8 +44,12 @@ KILL_POINTS = (
     # Tenant.apply_pending_swap: intent → swap → checkpoint → clear.
     "swap.intent",                # swap intent journaled, lease not swapped
     "swap.applied",               # swap applied + checkpointed, intent remains
-    # StreamRuntime._deliver: sink emit succeeded, ledger not checkpointed.
+    # StreamRuntime._deliver: sink emit succeeded, id not yet journaled.
     "finalize.emitted",
+    # DeliveryJournal: the batch's delivered ids appended, and the
+    # journal rotation after a snapshot.
+    "journal.append",             # journal lines written, append not returned
+    "journal.rotate",             # snapshot replaced, journal not rotated
 )
 
 _armed: str | None = os.environ.get(ENV_VAR)

@@ -28,9 +28,13 @@ cannot be distinguished from "referenced", and fsck must never delete
 model bytes it cannot prove are garbage.
 
 With a ``checkpoint_dir`` the sweep also covers the serving layer's
-checkpoint directory: stray checkpoint temp files and leftover
-*swap intents* (a tenant crashed mid-model-swap; the checkpoint already
-decides which model version won, so the intent is cleared with a note).
+checkpoint directory: stray checkpoint temp files, leftover *swap
+intents* (a tenant crashed mid-model-swap; the checkpoint already
+decides which model version won, so the intent is cleared with a note),
+and the delivery journals beside each checkpoint — a torn trailing line
+(a crash mid-append) is truncated to the last newline, and undecodable
+lines are dropped; neither was ever replayed.  A journal with no
+snapshot beside it is fine: a cold start replays it.
 
 Exposed as ``repro fsck [--repair]`` and run automatically at service
 startup (:class:`~repro.serve.service.DetectionService`).  Single
@@ -48,6 +52,7 @@ from pathlib import Path
 from typing import Any
 
 from ..core.fsio import REAL_FS, FileSystem, atomic_replace_write
+from ..stream.journal import scan_journal
 from .registry import INDEX_FORMAT
 
 __all__ = ["Finding", "FsckReport", "RegistryFsck", "run_fsck"]
@@ -66,6 +71,8 @@ REPAIRABLE = (
     "stray_tmp",
     "checkpoint_stray_tmp",
     "swap_intent",
+    "checkpoint_journal_torn",
+    "checkpoint_journal_corrupt",
 )
 
 
@@ -468,6 +475,44 @@ class RegistryFsck:
                 "must be re-requested",
                 lambda p=path: self.fs.remove(p),
                 "cleared swap intent",
+            )
+        journals = sorted(directory.glob("*.journal")) + sorted(
+            directory.glob("*.journal.prev")
+        )
+        for path in journals:
+            self._check_journal(report, repair, path)
+
+    def _check_journal(
+        self, report: FsckReport, repair: bool, path: Path
+    ) -> None:
+        try:
+            scan = scan_journal(path, self.fs)
+        except OSError as exc:
+            report.findings.append(Finding(
+                kind="checkpoint_journal_unreadable",
+                path=str(path),
+                detail=f"delivery journal unreadable: {exc}",
+            ))
+            return
+        if scan.torn:
+            self._resolve(
+                report, repair, "checkpoint_journal_torn", path,
+                "delivery journal ends in a torn line (a crash "
+                "mid-append)",
+                lambda p=path, d=scan.intact: atomic_replace_write(
+                    p, d, fs=self.fs
+                ),
+                "truncated to the last newline",
+            )
+        if scan.bad_lines:
+            self._resolve(
+                report, repair, "checkpoint_journal_corrupt", path,
+                f"delivery journal has {len(scan.bad_lines)} undecodable "
+                f"line(s), first at line {scan.bad_lines[0]}",
+                lambda p=path, d=scan.kept: atomic_replace_write(
+                    p, d, fs=self.fs
+                ),
+                "dropped the undecodable lines",
             )
 
     # -- plumbing ----------------------------------------------------------

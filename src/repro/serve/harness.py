@@ -14,13 +14,17 @@ process — startup fsck, re-attach, drain — and asserts the invariants:
   resolves (a publish either happened or didn't — never half);
 * a republish after the crash converges to the same version sequence;
 * the tenant's reports are exactly-once: no finalization id lost, none
-  duplicated, session coverage identical to a crash-free reference run;
+  duplicated, session coverage identical to a crash-free reference run —
+  with a sink that keeps a delivery log (a ``JsonLinesSink`` on a
+  path) and, for every serve label but ``finalize.emitted``, again with
+  one that keeps none (the same sink on an open file handle), where
+  exactly-once rests on the runtime's delivery journal alone;
 * every tenant ends healthy or *explicitly* quarantined — never parked
   silently.
 
 Scenarios map labels to protocols: ``registry.publish.*`` run the
-two-phase publish; ``checkpoint.*``, ``swap.*`` and
-``finalize.emitted`` run a single-tenant serve fleet.  Everything is
+two-phase publish; ``checkpoint.*``, ``swap.*``, ``finalize.emitted``
+and ``journal.*`` run a single-tenant serve fleet.  Everything is
 seeded (workload generator, model training), so victim and reference
 runs see byte-identical streams.
 
@@ -36,7 +40,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from typing import Any
+from typing import IO, Any
 
 from ..core.config import DurabilityConfig, ServeConfig
 from ..core.intellog import IntelLog
@@ -49,7 +53,9 @@ from .registry import ModelRegistry
 from .service import DetectionService
 from .tenant import TenantSpec
 
-__all__ = ["run_sweep", "scenario_for", "main"]
+__all__ = [
+    "NO_LOG_LABELS", "main", "result_line", "run_sweep", "scenario_for",
+]
 
 #: Labels exercised through the registry publish protocol.
 PUBLISH_LABELS = (
@@ -65,7 +71,20 @@ SERVE_LABELS = (
     "swap.intent",
     "swap.applied",
     "finalize.emitted",
+    "journal.append",
+    "journal.rotate",
 )
+
+#: Serve labels run a second time with a sink that keeps no delivery
+#: log.  Not ``finalize.emitted``: between a sink's emit and the
+#: journal append only the sink's own log can tell a delivered report
+#: from a lost one.
+NO_LOG_LABELS = tuple(
+    label for label in SERVE_LABELS if label != "finalize.emitted"
+)
+
+#: Sink variants: a delivery log the runtime can read back, or none.
+SINKS = ("delivery-log", "no-log")
 
 _MODEL = "spark-prod"
 _TENANT = "t1"
@@ -114,12 +133,24 @@ def _serve_service(workdir: Path) -> tuple[DetectionService, TenantSpec]:
     return service, spec
 
 
-def _attach(service: DetectionService, spec: TenantSpec, workdir: Path):
+def _attach(
+    service: DetectionService, spec: TenantSpec, target: IO[str] | Path
+):
+    """Attach the tenant with a ``JsonLinesSink`` on ``target``: on a
+    path the sink reads its output back as a delivery log; on an open
+    handle ``emitted_ids()`` is empty, like a socket exporter's."""
     return service.attach(
         spec,
         source=IterableSource(_stream_records()),
-        sink=JsonLinesSink(workdir / "reports.jsonl"),
+        sink=JsonLinesSink(target),
     )
+
+
+def _open_target(workdir: Path, sink: str) -> IO[str] | None:
+    """The open handle the no-log variant writes through (else None)."""
+    if sink == "no-log":
+        return open(workdir / "reports.jsonl", "a", encoding="utf-8")
+    return None
 
 
 # -- victims (run in a subprocess; die at the armed kill point) ---------
@@ -136,11 +167,13 @@ def victim_publish(workdir: Path, label: str) -> int:
     return 0
 
 
-def victim_serve(workdir: Path, label: str) -> int:
-    """Serve one tenant; die inside checkpoint/swap/finalize."""
+def victim_serve(workdir: Path, label: str, sink: str) -> int:
+    """Serve one tenant; die inside checkpoint/swap/finalize/journal."""
     service, spec = _serve_service(workdir)
     service.registry.publish(_store(7), _MODEL)
-    tenant = _attach(service, spec, workdir)
+    # The process dies holding the handle, as a crashed exporter would.
+    handle = _open_target(workdir, sink)
+    tenant = _attach(service, spec, handle or workdir / "reports.jsonl")
     service.cycle()
     tenant.runtime.checkpoint()  # a clean durable base to resume from
     if label.startswith("checkpoint."):
@@ -152,17 +185,21 @@ def victim_serve(workdir: Path, label: str) -> int:
         service.swap(_TENANT, 2)
         arm(label)
         service.cycle()  # pump applies the swap -> dies in the journal
-    else:  # finalize.emitted
+    else:  # finalize.emitted, journal.append, journal.rotate
         arm(label)
-        service.drain()  # dies delivering the first finalized report
+        # Dies delivering the first report, in the first journal
+        # append, or rotating the journal after the next snapshot.
+        service.drain()
     return 0
 
 
-def run_victim(scenario: str, workdir: Path, label: str) -> int:
+def run_victim(
+    scenario: str, workdir: Path, label: str, sink: str = "delivery-log"
+) -> int:
     if scenario == "publish":
         return victim_publish(workdir, label)
     if scenario == "serve":
-        return victim_serve(workdir, label)
+        return victim_serve(workdir, label, sink)
     raise ValueError(f"unknown scenario {scenario!r}")
 
 
@@ -191,18 +228,27 @@ def _recover_publish(workdir: Path, result: dict[str, Any]) -> None:
     )
 
 
-def _recover_serve(workdir: Path, result: dict[str, Any]) -> None:
+def _recover_serve(
+    workdir: Path, result: dict[str, Any], sink: str
+) -> None:
     service, spec = _serve_service(workdir)  # startup fsck repairs here
     fsck = service.startup_fsck
     result["fsck_findings"] = (
         len(fsck.findings) if fsck is not None else 0
     )
-    tenant = _attach(service, spec, workdir)
-    result["resumed"] = tenant.runtime.resumed
-    service.drain()
-    healthy = tenant.failure is None and tenant.quarantined is None
-    quarantined = tenant.quarantined is not None
-    service.close()
+    handle = _open_target(workdir, sink)
+    try:
+        tenant = _attach(
+            service, spec, handle or workdir / "reports.jsonl"
+        )
+        result["resumed"] = tenant.runtime.resumed
+        service.drain()
+        healthy = tenant.failure is None and tenant.quarantined is None
+        quarantined = tenant.quarantined is not None
+        service.close()
+    finally:
+        if handle is not None:
+            handle.close()
     rescan = run_fsck(
         workdir / "registry", checkpoint_dir=workdir / "ckpt"
     )
@@ -239,7 +285,7 @@ def _recover_serve(workdir: Path, result: dict[str, Any]) -> None:
 
 
 def _spawn_victim(
-    scenario: str, workdir: Path, label: str
+    scenario: str, workdir: Path, label: str, sink: str
 ) -> subprocess.CompletedProcess:
     src_root = Path(__file__).resolve().parents[2]
     env = dict(os.environ)
@@ -250,7 +296,7 @@ def _spawn_victim(
         [
             sys.executable, "-m", "repro.serve.harness",
             "victim", scenario,
-            "--workdir", str(workdir), "--label", label,
+            "--workdir", str(workdir), "--label", label, "--sink", sink,
         ],
         env=env,
         capture_output=True,
@@ -259,13 +305,18 @@ def _spawn_victim(
     )
 
 
-def run_one(label: str, workdir: Path) -> dict[str, Any]:
+def run_one(
+    label: str, workdir: Path, sink: str = "delivery-log"
+) -> dict[str, Any]:
     """Victim + recovery for one kill point; returns the result row."""
     scenario = scenario_for(label)
+    if sink not in SINKS:
+        raise ValueError(f"unknown sink variant {sink!r}")
     workdir.mkdir(parents=True, exist_ok=True)
-    proc = _spawn_victim(scenario, workdir, label)
+    proc = _spawn_victim(scenario, workdir, label, sink)
     result: dict[str, Any] = {
         "label": label,
+        "sink": sink,
         "scenario": scenario,
         "victim_exit": proc.returncode,
         "killed": proc.returncode == KILL_EXIT_CODE,
@@ -284,7 +335,7 @@ def run_one(label: str, workdir: Path) -> dict[str, Any]:
         if scenario == "publish":
             _recover_publish(workdir, result)
         else:
-            _recover_serve(workdir, result)
+            _recover_serve(workdir, result, sink)
     except Exception as exc:  # noqa: BLE001 - harness must report, not die
         result["ok"] = False
         result["error"] = f"recovery raised {type(exc).__name__}: {exc}"
@@ -294,11 +345,19 @@ def run_one(label: str, workdir: Path) -> dict[str, Any]:
 def run_sweep(
     workroot: Path, labels: list[str] | None = None
 ) -> dict[str, Any]:
-    """Run every (or the given) kill point; returns the JSON report."""
+    """Run every (or the given) kill point, each label in
+    :data:`NO_LOG_LABELS` once per sink variant; returns the JSON
+    report."""
     labels = list(labels) if labels else list(KILL_POINTS)
     results = []
     for label in labels:
-        results.append(run_one(label, workroot / label.replace(".", "_")))
+        work = workroot / label.replace(".", "_")
+        results.append(run_one(label, work))
+        if label in NO_LOG_LABELS:
+            results.append(
+                run_one(label, work.with_name(work.name + "-no-log"),
+                        sink="no-log")
+            )
     return {
         "format": "repro-crash-harness-v1",
         "results": results,
@@ -306,6 +365,15 @@ def run_sweep(
         "failed": sum(1 for r in results if not r.get("ok")),
         "ok": all(r.get("ok") for r in results),
     }
+
+
+def result_line(row: dict[str, Any]) -> str:
+    """One printed line of the sweep report."""
+    name = row["label"]
+    if row.get("sink") == "no-log":
+        name += " [no-log]"
+    status = "ok" if row.get("ok") else "FAIL"
+    return f"{name:37s} {status}  {row.get('error', '')}".rstrip()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -318,6 +386,7 @@ def main(argv: list[str] | None = None) -> int:
     victim.add_argument("scenario", choices=("publish", "serve"))
     victim.add_argument("--workdir", required=True)
     victim.add_argument("--label", required=True)
+    victim.add_argument("--sink", choices=SINKS, default="delivery-log")
     sweep = sub.add_parser("sweep", help="run every kill point")
     sweep.add_argument("--workdir", required=True,
                        help="scratch directory for per-label state")
@@ -328,13 +397,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.mode == "victim":
         return run_victim(
-            args.scenario, Path(args.workdir), args.label
+            args.scenario, Path(args.workdir), args.label, args.sink
         )
     report = run_sweep(Path(args.workdir), args.label)
     for row in report["results"]:
-        status = "ok" if row.get("ok") else "FAIL"
-        detail = row.get("error", "")
-        print(f"{row['label']:28s} {status}  {detail}".rstrip())
+        print(result_line(row))
     print(
         f"crash-recovery sweep: {report['passed']} passed, "
         f"{report['failed']} failed"

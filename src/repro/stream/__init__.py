@@ -13,6 +13,8 @@ with bounded memory:
 * :mod:`~repro.stream.sink` — pluggable report delivery;
 * :mod:`~repro.stream.checkpoint` — crash/restart persistence
   (versioned, checksummed, atomic with a rolling ``.bak``);
+* :mod:`~repro.stream.journal` — the append-only delivery journal that
+  carries the exactly-once ledger between checkpoint snapshots;
 * :mod:`~repro.stream.resilience` — retry/backoff, the
   HEALTHY → DEGRADED → FAILED circuit breaker, dead-letter quarantines
   and the exactly-once finalization ledger;

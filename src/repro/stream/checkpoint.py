@@ -121,6 +121,10 @@ class StreamCheckpoint:
     #:    "finalization_id": str}`` — re-emitted first on resume.
     outbox: list[dict[str, Any]] = field(default_factory=list)
     version: int = _VERSION
+    #: SHA-256 of the body this snapshot was loaded from (not part of
+    #: the file's body).  The runtime's delivery journal names the
+    #: snapshot each run of entries follows by this digest.
+    checksum: str | None = field(default=None, compare=False, repr=False)
 
     # -- JSON I/O ---------------------------------------------------------
 
@@ -135,9 +139,12 @@ class StreamCheckpoint:
         }
 
     def _encoded(self) -> bytes:
+        return self._encoded_and_checksum()[0]
+
+    def _encoded_and_checksum(self) -> tuple[bytes, str]:
         """The file's bytes: the body exactly as ``json.dumps(body,
         sort_keys=True)`` writes it, with the SHA-256 of that text
-        spliced in before the closing brace."""
+        spliced in before the closing brace; and that SHA-256."""
         body = "".join(object_parts({
             name: (
                 value.state_json_parts()
@@ -147,7 +154,10 @@ class StreamCheckpoint:
             for name, value in self._body().items()
         })).encode("utf-8")
         digest = hashlib.sha256(body).hexdigest()
-        return body[:-1] + f', "checksum": "{digest}"}}'.encode("utf-8")
+        return (
+            body[:-1] + f', "checksum": "{digest}"}}'.encode("utf-8"),
+            digest,
+        )
 
     def to_dict(self) -> dict[str, Any]:
         return json.loads(self._encoded())
@@ -157,8 +167,8 @@ class StreamCheckpoint:
         path: str | Path,
         fs: FileSystem | None = None,
         fsync: bool = False,
-    ) -> None:
-        """Atomic write with a rolling backup.
+    ) -> str:
+        """Atomic write with a rolling backup; returns the checksum.
 
         The previous checkpoint (if any) is renamed to ``.bak`` before
         the new one replaces the live path, so at every instant at
@@ -173,7 +183,8 @@ class StreamCheckpoint:
         fs = fs or REAL_FS
         path = Path(path)
         tmp = path.with_name(path.name + ".tmp")
-        fs.write_bytes(tmp, self._encoded())
+        encoded, checksum = self._encoded_and_checksum()
+        fs.write_bytes(tmp, encoded)
         if fsync:
             fs.fsync_file(tmp)
         kill_point("checkpoint.tmp")
@@ -183,6 +194,7 @@ class StreamCheckpoint:
         fs.replace(tmp, path)
         if fsync:
             fs.fsync_dir(path.parent)
+        return checksum
 
     @classmethod
     def from_dict(cls, data: Any) -> "StreamCheckpoint":
@@ -197,13 +209,12 @@ class StreamCheckpoint:
                 f"unsupported stream checkpoint version {version!r} "
                 f"(expected 1 or {_VERSION})"
             )
-        if version == _VERSION:
-            stated = data.get("checksum")
-            body = {k: v for k, v in data.items() if k != "checksum"}
-            if stated != _checksum(json.dumps(body, sort_keys=True)):
-                raise CheckpointCorruptError(
-                    "checkpoint checksum mismatch (torn or edited file)"
-                )
+        body = {k: v for k, v in data.items() if k != "checksum"}
+        checksum = _checksum(json.dumps(body, sort_keys=True))
+        if version == _VERSION and data.get("checksum") != checksum:
+            raise CheckpointCorruptError(
+                "checkpoint checksum mismatch (torn or edited file)"
+            )
         shape = {
             "source_position": dict,
             "tracker_state": dict,
@@ -225,6 +236,7 @@ class StreamCheckpoint:
             finalized=[str(x) for x in data.get("finalized", [])],
             outbox=list(data.get("outbox", [])),
             version=_VERSION,
+            checksum=checksum,
         )
 
     @classmethod
@@ -267,6 +279,13 @@ class StreamCheckpoint:
         the caller reprocesses from the beginning) or ``"fresh"`` (no
         checkpoint has ever been written).  ``notes`` are warnings an
         operator should see.
+
+        On every rung the runtime then replays the delivery journal
+        (:mod:`~repro.stream.journal`) beside the checkpoint.  A cold
+        or fresh start thus still suppresses every report delivered
+        since the snapshot before last — all of them, when no snapshot
+        was ever rotated — while older deliveries are suppressed only
+        by a sink that replays its own emitted ids.
         """
         path = Path(path)
         bak = backup_checkpoint_path(path)
@@ -293,7 +312,8 @@ class StreamCheckpoint:
             notes.append("no backup checkpoint")
         notes.append(
             "COLD START: no usable checkpoint — reprocessing from the "
-            "beginning; already-delivered reports are suppressed only "
-            "if the sink can replay its emitted ids"
+            "beginning; already-delivered reports are suppressed when "
+            "their ids are in the delivery journal or the sink can "
+            "replay its emitted ids"
         )
         return None, "cold", notes

@@ -8,9 +8,21 @@ record an immediate unexpected-message check
 the :class:`~repro.stream.tracker.SessionTracker`, and — whenever the
 tracker closes a session — finalizes the full HW-graph-instance checks
 and emits the :class:`~repro.detection.report.SessionReport` through the
-sink.  A checkpoint (source position + tracker state + counters +
-exactly-once ledger) is written after every batch that emitted reports,
-so restarts neither drop nor duplicate work.
+sink.  Durable state has two parts, so restarts neither drop nor
+duplicate work:
+
+* after every poll batch that delivered reports, one append to the
+  delivery journal (:mod:`~repro.stream.journal`) records their
+  finalization ids and counter deltas — tens of bytes per report;
+* the full checkpoint snapshot (source position + tracker state +
+  counters + exactly-once ledger + outbox) is taken only every
+  ``checkpoint_every`` records, when a report was parked in the
+  outbox, and at pause, finish or failure.  Each snapshot rotates the
+  journal.
+
+Resume loads the snapshot (or its ``.bak``, or starts cold) and replays
+the journal into the ledger and the counters, so a crash replays at
+most ``checkpoint_every`` records and re-emits none of their reports.
 
 The runtime is built to outlive the failures it watches for:
 
@@ -22,9 +34,9 @@ The runtime is built to outlive the failures it watches for:
   the loop stops at the last checkpoint instead of crashing;
 * each closed session's report is identified by a content hash
   (:func:`~repro.stream.resilience.finalization_id`); recently emitted
-  ids ride in the checkpoint, and replayed closures matching the
-  ledger are suppressed — **no session report is ever emitted twice
-  after a resume**;
+  ids ride in the checkpoint and the journal, and replayed closures
+  matching the ledger are suppressed — **no session report is ever
+  emitted twice after a resume**;
 * reports a failing sink would not accept land in a checkpointed
   outbox and are redelivered first on the next run — never lost;
 * close-time detection errors on a (corrupt) session are quarantined,
@@ -51,7 +63,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from ..core.config import DurabilityConfig, ResilienceConfig
 from ..core.errors import StreamFailedError
@@ -63,6 +75,7 @@ from ..obs import Counter, MetricsRegistry
 from ..parsing.records import Session
 from .checkpoint import StreamCheckpoint
 from .detector import LiveAlert, StreamingDetector
+from .journal import DeliveryJournal, journal_line, snapshot_line
 from .resilience import (
     FAILED,
     HEALTHY,
@@ -231,9 +244,25 @@ class StreamRuntime:
         self._init_metrics()
         self._run_consumed = 0
         self._last_checkpoint_at = 0
-        # True while checkpoint saves are being refused by the disk;
-        # gates the bounded-loss warning to once per outage spell.
+        # True while checkpoint saves or journal appends are being
+        # refused by the disk; gates the bounded-loss warning to once
+        # per outage spell.
         self._checkpoint_deferred_spell = False
+        self._journal = (
+            DeliveryJournal(
+                self.checkpoint_path,
+                fs=self._fs,
+                fsync=self.durability.fsync_checkpoints,
+            )
+            if self.checkpoint_path is not None else None
+        )
+        #: Encoded journal lines not yet appended, in order: delivered
+        #: reports, and the marker of each snapshot taken since.
+        self._journal_pending: list[bytes] = []
+        #: A delivered report's line is among the pending ones.
+        self._journal_due = False
+        #: A report was parked since the last snapshot.
+        self._outbox_dirty = False
         self._stats_emitted_at = -1
         # Non-metric snapshot state (owned by the loop, read by the view).
         self._health = HEALTHY
@@ -322,7 +351,20 @@ class StreamRuntime:
         )
         self._m_ckpt_deferred = reg.counter(
             "stream_deferred_checkpoints_total",
-            "Checkpoint saves refused by the disk (kept serving).",
+            "Checkpoint saves or journal appends refused by the disk "
+            "(kept serving).",
+        )
+        self._m_ckpt_saves = reg.counter(
+            "stream_checkpoint_saves_total",
+            "Full checkpoint snapshots written.",
+        )
+        self._m_journal_appends = reg.counter(
+            "stream_journal_appends_total",
+            "Delivery-journal appends (one per report-delivering batch).",
+        )
+        self._m_journal_bytes = reg.counter(
+            "stream_journal_bytes_total",
+            "Bytes appended to the delivery journal.",
         )
 
     # -- stats view -------------------------------------------------------
@@ -397,8 +439,14 @@ class StreamRuntime:
         self.resume_notes = notes
         for note in notes:
             log.warning("%s", note)
-        if checkpoint is None:
-            return False
+        if checkpoint is not None:
+            self._restore(checkpoint)
+        self._replay_journal(
+            checkpoint.checksum if checkpoint is not None else None
+        )
+        return checkpoint is not None
+
+    def _restore(self, checkpoint: StreamCheckpoint) -> None:
         self.source.seek(checkpoint.source_position)
         self.tracker.load_state(checkpoint.tracker_state)
         counters = checkpoint.counters
@@ -428,6 +476,49 @@ class StreamRuntime:
             entry for entry in checkpoint.outbox
             if isinstance(entry, dict) and entry.get("report")
         )
+        self._last_checkpoint_at = int(self._m_records.value)
+
+    def _replay_journal(self, snapshot: str | None) -> None:
+        """Fold the journal into the ledger and the counters.
+
+        Every id joins the ledger.  Counter deltas apply only to the
+        entries delivered after the loaded snapshot, whose checksum is
+        ``snapshot``: those after its first marker, or all of them on
+        a cold start (``snapshot`` None).  An id already seen earlier
+        in the journal (a torn append written again) counts once.
+        Outbox entries delivered after the snapshot are dropped, not
+        redelivered.
+        """
+        assert self._journal is not None
+        try:
+            entries = self._journal.replay()
+        except OSError as exc:
+            log.warning("delivery journal unreadable: %s", exc)
+            entries = []
+        counting = snapshot is None
+        seen: set[str] = set()
+        for entry in entries:
+            if "snapshot" in entry:
+                counting = counting or entry["snapshot"] == snapshot
+                continue
+            fid = entry["id"]
+            if counting and "reason" in entry and fid not in seen:
+                self._count_report(
+                    entry["reason"],
+                    entry.get("anomalous", False),
+                    entry.get("kinds", ()),
+                )
+            seen.add(fid)
+            self._remember_finalized(fid)
+        if not counting:
+            # Nothing was journaled after the loaded snapshot: what
+            # this run delivers follows it.
+            assert snapshot is not None
+            self._journal_pending.append(snapshot_line(snapshot))
+        self._outbox = deque(
+            entry for entry in self._outbox
+            if entry.get("finalization_id") not in self._finalized_ids
+        )
         # Rebuild the parked-fid index so dedup stays O(1) and exactly
         # as consistent with the outbox as before the restart.
         self._parked_fids = {
@@ -436,8 +527,6 @@ class StreamRuntime:
             if entry.get("finalization_id")
         }
         self._g_outbox.set(len(self._outbox))
-        self._last_checkpoint_at = int(self._m_records.value)
-        return True
 
     def _merge_sink_ledger(self) -> None:
         """Fold the sink's own delivery log into the exactly-once
@@ -457,6 +546,10 @@ class StreamRuntime:
         """Snapshot source position + tracker state + counters + the
         exactly-once ledger and outbox to disk (atomic, with .bak).
 
+        Pending journal lines are appended first and the journal is
+        rotated after a successful save, so the previous journal spans
+        the ``.bak`` to the live snapshot.
+
         Disk pressure degrades instead of crashing: an ``OSError``
         (ENOSPC, EIO, failed fsync) *defers* the checkpoint — the
         runtime keeps serving with a warning bounding the replay cost,
@@ -464,10 +557,17 @@ class StreamRuntime:
         at`` is only advanced on success, so the overdue condition
         stays armed).  A crash during the outage replays at most the
         records since the last durable checkpoint; the exactly-once
-        ledger and sink delivery log still dedupe their reports.
+        ledger, the journal and the sink delivery log still dedupe
+        their reports.
         """
         if self.checkpoint_path is None:
             return
+        self._append_journal()
+        self._save_snapshot()
+
+    def _save_snapshot(self) -> None:
+        assert self.checkpoint_path is not None
+        assert self._journal is not None
         snapshot = StreamCheckpoint(
             source_position=self.source.position(),
             tracker_state=self.tracker,
@@ -489,33 +589,88 @@ class StreamRuntime:
             outbox=list(self._outbox),
         )
         try:
-            snapshot.save(
+            checksum = snapshot.save(
                 self.checkpoint_path,
                 fs=self._fs,
                 fsync=self.durability.fsync_checkpoints,
             )
         except OSError as exc:
-            self._m_ckpt_deferred.inc()
-            at_risk = (
-                int(self._m_records.value) - self._last_checkpoint_at
-            )
-            if not self._checkpoint_deferred_spell:
-                self._checkpoint_deferred_spell = True
-                log.warning(
-                    "checkpoint deferred (%s): serving continues; a "
-                    "crash now would replay up to %d records since the "
-                    "last durable checkpoint (reports stay exactly-once "
-                    "via the ledger)",
-                    exc, at_risk,
-                )
+            self._defer(exc)
             return
-        if self._checkpoint_deferred_spell:
-            self._checkpoint_deferred_spell = False
-            log.info(
-                "checkpoint recovered: durable again at %d records",
-                int(self._m_records.value),
-            )
+        self._m_ckpt_saves.inc()
+        self._outbox_dirty = False
         self._last_checkpoint_at = int(self._m_records.value)
+        # Lines a failed append left pending were delivered before this
+        # snapshot: journal them now, ahead of its marker, so the
+        # rotated journal spans the .bak to this snapshot.  If the disk
+        # refuses again they stay pending and the journal unrotated.
+        if self._append_journal():
+            self._rotate_journal()
+            # Only unwritten markers are left; the last is the .bak's.
+            del self._journal_pending[:-1]
+            if self._checkpoint_deferred_spell:
+                self._checkpoint_deferred_spell = False
+                log.info(
+                    "checkpoint recovered: durable again at %d records",
+                    int(self._m_records.value),
+                )
+        self._journal_pending.append(snapshot_line(checksum))
+
+    def _rotate_journal(self) -> None:
+        assert self._journal is not None
+        try:
+            self._journal.rotate()
+        except OSError as exc:
+            # The snapshot is durable; an unrotated journal only makes
+            # the next replay longer.
+            log.warning("delivery journal not rotated: %s", exc)
+
+    def _append_journal(self) -> bool:
+        """Append the pending journal lines once a delivered report's
+        line is among them; False if the disk refused (the lines stay
+        pending)."""
+        if not self._journal_due:
+            return True
+        assert self._journal is not None
+        try:
+            written = self._journal.append(self._journal_pending)
+        except OSError as exc:
+            self._defer(exc, "journal append: ")
+            return False
+        self._journal_pending.clear()
+        self._journal_due = False
+        self._m_journal_appends.inc()
+        self._m_journal_bytes.inc(written)
+        return True
+
+    def _defer(self, exc: OSError, what: str = "") -> None:
+        """Count a refused durable write; warn once per outage spell."""
+        self._m_ckpt_deferred.inc()
+        if self._checkpoint_deferred_spell:
+            return
+        self._checkpoint_deferred_spell = True
+        log.warning(
+            "checkpoint deferred (%s%s): serving continues; a crash now "
+            "would replay up to %d records since the last durable "
+            "checkpoint (reports stay exactly-once via the ledger)",
+            what, exc,
+            int(self._m_records.value) - self._last_checkpoint_at,
+        )
+
+    def _commit(self) -> None:
+        """End of a poll batch: journal what it delivered, and take a
+        snapshot when the record budget is spent, a report was parked or
+        the journal append failed."""
+        if self._journal is None:
+            return
+        overdue = (
+            int(self._m_records.value) - self._last_checkpoint_at
+            >= self.checkpoint_every
+        )
+        if overdue or self._outbox_dirty:
+            self.checkpoint()
+        elif not self._append_journal():
+            self._save_snapshot()
 
     # -- guarded IO -------------------------------------------------------
 
@@ -656,7 +811,8 @@ class StreamRuntime:
         only returns on exhaustion, pause, or failure.  ``step`` does
         exactly one cycle of the same pipeline: drain the outbox, poll
         the source once (retry/breaker-guarded), ingest the batch,
-        checkpoint when reports were emitted or a checkpoint is overdue.
+        journal the delivered reports, and snapshot when the record
+        budget is spent or a report was parked.
         Returning ``0`` means the quantum was idle (nothing available,
         or the breaker is open — check :attr:`failed`); the caller owns
         pacing between quanta.  Semantics per record are identical to
@@ -694,8 +850,7 @@ class StreamRuntime:
         closed = self.tracker.evict_lru(count)
         for item in closed:
             self._finalize(item)
-        if closed:
-            self.checkpoint()
+        self._commit()
         return len(closed)
 
     # -- internals --------------------------------------------------------
@@ -710,10 +865,16 @@ class StreamRuntime:
         return self._loop_start
 
     def _cycle(self, want: int, start: float) -> int | None:
-        """One poll batch of :meth:`run` and :meth:`step` (see there).
-        Returns the records consumed, or ``None`` when nothing was
-        polled: the outbox drain or the poll failed (check
-        :attr:`failed`), or ``want`` is not positive."""
+        """One poll batch of :meth:`run` and :meth:`step` (see there),
+        committed: journaled, and snapshotted when due.  Returns the
+        records consumed, or ``None`` when nothing was polled: the
+        outbox drain or the poll failed (check :attr:`failed`), or
+        ``want`` is not positive."""
+        got = self._poll_batch(want, start)
+        self._commit()
+        return got
+
+    def _poll_batch(self, want: int, start: float) -> int | None:
         if self._outbox:
             self._drain_outbox()
             if self.failed:
@@ -731,14 +892,7 @@ class StreamRuntime:
                 batch = flush_pending()
         if not batch:
             return 0
-        emitted_before = int(self._m_reports.value)
         self._ingest(batch, start)
-        overdue = (
-            int(self._m_records.value) - self._last_checkpoint_at
-            >= self.checkpoint_every
-        )
-        if int(self._m_reports.value) != emitted_before or overdue:
-            self.checkpoint()
         return len(batch)
 
     def _close_out(self, start: float, drain_tail: bool) -> RuntimeStats:
@@ -810,27 +964,40 @@ class StreamRuntime:
                 source="detector",
             )
             return
+        kinds = [anomaly.kind.value for anomaly in report.anomalies]
+        self._count_report(closed.reason, report.anomalous, kinds)
+        self._deliver(report, closed, kinds)
+
+    def _count_report(
+        self, reason: str, anomalous: bool, kinds: Iterable[str]
+    ) -> None:
         self._m_reports.inc()
-        if report.anomalous:
+        if anomalous:
             self._m_anom_sessions.inc()
-        self._m_closed.labels(reason=closed.reason).inc()
-        for anomaly in report.anomalies:
-            self._m_session_anoms.labels(kind=anomaly.kind.value).inc()
-        self._deliver(report, closed)
+        self._m_closed.labels(reason=reason).inc()
+        for kind in kinds:
+            self._m_session_anoms.labels(kind=kind).inc()
 
     def _deliver(
-        self, report: SessionReport, closed: ClosedSession
+        self, report: SessionReport, closed: ClosedSession,
+        kinds: list[str],
     ) -> None:
         ok, _ = self._attempt(
             "sink.emit", lambda: self.sink.emit(report, closed)
         )
         if ok:
-            # The window between a durable sink emit and the next
-            # checkpoint of the ledger is exactly where a crash could
+            # The window between a durable sink emit and the journal
+            # append of its id is exactly where a crash could
             # double-emit; the harness kills here to prove the sink's
             # own delivery log (_merge_sink_ledger) closes it.
             kill_point("finalize.emitted")
             self._remember_finalized(closed.finalization_id)
+            if self._journal is not None:
+                self._journal_pending.append(journal_line(
+                    closed.finalization_id, closed.reason,
+                    report.anomalous, kinds,
+                ))
+                self._journal_due = True
         else:
             # Park the report: it rides in the checkpoint and is
             # redelivered first once the sink recovers — never lost.
@@ -841,6 +1008,7 @@ class StreamRuntime:
             })
             if closed.finalization_id:
                 self._parked_fids.add(closed.finalization_id)
+            self._outbox_dirty = True
             self._g_outbox.set(len(self._outbox))
 
     def _drain_outbox(self) -> None:
@@ -861,6 +1029,13 @@ class StreamRuntime:
             self._outbox.popleft()
             self._parked_fids.discard(closed.finalization_id)
             self._remember_finalized(closed.finalization_id)
+            # The snapshot still holds the entry; the journal line
+            # keeps resume from redelivering it.
+            if self._journal is not None and closed.finalization_id:
+                self._journal_pending.append(
+                    journal_line(closed.finalization_id)
+                )
+                self._journal_due = True
         self._g_outbox.set(len(self._outbox))
 
     def _remember_finalized(self, fid: str) -> None:

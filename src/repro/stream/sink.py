@@ -9,7 +9,7 @@ Sinks participate in the resilience contract two ways:
 * every emission carries the closed session's ``finalization_id`` (the
   content hash behind the exactly-once ledger), so downstream
   consumers can dedupe even across the residual crash window between a
-  delivery and the checkpoint that records it;
+  delivery and the journal append that records it;
 * a sink may expose ``emitted_ids()`` returning the finalization ids
   it has already durably delivered — :class:`JsonLinesSink` replays
   them from its own output file — and the runtime merges those into
@@ -23,6 +23,7 @@ import json
 from pathlib import Path
 from typing import IO, Callable, Protocol, runtime_checkable
 
+from ..core.fsio import ends_mid_line
 from ..detection.report import SessionReport
 from .tracker import ClosedSession
 
@@ -63,13 +64,22 @@ class JsonLinesSink:
     backed by a file path, the sink's own output doubles as the
     delivery log: ``emitted_ids()`` re-reads it on resume (skipping any
     torn trailing line) so already-delivered reports are never emitted
-    twice even if the checkpoint was lost.
+    twice even if the checkpoint was lost.  A file that ends mid-line is
+    sealed with a newline on open, so the torn fragment stays a line of
+    its own.  Bound to an open stream instead, the sink keeps no
+    delivery log (``emitted_ids()`` is empty) and exactly-once rests on
+    the runtime's journal alone.
     """
 
     def __init__(self, target: IO[str] | str | Path) -> None:
         if isinstance(target, (str, Path)):
             self._path: Path | None = Path(target)
+            torn = ends_mid_line(self._path)
             self._fp: IO[str] = open(target, "a", encoding="utf-8")
+            if torn:
+                # A crash mid-append left a fragment: start a fresh
+                # line, or the next report is glued onto it and lost.
+                self._fp.write("\n")
             self._owned = True
         else:
             self._path = None

@@ -87,6 +87,20 @@ class TestFaultyFS:
         assert err.value.errno == errno.EIO
         assert path.read_bytes() == b"01234"  # half landed: torn
 
+    def test_append_fails_and_tears_on_its_own_counter(self, tmp_path):
+        fs = FaultyFS().fail("append", at=2).torn(at=3, keep=0.5,
+                                                   op="append")
+        path = tmp_path / "log"
+        fs.write_bytes(path, b"")  # write counter, untouched
+        fs.append_bytes(path, b"ab\n")
+        with pytest.raises(OSError) as err:
+            fs.append_bytes(path, b"cd\n")
+        assert err.value.errno == errno.ENOSPC
+        with pytest.raises(OSError):
+            fs.append_bytes(path, b"efgh\n")
+        assert path.read_bytes() == b"ab\nef"  # nothing, then a prefix
+        assert fs.calls["append"] == 3 and fs.calls["write"] == 1
+
     def test_atomic_replace_write_never_tears_the_target(self, tmp_path):
         path = tmp_path / "doc.json"
         atomic_replace_write(path, b"v1")

@@ -3,9 +3,10 @@
 Each test crafts the exact debris a crash leaves at one point of the
 journaled publish/swap protocol — intent with artifact but no index
 entry, legacy orphaned artifact, dangling index version, torn intent,
-corrupt index, stray temp files — and asserts fsck's verdict and
-repair: roll *forward* when the artifact is durable, roll *back* when
-it is not, and refuse to guess when the index itself is unreadable.
+corrupt index, stray temp files, torn or garbled delivery journals —
+and asserts fsck's verdict and repair: roll *forward* when the artifact
+is durable, roll *back* when it is not, and refuse to guess when the
+index itself is unreadable.
 Also covers the ``repro fsck`` CLI exit codes and the automatic
 startup fsck in ``DetectionService``.
 """
@@ -13,6 +14,7 @@ startup fsck in ``DetectionService``.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,7 @@ from repro.serve import (
     RegistryFsck,
     run_fsck,
 )
+from repro.stream.journal import journal_line
 
 
 @pytest.fixture()
@@ -186,6 +189,45 @@ class TestFsckRepair:
         assert kinds == ["checkpoint_stray_tmp", "swap_intent"]
         assert repaired.ok
         assert list(ckpt.iterdir()) == []
+
+    def test_checkpoint_journals_torn_and_undecodable_lines(
+        self, tmp_path, store_v1
+    ):
+        root = tmp_path / "reg"
+        ModelRegistry(root).publish(store_v1, "m")
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        good = journal_line("a" * 20, "end_marker", True, ["unexpected"])
+        torn = ckpt / "model.t1.stream-ckpt.json.journal"
+        torn.write_bytes(good + b'{"id": "bbbb')
+        corrupt = ckpt / "model.t2.stream-ckpt.json.journal.prev"
+        corrupt.write_bytes(b"not json\n" + good + b"\n" + b"[1]\n")
+
+        scan = run_fsck(root, checkpoint_dir=ckpt)
+        assert sorted((f.kind, Path(f.path).name) for f in scan.findings) == [
+            ("checkpoint_journal_corrupt", corrupt.name),
+            ("checkpoint_journal_torn", torn.name),
+        ]
+        assert not scan.ok
+        assert torn.read_bytes() == good + b'{"id": "bbbb'
+
+        repaired = run_fsck(root, checkpoint_dir=ckpt, repair=True)
+        assert repaired.ok
+        assert torn.read_bytes() == good
+        assert corrupt.read_bytes() == good
+        assert run_fsck(root, checkpoint_dir=ckpt).clean
+
+    def test_journal_without_snapshot_is_not_a_finding(
+        self, tmp_path, store_v1
+    ):
+        root = tmp_path / "reg"
+        ModelRegistry(root).publish(store_v1, "m")
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        (ckpt / "model.t1.stream-ckpt.json.journal").write_bytes(
+            journal_line("a" * 20) + journal_line("b" * 20, "flush")
+        )
+        assert run_fsck(root, checkpoint_dir=ckpt).clean
 
     def test_fsck_report_is_json_serialisable(self, tmp_path, store_v1):
         root = tmp_path / "reg"

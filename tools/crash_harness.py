@@ -9,7 +9,9 @@ Usage::
 Thin wrapper around ``repro.serve.harness`` for CI and local runs: for
 every labeled kill point it spawns a victim process that dies mid-write
 (``os._exit(73)``), then recovers and asserts the durability invariants
-(fsck-clean registry, exactly-once reports, no silently parked tenant).
+(fsck-clean registry, exactly-once reports, no silently parked tenant);
+the serve kill points also run against a sink that keeps no delivery
+log, where exactly-once rests on the runtime's journal alone.
 Exit 0 when every kill point recovers, 1 otherwise; ``--json`` writes
 the per-kill-point report the CI job uploads as an artifact.
 """
@@ -24,7 +26,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.serve.harness import run_sweep  # noqa: E402
+from repro.serve.harness import result_line, run_sweep  # noqa: E402
 import json  # noqa: E402
 
 
@@ -45,9 +47,7 @@ def main(argv: list[str] | None = None) -> int:
         workdir = Path(tempfile.mkdtemp(prefix="repro-crash-"))
     report = run_sweep(workdir, args.label)
     for row in report["results"]:
-        status = "ok" if row.get("ok") else "FAIL"
-        detail = row.get("error", "")
-        print(f"{row['label']:28s} {status}  {detail}".rstrip())
+        print(result_line(row))
     print(
         f"crash-recovery sweep: {report['passed']} passed, "
         f"{report['failed']} failed"
