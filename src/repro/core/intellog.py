@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Iterable
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import MetricsRegistry
 
-from ..detection.detector import AnomalyDetector
+from ..detection.detector import AnomalyDetector, match_captures
 from ..detection.report import JobReport, SessionReport
 from ..extraction.intelkey import IntelKey, IntelMessage
 from ..extraction.pipeline import InformationExtractor
@@ -157,13 +157,21 @@ class IntelLog:
         self, sessions: Iterable[Session]
     ) -> list[IntelMessage]:
         """Transform sessions into Intel Messages using the trained keys
-        (the §6.4 query workflow; see :mod:`repro.query`)."""
+        (the §6.4 query workflow; see :mod:`repro.query`).
+
+        Each session is matched in one :meth:`SpellParser.match_batch`
+        call, and the matches' tokens and captures are reused by the
+        same rule the detector applies (:func:`match_captures`)."""
         if self.graph is None:
             raise NotTrainedError("call train() first")
         out: list[IntelMessage] = []
+        verdicts: dict[str, bool] = {}
         for session in sessions:
-            for record in session:
-                match = self.spell.match(record.message)
+            records = list(session)
+            matches = self.spell.match_batch(
+                [record.message for record in records]
+            )
+            for record, match in zip(records, matches):
                 if match is None:
                     continue
                 intel_key = self.intel_keys.get(match.key.key_id)
@@ -174,6 +182,8 @@ class IntelLog:
                     record.message,
                     timestamp=record.timestamp,
                     session_id=session.session_id,
+                    raw_tokens=match.raw_tokens,
+                    captures=match_captures(match, intel_key, verdicts),
                 )
                 if message is not None:
                     out.append(message)

@@ -29,7 +29,7 @@ from ..extraction.pipeline import InformationExtractor
 from ..graph.hwgraph import HWGraph
 from ..graph.lifespan import BEFORE, PARENT
 from ..parsing.records import LogRecord, Session
-from ..parsing.spell import LogKey, MatchResult, SpellParser
+from ..parsing.spell import LogKey, MatchResult, SpellParser, mask_message
 from .instance import HWGraphInstance
 from .report import Anomaly, AnomalyKind, JobReport, SessionReport
 
@@ -40,6 +40,38 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: A group must have appeared in at least this fraction of training
 #: sessions for its absence to be reported (guards against optional groups).
 _GROUP_PRESENCE_THRESHOLD = 0.999
+
+#: Entry cap of each per-detector subroutine memo; a full memo is reset
+#: wholesale (as the chunk memo is at ``_CHUNK_MEMO_CAP``).  Only memory
+#: moves, never a report: both memoize pure functions of the frozen
+#: model.
+_MEMO_CAP = 4096
+
+
+def match_captures(
+    match: MatchResult,
+    intel_key: IntelKey,
+    verdicts: dict[str, bool],
+) -> list[str] | None:
+    """The match-time captures when they may stand in for
+    ``intel_key``'s template alignment, else ``None``.
+
+    They are exactly what :meth:`InformationExtractor.to_intel_message`
+    would recompute when the matched log key's template IS the Intel
+    Key's template, the key has a constant (the reserved all-star key's
+    match parameters use a different convention) and the match aligned.
+    The per-key half of the rule is cached in ``verdicts`` by key id:
+    templates are frozen while matching.
+    """
+    key_id = match.key.key_id
+    same_template = verdicts.get(key_id)
+    if same_template is None:
+        same_template = verdicts[key_id] = bool(
+            match.key.constant_tokens()
+        ) and tuple(match.key.tokens) == intel_key.template
+    if same_template and not match.misaligned:
+        return match.parameters
+    return None
 
 
 @dataclass(slots=True)
@@ -86,13 +118,13 @@ class AnomalyDetector:
         # detector instead of once per session pair.
         self._hierarchy_pairs: dict[tuple[str, str], str] | None = None
         # Per log key: may match-time captures stand in for the Intel
-        # Key template alignment?  Key templates are frozen while
-        # detecting, so the verdict is cached by key id.
+        # Key template alignment?  (:func:`match_captures`.)
         self._captures_ok: dict[str, bool] = {}
         # Subroutine checks are pure over the frozen model and instance
         # key sequences repeat heavily across sessions, so both the
         # signature->subroutine resolution and the per-sequence problem
-        # list are memoized for the detector's lifetime.
+        # list are memoized, each reset wholesale at _MEMO_CAP entries
+        # (a stream or serve detector lives as long as its process).
         self._best_match_memo: dict[
             tuple[str, tuple[str, ...]], "Subroutine | None"
         ] = {}
@@ -198,28 +230,15 @@ class AnomalyDetector:
                 continue
             if timed:
                 t0 = time.perf_counter()
-            # Match-time captures are exactly the template alignment
-            # to_intel_message would recompute — reuse them when the
-            # matched log key's template IS this Intel Key's template
-            # (the reserved all-star key's match parameters use a
-            # different convention, so it is excluded).
-            captures_ok = self._captures_ok.get(key_id)
-            if captures_ok is None:
-                captures_ok = self._captures_ok[key_id] = bool(
-                    match.key.constant_tokens()
-                ) and tuple(match.key.tokens) == intel_key.template
-            captures = (
-                match.parameters
-                if captures_ok and not match.misaligned
-                else None
-            )
             message = self.extractor.to_intel_message(
                 intel_key,
                 record.message,
                 timestamp=record.timestamp,
                 session_id=session.session_id,
                 raw_tokens=match.raw_tokens,
-                captures=captures,
+                captures=match_captures(
+                    match, intel_key, self._captures_ok
+                ),
             )
             if timed:
                 extract_s += time.perf_counter() - t0
@@ -288,9 +307,12 @@ class AnomalyDetector:
 
     def _unexpected_message(self, record: LogRecord) -> Anomaly:
         """Build the unexpected-message anomaly with on-the-fly extraction."""
+        # The masked form is the pseudo log key: variable-looking tokens
+        # (identifiers, numbers, localities) are ``*`` so the §3 field
+        # heuristics can classify them.
         ad_hoc = LogKey(
             key_id="<unexpected>",
-            tokens=_starified_template(record.message),
+            tokens=mask_message(record.message)[0],
             sample=record.message,
         )
         intel_key = self.extractor.build_intel_key(ad_hoc)
@@ -336,6 +358,8 @@ class AnomalyDetector:
                 if sig_key in self._best_match_memo:
                     model = self._best_match_memo[sig_key]
                 else:
+                    if len(self._best_match_memo) >= _MEMO_CAP:
+                        self._best_match_memo.clear()
                     model = self._best_match_memo[sig_key] = (
                         node.model.best_match(signature)
                     )
@@ -356,6 +380,8 @@ class AnomalyDetector:
                 memo_key = (id(model), sequence)
                 problems = self._check_memo.get(memo_key)
                 if problems is None:
+                    if len(self._check_memo) >= _MEMO_CAP:
+                        self._check_memo.clear()
                     problems = self._check_memo[memo_key] = tuple(
                         model.check_instance(sequence, complete=True)
                     )
@@ -457,18 +483,6 @@ class AnomalyDetector:
                             group=a,
                         )
                     )
-
-
-def _starified_template(message: str) -> list[str]:
-    """Turn a raw message into a pseudo log key: variable-looking tokens
-    (identifiers, numbers, localities) become ``*`` so the §3 field
-    heuristics can classify them."""
-    from ..nlp.tokenizer import tokenize
-
-    return [
-        "*" if t.kind in ("ident", "number", "hostport", "path") else t.text
-        for t in tokenize(message)
-    ]
 
 
 def _extraction_summary(

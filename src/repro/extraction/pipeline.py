@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from ..nlp.camelcase import FilterChain, make_default_chain
 from ..nlp.depparser import parse_tagged
 from ..nlp.postagger import TaggedToken, tag
-from ..parsing.spell import STAR, LogKey, extract_parameters
+from ..parsing.spell import STAR, LogKey, extract_parameters, mask_message
 from .entities import extract_entities
 from .idvalue import FieldClassifier, FieldRole
 from .intelkey import FieldSpec, IntelKey, IntelMessage
@@ -231,20 +231,20 @@ class InformationExtractor:
     ) -> IntelMessage | None:
         """Instantiate an Intel Message for a message matching the key.
 
-        ``raw_tokens`` lets callers that already tokenized the message
-        (the detector reuses :attr:`MatchResult.raw_tokens`) skip the
-        second tokenizer pass; it must be the surface-token list the
-        tokenizer would produce for ``message``.  ``captures`` skips the
-        alignment too — pass it only when it is exactly what
+        ``raw_tokens`` is the surface-token list of ``message``.  Left
+        out, it is read from the chunk memo behind
+        :func:`~repro.parsing.spell.mask_message`, which already holds
+        every chunk of a message that was masked or matched before (all
+        of them, in training), so the regex tokenizer runs at most once
+        per distinct chunk.  Callers holding a :class:`MatchResult` pass
+        its ``raw_tokens``.  ``captures`` skips the alignment too — pass
+        it only when it is exactly what
         ``extract_parameters(intel_key.template, raw_tokens)`` would
-        return (the detector reuses the match-time captures when the
-        matched log key's template equals this Intel Key's).
+        return (see :func:`repro.detection.detector.match_captures`).
         """
         if captures is None:
             if raw_tokens is None:
-                from ..nlp.tokenizer import words as _words
-
-                raw_tokens = _words(message)
+                raw_tokens = mask_message(message)[1]
             captures = extract_parameters(
                 list(intel_key.template), raw_tokens
             )

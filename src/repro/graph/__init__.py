@@ -8,12 +8,11 @@ from .grouping import (
     longest_common_word_substring,
 )
 from .hwgraph import (
+    GraphPartial,
     GroupNode,
-    GroupSessionStats,
+    GroupPartial,
     HWGraph,
     HWGraphBuilder,
-    SessionStats,
-    session_group_stats,
 )
 from .lifespan import (
     AFTER,
@@ -30,9 +29,7 @@ from .subroutine import (
     Subroutine,
     SubroutineInstance,
     SubroutineModel,
-    SubroutineUpdate,
     assign_instances,
-    session_updates,
 )
 
 __all__ = [
@@ -40,25 +37,22 @@ __all__ = [
     "BEFORE",
     "CHILD",
     "EntityGroup",
+    "GraphPartial",
     "GroupNode",
-    "GroupSessionStats",
+    "GroupPartial",
     "GroupingResult",
     "HWGraph",
     "HWGraphBuilder",
     "Lifespan",
-    "SessionStats",
     "PARALLEL",
     "PARENT",
     "RelationMatrix",
     "Subroutine",
     "SubroutineInstance",
     "SubroutineModel",
-    "SubroutineUpdate",
     "assign_instances",
     "dump_json",
     "group_entities",
-    "session_group_stats",
-    "session_updates",
     "longest_common_phrase",
     "longest_common_word_substring",
     "render_summary",

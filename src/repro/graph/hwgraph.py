@@ -17,92 +17,87 @@ import networkx as nx
 from ..extraction.intelkey import IntelKey, IntelMessage
 from .grouping import GroupingResult, group_entities
 from .lifespan import BEFORE, PARENT, Lifespan, RelationMatrix
-from .subroutine import (
-    Subroutine,
-    SubroutineModel,
-    SubroutineUpdate,
-    session_updates,
-)
+from .subroutine import Subroutine, SubroutineModel
 
 
 @dataclass(slots=True)
-class GroupSessionStats:
-    """What one session contributes to one entity group's model."""
+class GroupPartial:
+    """One entity group's training statistics over a run of sessions."""
 
-    label: str
-    updates: list[SubroutineUpdate]
-    lifespan: tuple[float, float]
-    max_key_repeat: int
-
-    def to_payload(self) -> list:
-        """Compact picklable form (used by ``repro.parallel`` shards)."""
-        return [
-            self.label,
-            [[list(sig), list(seq)] for sig, seq in self.updates],
-            list(self.lifespan),
-            self.max_key_repeat,
-        ]
-
-    @classmethod
-    def from_payload(cls, data: list) -> "GroupSessionStats":
-        label, updates, lifespan, max_key_repeat = data
-        return cls(
-            label=label,
-            updates=[(tuple(sig), list(seq)) for sig, seq in updates],
-            lifespan=(lifespan[0], lifespan[1]),
-            max_key_repeat=int(max_key_repeat),
-        )
+    #: Sessions of the run in which the group appeared.
+    session_count: int = 0
+    #: See :attr:`GroupNode.max_key_repeat`.
+    max_key_repeat: int = 0
+    model: SubroutineModel = field(default_factory=SubroutineModel)
 
 
 @dataclass(slots=True)
-class SessionStats:
-    """One session's full contribution to the HW-graph model.
+class GraphPartial:
+    """The HW-graph statistics of a run of consecutive training sessions.
 
-    Produced by :func:`session_group_stats` (a pure function of the
-    session's Intel Messages), applied by
-    :meth:`HWGraphBuilder.apply_session_stats`.
-    :meth:`HWGraphBuilder.train_session` fuses the two; the trainer
-    (:mod:`repro.parallel`) computes stats in worker processes and
-    applies them in deterministic corpus order.
-    """
-
-    groups: list[GroupSessionStats] = field(default_factory=list)
-
-
-def session_group_stats(
-    messages: Iterable[IntelMessage],
-    key_groups: Mapping[str, set[str]],
-) -> SessionStats:
-    """Compute one session's per-group statistics (pure, picklable).
-
-    Group labels are visited in sorted order so the result — and
-    everything downstream of it — is independent of set iteration order
+    :meth:`add_session` is the mutable half of training (Algorithm 2
+    plus lifespans, §4.1).  Partials merge exactly: folding sessions
+    ``1..k`` and ``k+1..n`` into two partials and merging the second
+    into the first gives the partial of ``1..n`` — which lets
+    :mod:`repro.parallel` fold each shard batch in a worker and merge
+    the per-batch partials in corpus order.  Group labels are visited
+    in sorted order, so nothing depends on set iteration order
     (PYTHONHASHSEED).
     """
-    ordered = sorted(messages, key=lambda m: m.timestamp)
-    per_group: dict[str, list[IntelMessage]] = {}
-    for message in ordered:
-        for label in sorted(key_groups.get(message.key_id, ())):
-            per_group.setdefault(label, []).append(message)
 
-    stats = SessionStats()
-    for label, group_msgs in per_group.items():
-        key_repeats: dict[str, int] = {}
-        for message in group_msgs:
-            key_repeats[message.key_id] = (
-                key_repeats.get(message.key_id, 0) + 1
+    groups: dict[str, GroupPartial] = field(default_factory=dict)
+    relations: RelationMatrix = field(default_factory=RelationMatrix)
+    training_sessions: int = 0
+
+    def add_session(
+        self,
+        messages: Iterable[IntelMessage],
+        key_groups: Mapping[str, Iterable[str]],
+    ) -> None:
+        """Fold one session's Intel Messages (any order; sorted by
+        timestamp here)."""
+        ordered = sorted(messages, key=lambda m: m.timestamp)
+        per_group: dict[str, list[IntelMessage]] = {}
+        for message in ordered:
+            for label in sorted(key_groups.get(message.key_id, ())):
+                per_group.setdefault(label, []).append(message)
+
+        lifespans: dict[str, Lifespan] = {}
+        for label, group_msgs in per_group.items():
+            group = self.groups.get(label)
+            if group is None:
+                group = self.groups[label] = GroupPartial()
+            group.session_count += 1
+            group.model.train_session(group_msgs)
+            key_repeats: dict[str, int] = {}
+            for message in group_msgs:
+                key_repeats[message.key_id] = (
+                    key_repeats.get(message.key_id, 0) + 1
+                )
+            group.max_key_repeat = max(
+                group.max_key_repeat, max(key_repeats.values())
             )
-        stats.groups.append(
-            GroupSessionStats(
-                label=label,
-                updates=session_updates(group_msgs),
-                lifespan=(
-                    group_msgs[0].timestamp, group_msgs[-1].timestamp
-                ),
-                max_key_repeat=max(key_repeats.values()),
+            lifespans[label] = Lifespan(
+                group_msgs[0].timestamp, group_msgs[-1].timestamp
             )
-        )
-    return stats
+        self.relations.observe_session(lifespans)
+        self.training_sessions += 1
+
+    def merge(self, other: "GraphPartial") -> None:
+        """Fold in ``other``, the partial of the sessions that follow
+        this one's.  ``other`` is consumed (its models are adopted)."""
+        for label, theirs in other.groups.items():
+            mine = self.groups.get(label)
+            if mine is None:
+                self.groups[label] = theirs
+                continue
+            mine.session_count += theirs.session_count
+            mine.max_key_repeat = max(
+                mine.max_key_repeat, theirs.max_key_repeat
+            )
+            mine.model.merge(theirs.model)
+        self.relations.merge(other.relations)
+        self.training_sessions += other.training_sessions
 
 
 @dataclass(slots=True)
@@ -315,6 +310,9 @@ class HWGraphBuilder:
         )
         self.graph = HWGraph(intel_keys=self.intel_keys)
         self._init_groups()
+        #: Training statistics so far; :meth:`build` installs them.
+        #: ``repro.parallel`` merges per-batch partials into it.
+        self.partial = GraphPartial()
 
     def _init_groups(self) -> None:
         for group in self.grouping.groups:
@@ -339,36 +337,21 @@ class HWGraphBuilder:
 
     def train_session(self, messages: Iterable[IntelMessage]) -> None:
         """Consume one normal-execution session (time-ordered messages)."""
-        self.apply_session_stats(
-            session_group_stats(messages, self.graph.key_groups)
-        )
-
-    def apply_session_stats(self, stats: SessionStats) -> None:
-        """Fold one session's pre-computed statistics into the model.
-
-        This is the only mutating half of training; feeding sessions'
-        stats in corpus order reproduces :meth:`train_session` over the
-        same sessions exactly, which is what lets ``repro.parallel``
-        compute the stats in worker processes.
-        """
-        lifespans: dict[str, Lifespan] = {}
-        for group_stats in stats.groups:
-            node = self.graph.groups[group_stats.label]
-            node.session_count += 1
-            node.model.apply_updates(group_stats.updates)
-            lifespans[group_stats.label] = Lifespan(*group_stats.lifespan)
-            node.max_key_repeat = max(
-                node.max_key_repeat, group_stats.max_key_repeat
-            )
-
-        self.graph.relations.observe_session(lifespans)
-        self.graph.training_sessions += 1
+        self.partial.add_session(messages, self.graph.key_groups)
 
     # -- finalisation ---------------------------------------------------------------
 
     def build(self) -> HWGraph:
         """Derive the hierarchy from the relation matrix (Figure 7)."""
         graph = self.graph
+        partial = self.partial
+        for label, group in partial.groups.items():
+            node = graph.groups[label]
+            node.session_count = group.session_count
+            node.max_key_repeat = group.max_key_repeat
+            node.model = group.model
+        graph.relations = partial.relations
+        graph.training_sessions = partial.training_sessions
         labels = sorted(
             label for label, node in graph.groups.items()
             if node.session_count > 0

@@ -103,6 +103,15 @@ class RelationMatrix:
                 counts = self._observations.setdefault((a, b), {})
                 counts[rel] = counts.get(rel, 0) + 1
 
+    def merge(self, other: "RelationMatrix") -> None:
+        """Add ``other``'s observations: per pair and relation, counts
+        sum, so merging matrices equals observing all their sessions."""
+        self._groups.update(other._groups)
+        for pair, counts in other._observations.items():
+            mine = self._observations.setdefault(pair, {})
+            for rel, count in counts.items():
+                mine[rel] = mine.get(rel, 0) + count
+
     @property
     def groups(self) -> set[str]:
         return set(self._groups)

@@ -79,30 +79,6 @@ def assign_instances(
     return result
 
 
-#: One subroutine observation: ``(signature, key sequence)`` of a single
-#: instance.  The unit exchanged between the per-session stats pass and
-#: the model update pass (and therefore what parallel training shards
-#: ship back to the merge step).
-SubroutineUpdate = tuple[tuple[str, ...], list[str]]
-
-
-def session_updates(
-    messages: Iterable[IntelMessage],
-) -> list[SubroutineUpdate]:
-    """Pure per-session pass of Algorithm 2: the ``(signature, key
-    sequence)`` updates one session's group messages contribute.
-
-    Splitting this from :meth:`SubroutineModel.train_session` lets the
-    observation (parallelisable, per session) and the model mutation
-    (serial, order-sensitive) run in different processes while remaining
-    byte-identical to :meth:`SubroutineModel.train_session`.
-    """
-    return [
-        (instance.signature, instance.key_sequence)
-        for instance in assign_instances(messages)
-    ]
-
-
 @dataclass(slots=True)
 class Subroutine:
     """The learned model for one identifier-type signature."""
@@ -199,6 +175,35 @@ class Subroutine:
                     self.compared.add(pair)
                     self.before.add(pair)
 
+    def merge(self, other: "Subroutine") -> None:
+        """Fold in ``other``, trained on the instances that come after
+        this one's.
+
+        Exact: the result equals one :meth:`update` pass over both
+        instance runs in order.  ``compared`` keeps the orientation first
+        observed, so this side's wins; a ``before`` pair survives only if
+        neither side saw the opposite order.
+        """
+        for key in other.keys:
+            if key not in self.key_counts:
+                self.keys.append(key)
+                self.key_counts[key] = 0
+            self.key_counts[key] += other.key_counts[key]
+        for pair in other.compared:
+            reverse = (pair[1], pair[0])
+            if reverse in self.compared:
+                # ``other`` first saw the order this side never kept.
+                self.before.discard(reverse)
+            elif pair in self.compared:
+                if pair not in other.before:
+                    self.before.discard(pair)
+            else:
+                self.compared.add(pair)
+                if pair in other.before:
+                    self.before.add(pair)
+        self.instance_count += other.instance_count
+        self.instance_lengths.extend(other.instance_lengths)
+
     # -- detection -------------------------------------------------------------
 
     def check_instance(
@@ -246,13 +251,24 @@ class SubroutineModel:
 
     def train_session(self, messages: Iterable[IntelMessage]) -> None:
         """Consume one session's messages for this group (Algorithm 2)."""
-        self.apply_updates(session_updates(messages))
+        for instance in assign_instances(messages):
+            self._subroutine_for(instance.signature).update(
+                instance.key_sequence
+            )
 
-    def apply_updates(self, updates: Iterable[SubroutineUpdate]) -> None:
-        """Apply pre-computed per-session updates (see
-        :func:`session_updates`) in their recorded order."""
-        for signature, key_sequence in updates:
-            self._subroutine_for(signature).update(key_sequence)
+    def merge(self, other: "SubroutineModel") -> None:
+        """Fold in ``other``, trained on the sessions after this one's.
+
+        Signatures keep their first-insertion order across both sides
+        (:meth:`best_match` breaks ties by it).  ``other`` is consumed:
+        its subroutines are adopted, not copied.
+        """
+        for signature, sub in other.subroutines.items():
+            mine = self.subroutines.get(signature)
+            if mine is None:
+                self.subroutines[signature] = sub
+            else:
+                mine.merge(sub)
 
     def _subroutine_for(self, signature: tuple[str, ...]) -> Subroutine:
         sub = self.subroutines.get(signature)

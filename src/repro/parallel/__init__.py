@@ -5,10 +5,14 @@ This is IntelLog's only trainer: :meth:`repro.core.IntelLog.train` calls
 shards (a pure function of the corpus, never of the worker count) which
 are grouped into size-targeted *shard batches* — the units actually
 shipped to worker processes, themselves a pure function of the corpus.
-The per-record work runs in a warm process pool (or inline at
-``workers=1``), and the merge folds results in an order fixed by corpus
-content — so ``IntelLog.train(sessions, workers=N)`` produces the same
-model bytes for every ``N`` and every batch layout.  See ``DESIGN.md``
+The per-record and per-session work runs in a warm process pool (or
+inline at ``workers=1``): phase 1 masks messages into form tables,
+phase 2 folds each batch's sessions into one mergeable HW-graph partial.
+The parent keeps only the small serial steps — the Spell form replay,
+canonical Intel Key extraction, and merging one partial per batch — and
+folds results in an order fixed by corpus content, so
+``IntelLog.train(sessions, workers=N)`` produces the same model bytes
+for every ``N`` and every batch layout.  See ``DESIGN.md``
 ("Deterministic merge") for the invariant and why batching preserves it.
 """
 
@@ -34,7 +38,6 @@ from .worker import (
     ParallelWorkerError,
     ParseSlice,
     ShardParse,
-    ShardStats,
     StatsSlice,
     compute_batch_stats,
     init_worker,
@@ -56,7 +59,6 @@ __all__ = [
     "Shard",
     "ShardBatch",
     "ShardParse",
-    "ShardStats",
     "StatsSlice",
     "batch_hash",
     "compute_batch_stats",

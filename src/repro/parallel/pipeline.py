@@ -19,13 +19,21 @@ every worker count and every batch layout:
   it: results are flattened back to per-shard parses in corpus order
   first), then extracts the canonical Intel Keys and builds the entity
   grouping.
-* **Phase 2** — every batch rebuilds its Intel Messages and computes
-  per-session HW-graph statistics in a worker
+* **Phase 2** — every batch rebuilds its Intel Messages (reusing the
+  chunk tokens phase 1 memoised) and folds its sessions, in corpus
+  order, into one mergeable
+  :class:`~repro.graph.hwgraph.GraphPartial` in a worker
   (:func:`~repro.parallel.worker.compute_batch_stats`).
-* **Apply** — the parent folds the statistics in corpus order (never
-  completion order) through
-  :meth:`~repro.graph.hwgraph.HWGraphBuilder.apply_session_stats`, then
-  finalises the hierarchy.
+* **Apply** — the parent merges the per-batch partials in batch order
+  (never completion order), which is corpus order because batches are
+  consecutive shard runs, into the builder's partial
+  (:meth:`~repro.graph.hwgraph.GraphPartial.merge`), then finalises the
+  hierarchy.
+
+What stays serial in the parent is the form replay merge, the
+canonical Intel Key extraction and one partial merge per batch plus
+:meth:`~repro.graph.hwgraph.HWGraphBuilder.build`; all per-record and
+per-session work runs in the batches.
 
 One :class:`ProcessPoolExecutor` serves both phases: it is created once
 with an initializer that pre-warms the per-process extraction cache
@@ -48,7 +56,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
 from ..detection.detector import AnomalyDetector
 from ..extraction.intelkey import IntelKey
-from ..graph.hwgraph import GroupSessionStats, HWGraphBuilder, SessionStats
+from ..graph.hwgraph import HWGraphBuilder
 from ..obs import MetricsRegistry, Tracer
 from ..parsing.records import Session
 from .cache import process_cache
@@ -69,7 +77,6 @@ from .worker import (
     ParallelWorkerError,
     ParseSlice,
     ShardParse,
-    ShardStats,
     StatsSlice,
     init_worker,
     compute_batch_stats,
@@ -81,6 +88,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
+_Batch = TypeVar("_Batch", BatchParse, BatchStats)
 
 
 def lpt_makespan(durations: Sequence[float], bins: int) -> float:
@@ -360,16 +368,16 @@ def _parse_tasks(batches: Sequence[ShardBatch]) -> list[BatchParseTask]:
     ]
 
 
-def _flatten_batches(
+def _in_batch_order(
     batches: Sequence[ShardBatch],
-    results: Sequence[BatchParse] | Sequence[BatchStats],
+    results: Sequence[_Batch],
     phase: str,
-) -> list:
-    """Verify batch echoes and flatten to per-shard results, corpus order."""
+) -> list[_Batch]:
+    """Verify batch echoes and return the results in corpus order."""
     by_index = {result.index: result for result in results}
     if len(by_index) != len(results):
         raise MergeError(f"duplicate batch indices in {phase} results")
-    flat: list = []
+    ordered: list[_Batch] = []
     for batch in batches:
         result = by_index.get(batch.index)
         if result is None:
@@ -382,11 +390,8 @@ def _flatten_batches(
                 f"submitted {batch.batch_hash[:12]}, "
                 f"result {result.batch_hash[:12]}"
             )
-        flat.extend(
-            result.parses if isinstance(result, BatchParse)
-            else result.stats
-        )
-    return flat
+        ordered.append(result)
+    return ordered
 
 
 def train_parallel(
@@ -458,9 +463,13 @@ def train_parallel(
                     sent_bytes=report_bytes["parse_sent"],
                     recv_bytes=report_bytes["parse_recv"],
                 )
-                parses: list[ShardParse] = _flatten_batches(
+                batch_parses = _in_batch_order(
                     batches, batch_parses, "parse"
                 )
+                parses: list[ShardParse] = [
+                    parse for result in batch_parses
+                    for parse in result.parses
+                ]
 
             # Merge: replay distinct forms to the canonical Spell table.
             with tracer.span("train.merge") as merge_span:
@@ -539,35 +548,28 @@ def train_parallel(
                     sent_bytes=report_bytes["stats_sent"],
                     recv_bytes=report_bytes["stats_recv"],
                 )
-                stats_flat: list[ShardStats] = _flatten_batches(
+                batch_stats = _in_batch_order(
                     batches, batch_stats, "stats"
                 )
         finally:
             if executor is not None:
                 executor.shutdown(cancel_futures=True)
 
-        # Apply statistics strictly in corpus order (shard index),
-        # verifying each result still matches the shard it claims to be.
+        # Merge the per-batch partials strictly in corpus order (batches
+        # are consecutive shard runs), verifying each batch still echoes
+        # the shards it was sent.
         with tracer.span("train.apply") as apply_span:
-            by_index = {stats.index: stats for stats in stats_flat}
-            for shard in shards:
-                stats = by_index.get(shard.index)
-                if stats is None:
+            for batch, result in zip(batches, batch_stats):
+                sent = [
+                    (shard.index, shard.content_hash)
+                    for shard in batch.shards
+                ]
+                if result.shards != sent:
                     raise MergeError(
-                        f"missing stats for shard {shard.index}"
+                        f"batch {batch.index} stats do not echo its "
+                        f"shards' content hashes"
                     )
-                if stats.content_hash != shard.content_hash:
-                    raise MergeError(
-                        f"shard {shard.index} stats content hash mismatch"
-                    )
-                builder.apply_session_stats(
-                    SessionStats(
-                        groups=[
-                            GroupSessionStats.from_payload(payload)
-                            for payload in stats.groups
-                        ]
-                    )
-                )
+                builder.partial.merge(result.partial)
             graph = builder.build()
 
         # Install the trained model on the façade.
@@ -604,16 +606,11 @@ def train_parallel(
             parse_by_index[shard.index].duration for shard in shards
         ],
         stats_shard_seconds=[
-            by_index[shard.index].duration for shard in shards
+            seconds for result in batch_stats
+            for seconds in result.shard_seconds
         ],
-        parse_batch_seconds=[
-            result.duration
-            for result in sorted(batch_parses, key=lambda b: b.index)
-        ],
-        stats_batch_seconds=[
-            result.duration
-            for result in sorted(batch_stats, key=lambda b: b.index)
-        ],
+        parse_batch_seconds=[result.duration for result in batch_parses],
+        stats_batch_seconds=[result.duration for result in batch_stats],
         parse_payload_bytes=report_bytes["parse_sent"],
         stats_payload_bytes=report_bytes["stats_sent"],
         parse_result_bytes=report_bytes["parse_recv"],

@@ -1,9 +1,10 @@
 """Batch tasks executed in worker processes.
 
 All tasks are pure functions of their arguments (plus the process-local
-extraction memo, which memoises a pure function), so running them in any
-process, in any order, at any concurrency yields identical results — the
-merge layer only has to fix the *order* in which results are folded in.
+extraction and chunk-tokenizer memos, which memoise pure functions), so
+running them in any process, in any order, at any concurrency yields
+identical results — the parent only has to fix the *order* in which
+results are folded in.
 
 The unit shipped to a worker is a **shard batch**
 (:class:`~repro.parallel.shard.ShardBatch`), and payloads are kept lean
@@ -11,22 +12,26 @@ in both directions: tasks carry plain token/tuple rows (message strings
 for phase 1; ``(timestamp, message)`` rows plus one batch-deduplicated
 key table for phase 2) instead of pickled :class:`Session` /
 :class:`LogRecord` dataclasses, and results carry only form tables
-(phase 1) or ``GroupSessionStats`` payloads (phase 2) plus the echoed
-content hashes — never the inputs.
+(phase 1) or one :class:`~repro.graph.hwgraph.GraphPartial` (phase 2)
+plus the echoed content hashes — never the inputs.
 
 Phase 1 (:func:`parse_batch`) masks every message and builds each member
 shard's *form table*: the distinct masked token sequences with their
 first local position, occurrence count and first raw message.  This is
 the per-message half of Spell; the cross-shard half (template matching
 and evolution) runs once in the parent over distinct forms only (see
-:mod:`repro.parallel.merge`).
+:mod:`repro.parallel.merge`).  Masking fills the process's chunk memo
+(:func:`~repro.parsing.spell.mask_message`).
 
 Phase 2 (:func:`compute_batch_stats`) receives the canonical per-record
 key assignment back, rebuilds each shard's Intel Messages (extracting
-the batch's Intel Keys once through the process-local memo cache) and
-computes per-session HW-graph statistics via
-:func:`~repro.graph.hwgraph.session_group_stats`, the same pure function
-behind :meth:`~repro.graph.hwgraph.HWGraphBuilder.train_session`.
+the batch's Intel Keys once through the process-local memo cache; the
+raw tokens come from the chunk memo, so no record is tokenized twice)
+and folds the batch's sessions, in corpus order, into one
+:class:`~repro.graph.hwgraph.GraphPartial` — subroutines, lifespan
+relations and group counters, the same fold behind
+:meth:`~repro.graph.hwgraph.HWGraphBuilder.train_session`.  The parent
+only merges one partial per batch.
 
 :func:`init_worker` runs once per pool process (executor initializer):
 it pre-imports the parsing/extraction modules and warms the per-process
@@ -39,7 +44,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from ..graph.hwgraph import session_group_stats
+from ..graph.hwgraph import GraphPartial
 from ..parsing.spell import mask_message
 from .cache import ExtractionCache, process_cache
 
@@ -166,21 +171,7 @@ def parse_batch(task: BatchParseTask) -> BatchParse:
     )
 
 
-# -- phase 2: Intel Messages + per-session HW-graph stats --------------------
-
-
-@dataclass(slots=True)
-class ShardStats:
-    """Per-shard output of phase 2 (group payloads only, no input echo)."""
-
-    index: int
-    content_hash: str
-    #: ``GroupSessionStats.to_payload()`` items, in computation order.
-    groups: list = field(default_factory=list)
-    messages: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    duration: float = 0.0
+# -- phase 2: Intel Messages + the batch's HW-graph partial -----------------
 
 
 @dataclass(slots=True)
@@ -216,23 +207,31 @@ class BatchStatsTask:
 
 @dataclass(slots=True)
 class BatchStats:
-    """Output of :func:`compute_batch_stats`."""
+    """Output of :func:`compute_batch_stats`: one mergeable partial."""
 
     index: int
     batch_hash: str
-    stats: list[ShardStats] = field(default_factory=list)
+    #: The batch's sessions folded in corpus order.
+    partial: GraphPartial
+    #: ``(index, content_hash)`` of every member shard, in batch order,
+    #: echoed so the parent can verify the pairing before merging.
+    shards: list[tuple[int, str]] = field(default_factory=list)
+    #: CPU seconds each member shard took (Intel Messages + fold).
+    shard_seconds: list[float] = field(default_factory=list)
     cache_hits: int = 0
     cache_misses: int = 0
     duration: float = 0.0
 
 
-def _session_stats(
+def _fold_shard(
     piece: StatsSlice,
     intel_keys: dict,
     key_labels: dict[str, tuple[str, ...]],
     cache: ExtractionCache,
-) -> ShardStats:
-    """Rebuild one shard's Intel Messages and compute its session stats."""
+    partial: GraphPartial,
+) -> float:
+    """Rebuild one shard's Intel Messages and fold its session into
+    ``partial``; returns the CPU seconds it took."""
     started = time.process_time()
     messages = []
     for (timestamp, text), key_id in zip(piece.rows, piece.record_keys):
@@ -247,18 +246,12 @@ def _session_stats(
         )
         if message is not None:
             messages.append(message)
-    stats = session_group_stats(messages, key_labels)
-    return ShardStats(
-        index=piece.index,
-        content_hash=piece.content_hash,
-        groups=[group.to_payload() for group in stats.groups],
-        messages=len(messages),
-        duration=time.process_time() - started,
-    )
+    partial.add_session(messages, key_labels)
+    return time.process_time() - started
 
 
 def compute_batch_stats(task: BatchStatsTask) -> BatchStats:
-    """Phase-2 worker entry point: stats for every shard of one batch.
+    """Phase-2 worker entry point: fold every shard of one batch.
 
     The batch's Intel Keys are extracted once (through the per-process
     memo) and shared by all member shards; cache traffic is accounted at
@@ -271,15 +264,18 @@ def compute_batch_stats(task: BatchStatsTask) -> BatchStats:
         key_id: cache.extract(key_id, tokens, sample)
         for key_id, tokens, sample in task.key_table
     }
-    stats = [
-        _session_stats(piece, intel_keys, task.key_labels, cache)
+    partial = GraphPartial()
+    shard_seconds = [
+        _fold_shard(piece, intel_keys, task.key_labels, cache, partial)
         for piece in task.slices
     ]
     hits1, misses1 = cache.stats()
     return BatchStats(
         index=task.index,
         batch_hash=task.batch_hash,
-        stats=stats,
+        partial=partial,
+        shards=[(piece.index, piece.content_hash) for piece in task.slices],
+        shard_seconds=shard_seconds,
         cache_hits=hits1 - hits0,
         cache_misses=misses1 - misses0,
         duration=time.process_time() - batch_started,

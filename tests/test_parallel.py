@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro import IntelLog
 from repro.core.intellog import TrainingSummary
-from repro.graph.hwgraph import HWGraphBuilder
+from repro.graph.hwgraph import GraphPartial, HWGraphBuilder
 from repro.parallel import (
     MIN_BATCH_RECORDS,
     BatchParseTask,
@@ -867,42 +867,86 @@ class TestCacheConservation:
         assert cache._extractor is not None
 
 
-class TestShardStats:
-    def test_stats_payload_matches_direct_computation(self):
-        session = Session(
-            session_id="c0",
-            records=[
-                LogRecord(
-                    timestamp=float(j),
-                    level="INFO",
-                    source="S",
-                    message=f"worker 1 started task {j}",
-                )
-                for j in range(3)
-            ],
-        )
-        shards = make_shards([session])
+class TestBatchStats:
+    def test_batch_partial_matches_direct_computation(self):
+        sessions = [
+            Session(
+                session_id=f"c{i}",
+                records=[
+                    LogRecord(
+                        timestamp=float(i * 10 + j),
+                        level="INFO",
+                        source="S",
+                        message=f"worker 1 started task {j}",
+                    )
+                    for j in range(3)
+                ],
+            )
+            for i in range(2)
+        ]
+        shards = make_shards(sessions)
         merged = merge_shards(shards, shard_parses(shards))
         key = merged.spell.keys()[0]
+        key_labels = {key.key_id: ("worker",)}
         task = BatchStatsTask(
             index=0,
             batch_hash=batch_hash(shards),
             slices=[
                 StatsSlice(
-                    index=0,
-                    content_hash=shards[0].content_hash,
-                    session_id=session.session_id,
-                    rows=[(r.timestamp, r.message) for r in session.records],
-                    record_keys=merged.record_keys[0],
+                    index=shard.index,
+                    content_hash=shard.content_hash,
+                    session_id=shard.session.session_id,
+                    rows=[
+                        (r.timestamp, r.message)
+                        for r in shard.session.records
+                    ],
+                    record_keys=merged.record_keys[shard.index],
                 )
+                for shard in shards
             ],
             key_table=[(key.key_id, tuple(key.tokens), key.sample)],
-            key_labels={key.key_id: ("worker",)},
+            key_labels=key_labels,
         )
-        [stats] = compute_batch_stats(task).stats
-        assert stats.content_hash == shards[0].content_hash
-        assert stats.messages == 3
-        [payload] = stats.groups
-        assert payload[0] == "worker"  # label
-        assert payload[2] == [0.0, 2.0]  # lifespan
-        assert payload[3] == 3  # max_key_repeat
+        result = compute_batch_stats(task)
+        assert result.shards == [
+            (shard.index, shard.content_hash) for shard in shards
+        ]
+        assert len(result.shard_seconds) == 2
+
+        extractor = process_cache().extractor
+        intel_key = process_cache().extract(
+            key.key_id, tuple(key.tokens), key.sample
+        )
+        direct = GraphPartial()
+        for session in sessions:
+            direct.add_session(
+                [
+                    extractor.to_intel_message(
+                        intel_key, r.message, timestamp=r.timestamp,
+                        session_id=session.session_id,
+                    )
+                    for r in session.records
+                ],
+                key_labels,
+            )
+        partial = result.partial
+        assert partial.training_sessions == 2
+        [(label, group)] = partial.groups.items()
+        assert label == "worker"
+        assert (group.session_count, group.max_key_repeat) == (2, 3)
+        want = direct.groups["worker"]
+        assert group.model.subroutines == want.model.subroutines
+        assert partial.relations.to_dict() == direct.relations.to_dict()
+
+    def test_stats_echo_mismatch_is_rejected(self, monkeypatch):
+        sessions = TestWorkerFailure()._sessions()
+        real = pipeline.compute_batch_stats
+
+        def tampered(task):
+            result = real(task)
+            result.shards = result.shards[::-1]
+            return result
+
+        monkeypatch.setattr(pipeline, "compute_batch_stats", tampered)
+        with pytest.raises(MergeError, match="echo"):
+            IntelLog().train(sessions, workers=1)
