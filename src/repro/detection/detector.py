@@ -5,7 +5,13 @@ For each incoming session the detector
 1. matches every log message against the learned log keys — a message with
    no matching key is an **unexpected log message**; IntelLog still runs
    the full §3 extraction on it so the report carries entities,
-   identifiers, values, localities and operations for diagnosis;
+   identifiers, values, localities and operations for diagnosis.  That
+   extraction is a pure function of (masked tokens, message), so each
+   detector memoises it in its own
+   :class:`~repro.extraction.cache.ExtractionCache` — retried fetch and
+   connect lines repeat the same message — while the per-record summary
+   and group lookup still run on every record, so no two reports share
+   a mutable value;
 2. builds a HW-graph instance and, once the session is complete, checks it
    against the trained HW-graph: missing critical Intel Keys in subroutine
    instances, order violations, unexpected keys inside a subroutine,
@@ -23,13 +29,14 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, ContextManager
 
+from ..extraction.cache import ExtractionCache
 from ..extraction.idvalue import FieldRole
 from ..extraction.intelkey import IntelKey
 from ..extraction.pipeline import InformationExtractor
 from ..graph.hwgraph import HWGraph
 from ..graph.lifespan import BEFORE, PARENT
 from ..parsing.records import LogRecord, Session
-from ..parsing.spell import LogKey, MatchResult, SpellParser, mask_message
+from ..parsing.spell import MatchResult, SpellParser, mask_message
 from .instance import HWGraphInstance
 from .report import Anomaly, AnomalyKind, JobReport, SessionReport
 
@@ -41,10 +48,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: sessions for its absence to be reported (guards against optional groups).
 _GROUP_PRESENCE_THRESHOLD = 0.999
 
-#: Entry cap of each per-detector subroutine memo; a full memo is reset
-#: wholesale (as the chunk memo is at ``_CHUNK_MEMO_CAP``).  Only memory
-#: moves, never a report: both memoize pure functions of the frozen
-#: model.
+#: Entry cap of each per-detector memo (the two subroutine memos and the
+#: unexpected-message extraction memo); a full memo is reset wholesale
+#: (as the chunk memo is at ``_CHUNK_MEMO_CAP``).  Only memory moves,
+#: never a report: all three memoize pure functions.
 _MEMO_CAP = 4096
 
 
@@ -131,10 +138,14 @@ class AnomalyDetector:
         self._check_memo: dict[
             tuple[int, tuple[str, ...]], tuple[str, ...]
         ] = {}
+        # Unexpected-message extraction, memoised on (masked tokens,
+        # message) and reset wholesale at _MEMO_CAP entries.
+        self._extraction_cache = ExtractionCache(self.extractor)
         self._tracer: "Tracer | None" = None
         self._m_sessions: "Counter | None" = None
         self._m_records: "Counter | None" = None
         self._m_anomalies: "Counter | None" = None
+        self._m_extractions: "Counter | None" = None
 
     def instrument(
         self,
@@ -157,6 +168,10 @@ class AnomalyDetector:
         )
         self._m_anomalies = registry.counter(
             "detect_anomalies_total", "Anomalies reported, by kind."
+        )
+        self._m_extractions = registry.counter(
+            "detect_unexpected_extractions_total",
+            "Unexpected-message extractions, by memo result (hit/miss).",
         )
         return self
 
@@ -309,13 +324,21 @@ class AnomalyDetector:
         """Build the unexpected-message anomaly with on-the-fly extraction."""
         # The masked form is the pseudo log key: variable-looking tokens
         # (identifiers, numbers, localities) are ``*`` so the §3 field
-        # heuristics can classify them.
-        ad_hoc = LogKey(
-            key_id="<unexpected>",
-            tokens=mask_message(record.message)[0],
-            sample=record.message,
+        # heuristics can classify them.  The memo key keeps the whole
+        # message: tagging and field classification read its variable
+        # tokens, so two messages of one masked form may differ.
+        cache = self._extraction_cache
+        misses = cache.misses
+        intel_key = cache.extract(
+            "<unexpected>",
+            mask_message(record.message)[0],
+            record.message,
+            cap=_MEMO_CAP,
         )
-        intel_key = self.extractor.build_intel_key(ad_hoc)
+        if self._m_extractions is not None:
+            self._m_extractions.labels(
+                result="miss" if cache.misses != misses else "hit"
+            ).inc()
         extraction = _extraction_summary(intel_key, self.extractor)
         groups = sorted(
             {

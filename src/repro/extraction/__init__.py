@@ -1,5 +1,6 @@
 """Information extraction: log keys -> Intel Keys (paper §3)."""
 
+from .cache import ExtractionCache
 from .entities import Entity, POS_PATTERNS, extract_entities
 from .idvalue import (
     FieldClassification,
@@ -21,6 +22,7 @@ from .pipeline import (
 __all__ = [
     "AlignedTemplate",
     "Entity",
+    "ExtractionCache",
     "FieldClassification",
     "FieldClassifier",
     "FieldRole",

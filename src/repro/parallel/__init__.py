@@ -16,7 +16,8 @@ for every ``N`` and every batch layout.  See ``DESIGN.md``
 ("Deterministic merge") for the invariant and why batching preserves it.
 """
 
-from .cache import ExtractionCache, process_cache
+from ..extraction.cache import ExtractionCache
+from .cache import process_cache
 from .merge import MergeError, MergeResult, merge_shards
 from .pipeline import ParallelReport, lpt_makespan, train_parallel
 from .shard import (

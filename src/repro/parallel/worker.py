@@ -35,7 +35,7 @@ only merges one partial per batch.
 
 :func:`init_worker` runs once per pool process (executor initializer):
 it pre-imports the parsing/extraction modules and warms the per-process
-:class:`~repro.parallel.cache.ExtractionCache`'s extractor, so the
+:class:`~repro.extraction.cache.ExtractionCache`'s extractor, so the
 lexicon/POS-tagger setup happens off every task's critical path.
 """
 
@@ -44,9 +44,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from ..extraction.cache import ExtractionCache
 from ..graph.hwgraph import GraphPartial
 from ..parsing.spell import mask_message
-from .cache import ExtractionCache, process_cache
+from .cache import process_cache
 
 
 class ParallelWorkerError(RuntimeError):

@@ -6,8 +6,9 @@
 * ``IntelLog.intel_messages`` (the §6.4 query path) matches each
   session in one batch and reuses the match's tokens and captures; the
   record-at-a-time implementation it replaced is kept as the oracle.
-* ``AnomalyDetector``'s subroutine memos are reset wholesale at
-  ``_MEMO_CAP``: a lowered cap bounds them and moves no report.
+* ``AnomalyDetector``'s subroutine memos and its unexpected-message
+  extraction memo are reset wholesale at ``_MEMO_CAP``: a lowered cap
+  bounds them and moves no report.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from repro import IntelLog
 from repro.detection import detector as detector_mod
 from repro.nlp.tokenizer import tokenize
-from repro.parsing.records import Session
+from repro.parsing.records import LogRecord, Session
 from repro.parsing.spell import mask_message
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "detect_reports"
@@ -147,22 +148,48 @@ def _reports(intellog: IntelLog, sessions) -> str:
     return json.dumps([r.to_dict() for r in report], sort_keys=True)
 
 
+def _foreign_session() -> Session:
+    """Unexpected messages with more distinct texts than the lowered
+    cap, each repeated, so the extraction memo both hits and overflows
+    (the golden corpora hold at most two distinct ones)."""
+    session = Session(session_id="foreign")
+    for i in range(12):
+        session.append(LogRecord(
+            timestamp=float(i),
+            level="WARN",
+            source="Relay",
+            message=(
+                f"quux relay lost link to 10.0.0.{i % 4}:5001{i % 4} "
+                f"after {i % 4} retries"
+            ),
+        ))
+    return session
+
+
+def _probe_memos(detector, monkeypatch) -> None:
+    monkeypatch.setattr(detector, "_best_match_memo", SizeProbe())
+    monkeypatch.setattr(detector, "_check_memo", SizeProbe())
+    monkeypatch.setattr(detector._extraction_cache, "_memo", SizeProbe())
+
+
 def test_lowered_memo_cap_bounds_memos_and_keeps_reports(
     genre_model, monkeypatch
 ):
     _genre, intellog, _train, detect = genre_model
+    detect = [*detect, _foreign_session()]
     detector = intellog.detector()
-    monkeypatch.setattr(detector, "_best_match_memo", SizeProbe())
-    monkeypatch.setattr(detector, "_check_memo", SizeProbe())
+    _probe_memos(detector, monkeypatch)
     want = _reports(intellog, detect)
     cap = 2
     assert min(
-        detector._best_match_memo.peak, detector._check_memo.peak
+        detector._best_match_memo.peak,
+        detector._check_memo.peak,
+        detector._extraction_cache._memo.peak,
     ) > cap, "corpus too small to overflow the lowered cap"
 
     monkeypatch.setattr(detector_mod, "_MEMO_CAP", cap)
-    monkeypatch.setattr(detector, "_best_match_memo", SizeProbe())
-    monkeypatch.setattr(detector, "_check_memo", SizeProbe())
+    _probe_memos(detector, monkeypatch)
     assert _reports(intellog, detect) == want
     assert detector._best_match_memo.peak == cap
     assert detector._check_memo.peak == cap
+    assert detector._extraction_cache._memo.peak == cap
