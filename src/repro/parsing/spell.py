@@ -28,6 +28,30 @@ The tiers are observable via ``spell_index_hits_total{path=...}`` and the
 per-path ``spell_match_seconds`` histogram.  The differential parity
 harness (``tests/test_match_parity.py``) proves the tiered matcher
 returns results identical to the original full scan.
+
+Distinct messages collapse onto few masked forms (the variable fields
+are exactly what varies), so each parser keeps one *form memo*: masked
+form -> resolved key index, path, and whether the form is all-variable
+(reserved key, raw tokens as parameters).  It lives as long as the
+model, not a batch:
+
+* :meth:`SpellParser.match` and :meth:`SpellParser.match_batch` both
+  resolve through it, so a form is walked (trie, LCS fallback or miss)
+  once per model;
+* it is cleared wherever a resolution could change — a new key or a
+  merged template in :meth:`SpellParser.consume`, and
+  :meth:`SpellParser._reindex` (model load);
+* :meth:`SpellParser.view` aliases it like the key list and indexes, so
+  the tenants of one loaded model share resolutions, while a new model
+  version gets a new parser and a fresh memo;
+* it is reset wholesale at ``_FORM_MEMO_CAP`` entries.
+
+Matching never mutates keys, so an entry stays valid until one of the
+clears above; under concurrent matchers the worst case is a duplicate
+resolution, never a wrong one.  Parameter extraction, misalignment
+notes and per-record path counters still run per message.  Memo use is
+counted by ``spell_form_memo_total{result="hit"|"miss"}``
+(``tests/test_form_memo.py`` pins hits, invalidation and the cap).
 """
 
 from __future__ import annotations
@@ -62,6 +86,13 @@ _VARIABLE_KINDS = frozenset({"ident", "number", "hostport", "path"})
 #: tokenize, never a wrong one.
 _CHUNK_MEMO: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
 _CHUNK_MEMO_CAP = 65536
+
+#: Entries kept in one parser's form memo before it is reset wholesale
+#: (the detector's memos use the same cap, ``_MEMO_CAP``).
+_FORM_MEMO_CAP = 4096
+
+#: Form memo entry: (key index or None, match path, all-variable form).
+_FormEntry = tuple[int | None, str, bool]
 
 
 def _tokenize_chunk(chunk: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -205,7 +236,7 @@ class _SpellMetrics:
 
     __slots__ = (
         "match_attempts", "lcs_comparisons", "keys", "match_seconds",
-        "param_misaligned", "index_hits",
+        "param_misaligned", "index_hits", "form_memo",
     )
 
     def __init__(self, registry: "MetricsRegistry") -> None:
@@ -235,6 +266,11 @@ class _SpellMetrics:
             "Matches resolved per path: exact (trie walk), lcs (drift "
             "fallback scan), miss (no shared constant token).",
         )
+        self.form_memo = registry.counter(
+            "spell_form_memo_total",
+            "Masked-form resolutions by result: hit (memoised for the "
+            "loaded model) or miss (resolved by trie walk/LCS scan).",
+        )
 
 
 class SpellParser:
@@ -263,6 +299,9 @@ class SpellParser:
         self._index = TemplateIndex()
         # Index of the reserved all-variable key, once created.
         self._reserved_idx: int | None = None
+        # Masked form -> resolution, for the life of the key set (see
+        # the module docstring); cleared in place, views alias it.
+        self._form_memo: dict[tuple[str, ...], _FormEntry] = {}
         self._metrics: _SpellMetrics | None = None
         # Keys already warned about for template/raw misalignment (the
         # log line fires once per key; the counter counts every event).
@@ -277,9 +316,10 @@ class SpellParser:
     def view(self) -> "SpellParser":
         """A detection-only view sharing this parser's learned keys.
 
-        The view aliases ``_keys`` and both match indexes (token
-        postings and the exact-template trie) — the structures that are
-        immutable once training ends — while owning its instrumentation
+        The view aliases ``_keys``, both match indexes (token postings
+        and the exact-template trie) and the form memo — the structures
+        that are immutable once training ends, so views of one model
+        share resolutions — while owning its instrumentation
         and misalignment bookkeeping, so several tenants can
         :meth:`match` against one in-memory model without their metrics
         clobbering each other.  Views must never :meth:`consume` (that
@@ -292,6 +332,7 @@ class SpellParser:
         clone._token_index = self._token_index
         clone._index = self._index
         clone._reserved_idx = self._reserved_idx
+        clone._form_memo = self._form_memo
         clone._next_id = self._next_id
         clone._line_counter = self._line_counter
         clone._metrics = None
@@ -316,6 +357,7 @@ class SpellParser:
                 self._next_id += 1
                 self._keys.append(best)
                 self._reserved_idx = len(self._keys) - 1
+                self._form_memo.clear()
             best.count += 1
             best.line_ids.append(self._line_counter)
             return best
@@ -329,6 +371,7 @@ class SpellParser:
             self._next_id += 1
             self._keys.append(key)
             self._index_key(len(self._keys) - 1, key)
+            self._form_memo.clear()
         else:
             key = self._keys[best_idx]
             merged = lcs_merge(key.tokens, seq)
@@ -336,6 +379,7 @@ class SpellParser:
                 old_tokens = key.tokens
                 key.tokens = merged
                 self._update_key_index(best_idx, old_tokens, merged)
+                self._form_memo.clear()
         key.count += 1
         key.line_ids.append(self._line_counter)
         if self._metrics is not None:
@@ -351,16 +395,17 @@ class SpellParser:
         """Match a message against the learned keys without mutating them."""
         metrics = self._metrics
         if metrics is None:
-            result, _path = self._match_core(message)
+            result, _path, _fresh = self._match_core(message)
             if result is not None and result.misaligned:
                 self._note_misalignment(result.key)
             return result
         start = time.perf_counter()
-        result, path = self._match_core(message)
+        result, path, fresh = self._match_core(message)
         metrics.match_seconds.labels(path=path).observe(
             time.perf_counter() - start
         )
         metrics.index_hits.labels(path=path).inc()
+        metrics.form_memo.labels(result="miss" if fresh else "hit").inc()
         metrics.match_attempts.labels(
             result="hit" if result is not None else "miss"
         ).inc()
@@ -380,39 +425,38 @@ class SpellParser:
         is flushed once per batch instead of per record — counters are
         still advanced per *record*, and per-record latency is reported
         as the batch's amortized cost, so counter semantics are
-        unchanged.  Must not run concurrently with :meth:`consume`.
+        unchanged.  ``spell_form_memo_total`` counts the distinct
+        messages of the batch, since only those consult the form memo.
+        Must not run concurrently with :meth:`consume`.
         """
         metrics = self._metrics
-        # Batch-scoped memo for the masked-form lookup: distinct
-        # messages collapse onto very few masked sequences (the
-        # variable fields are exactly what varies), so most distinct
-        # messages skip the trie walk too.  Safe because matching never
-        # mutates the key set.
-        find_memo: dict[tuple[str, ...], tuple[int | None, str]] = {}
         if metrics is None:
             memo: dict[str, MatchResult | None] = {}
             out: list[MatchResult | None] = []
             for message in messages:
                 result = memo.get(message, _UNSEEN)
                 if result is _UNSEEN:
-                    result, _path = self._match_core(message, find_memo)
+                    result, _path, _fresh = self._match_core(message)
                     memo[message] = result
                 if result is not None and result.misaligned:
                     self._note_misalignment(result.key)
                 out.append(result)
             return out
         start = time.perf_counter()
-        seen: dict[str, tuple[MatchResult | None, str]] = {}
+        seen: dict[str, tuple[MatchResult | None, str, bool]] = {}
         out = []
         paths: dict[str, int] = {}
         hits = 0
+        resolved = 0
         misaligned: list[LogKey] = []
         for message in messages:
             entry = seen.get(message)
             if entry is None:
-                entry = self._match_core(message, find_memo)
+                entry = self._match_core(message)
                 seen[message] = entry
-            result, path = entry
+                if entry[2]:
+                    resolved += 1
+            result, path, _fresh = entry
             out.append(result)
             paths[path] = paths.get(path, 0) + 1
             if result is not None:
@@ -432,47 +476,44 @@ class SpellParser:
             metrics.match_attempts.labels(result="hit").inc(hits)
         if n - hits:
             metrics.match_attempts.labels(result="miss").inc(n - hits)
+        if resolved:
+            metrics.form_memo.labels(result="miss").inc(resolved)
+        if len(seen) - resolved:
+            metrics.form_memo.labels(result="hit").inc(len(seen) - resolved)
         for key in misaligned:
             self._note_misalignment(key)
         return out
 
     def _match_core(
-        self,
-        message: str,
-        find_memo: dict[tuple[str, ...], tuple[int | None, str]]
-        | None = None,
-    ) -> tuple[MatchResult | None, str]:
-        """Uninstrumented match returning ``(result, path)``.
+        self, message: str
+    ) -> tuple[MatchResult | None, str, bool]:
+        """Uninstrumented match returning ``(result, path, fresh)``.
 
         ``path`` labels how the match resolved: ``exact`` (trie walk,
         including the reserved all-variable key — a constant-time
-        branch), ``lcs`` (drift fallback scan) or ``miss``.
-        ``find_memo`` (batch-scoped) caches ``_find_best_idx`` results
-        by masked sequence.
+        branch), ``lcs`` (drift fallback scan) or ``miss``.  The masked
+        form is resolved through the parser's form memo; ``fresh`` is
+        True when this call had to resolve it (a memo miss).
         """
         masked, raw = mask_message(message)
-        if not [t for t in masked if t != STAR]:
-            reserved = self._reserved_key()
-            if reserved is None:
-                return None, PATH_MISS
-            return (
-                MatchResult(
-                    key=reserved, parameters=list(raw), raw_tokens=raw
-                ),
-                PATH_EXACT,
-            )
-        if find_memo is None:
-            best_idx, path = self._find_best_idx(masked)
-        else:
-            form = tuple(masked)
-            cached = find_memo.get(form)
-            if cached is None:
-                cached = self._find_best_idx(masked)
-                find_memo[form] = cached
-            best_idx, path = cached
+        form = tuple(masked)
+        memo = self._form_memo
+        entry = memo.get(form)
+        fresh = entry is None
+        if entry is None:
+            entry = self._resolve_form(masked)
+            if len(memo) >= _FORM_MEMO_CAP:
+                memo.clear()
+            memo[form] = entry
+        best_idx, path, all_variable = entry
         if best_idx is None:
-            return None, path
+            return None, path, fresh
         key = self._keys[best_idx]
+        if all_variable:
+            result = MatchResult(
+                key=key, parameters=list(raw), raw_tokens=raw
+            )
+            return result, path, fresh
         params = extract_parameters(key.tokens, raw)
         if params is None:
             # The similarity scan said the message belongs to this key,
@@ -483,17 +524,27 @@ class SpellParser:
             # carried none.  (Exact-path matches align the *masked*
             # sequence by construction, but the raw sequence can still
             # disagree when a variable field tokenized differently.)
-            return (
-                MatchResult(
-                    key=key, parameters=[], misaligned=True,
-                    raw_tokens=raw,
-                ),
-                path,
+            result = MatchResult(
+                key=key, parameters=[], misaligned=True, raw_tokens=raw
             )
-        return (
-            MatchResult(key=key, parameters=params, raw_tokens=raw),
-            path,
-        )
+        else:
+            result = MatchResult(key=key, parameters=params, raw_tokens=raw)
+        return result, path, fresh
+
+    def _resolve_form(self, masked: list[str]) -> _FormEntry:
+        """Form memo entry for a masked sequence.
+
+        A form with no constant token resolves to the reserved
+        all-variable key (exact path; its parameters are the raw
+        tokens) or misses; any other form goes through
+        :meth:`_find_best_idx`.
+        """
+        if any(t != STAR for t in masked):
+            best_idx, path = self._find_best_idx(masked)
+            return best_idx, path, False
+        if self._reserved_key() is None:
+            return None, PATH_MISS, True
+        return self._reserved_idx, PATH_EXACT, True
 
     def _note_misalignment(self, key: LogKey) -> None:
         if self._metrics is not None:
@@ -557,10 +608,6 @@ class SpellParser:
         # long variable tails differ), which is how the IntelLog Spell
         # deployment behaves with its empirical t = 1.7 (paper §5).
         return min(seq_len, template_len) / self.tau
-
-    def _find_best(self, seq: list[str]) -> LogKey | None:
-        best_idx, _path = self._find_best_idx(seq)
-        return None if best_idx is None else self._keys[best_idx]
 
     def _find_best_idx(
         self, seq: list[str]
@@ -645,6 +692,7 @@ class SpellParser:
         against."""
         self._token_index.clear()
         self._index.rebuild(key.tokens for key in self._keys)
+        self._form_memo.clear()
         self._reserved_idx = None
         for idx, key in enumerate(self._keys):
             for token in key.constant_tokens():

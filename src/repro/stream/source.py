@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import logging
 import os
+from itertools import islice
 from typing import Any, Callable, Iterator, Protocol, Sequence, runtime_checkable
 
 from ..parsing.formatters import Formatter, default_registry
@@ -106,6 +107,8 @@ class IterableSource:
         self._done = False
 
     def poll(self, max_records: int) -> list[LogRecord]:
+        if max_records <= 0:
+            return []
         if self._records is not None:
             batch = list(
                 self._records[self._index:self._index + max_records]
@@ -115,12 +118,8 @@ class IterableSource:
                 self._done = True
             return batch
         assert self._iter is not None
-        batch = []
-        for record in self._iter:
-            batch.append(record)
-            self._index += 1
-            if len(batch) >= max_records:
-                break
+        batch = list(islice(self._iter, max_records))
+        self._index += len(batch)
         if not batch:
             self._done = True
         return batch

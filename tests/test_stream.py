@@ -265,8 +265,25 @@ class TestLiveAlerts:
         assert stats.anomalies_by_kind.get("unexpected_message", 0) >= 1
 
 
+class TestIterableSource:
+    @pytest.mark.parametrize("backing", [list, iter])
+    def test_poll_zero_returns_nothing_and_consumes_nothing(self, backing):
+        """``poll(n)`` returns *up to* ``n`` records for both backings:
+        ``poll(0)`` takes no record, not even from an iterator."""
+        records = [record(i, f"m{i}") for i in range(3)]
+        source = IterableSource(backing(records))
+        assert source.poll(0) == []
+        assert source.position() == {"kind": "iterable", "index": 0}
+        assert not source.exhausted()
+        assert [r.message for r in source.poll(2)] == ["m0", "m1"]
+        assert source.poll(0) == []
+        assert [r.message for r in source.poll(5)] == ["m2"]
+        assert source.poll(5) == []
+        assert source.exhausted()
+
+
 class TestFileFollowSource:
-    HEADER = "2019-06-22 10:15:{s:02d},000 INFO [t] org.x.Worker: {msg}"
+    HEADER ="2019-06-22 10:15:{s:02d},000 INFO [t] org.x.Worker: {msg}"
 
     def test_follow_parses_appends_and_attributes_sessions(self, tmp_path):
         path = tmp_path / "app.log"
