@@ -3,8 +3,10 @@
 import pytest
 
 from repro.detection.report import Anomaly, AnomalyKind, SessionReport
-from repro.parsing.records import LogRecord, Session
-from repro.simulators import FaultSpec, MapReduceConfig
+from repro.obs import MetricsRegistry
+from repro.parsing.records import LogRecord, Session, split_sessions
+from repro.query.store import ModelStore
+from repro.simulators import FaultSpec, MapReduceConfig, WorkloadGenerator
 
 
 def run_detection(model, job):
@@ -143,3 +145,37 @@ class TestReports:
         data = json.loads(report.to_json())
         assert data["job_id"] == job.app_id
         assert len(data["sessions"]) == len(job.sessions)
+
+
+class TestRegistryReplayParity:
+    """An instrumented detector counts each replayed record exactly once:
+    in ``detect_records_total``, in one ``spell_index_hits_total`` path
+    (exact, lcs or miss) and in one ``spell_match_attempts_total``
+    result (hit or miss)."""
+
+    @pytest.mark.parametrize(
+        "system, fixture",
+        [("spark", "spark_model"), ("mapreduce", "mr_model")],
+        ids=["spark", "mapreduce"],
+    )
+    def test_counts_equal_replayed_records(self, request, system, fixture):
+        model = request.getfixturevalue(fixture)
+        jobs = WorkloadGenerator(seed=77).run_batch(system, 3)
+        records = sorted(
+            (r for job in jobs for r in job.records),
+            key=lambda r: r.timestamp,
+        )
+        # A reloaded copy, so the shared fixture model stays
+        # uninstrumented.
+        detector = ModelStore.from_intellog(model).to_intellog().detector()
+        registry = MetricsRegistry()
+        detector.instrument(registry)
+        detector.detect_job(list(split_sessions(records)))
+
+        def total(name):
+            return sum(v for _, v in registry.get(name).samples())
+
+        assert int(registry.get("detect_records_total").value) \
+            == len(records)
+        assert total("spell_index_hits_total") == len(records)
+        assert total("spell_match_attempts_total") == len(records)

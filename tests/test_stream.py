@@ -38,14 +38,22 @@ def record(ts, message, sid="", app=""):
                      message=message, session_id=sid, app_id=app)
 
 
-@pytest.fixture(scope="module")
-def detection_records(spark_model):
-    """Seeded detection workload: three Spark jobs, time-interleaved."""
-    gen = WorkloadGenerator(seed=77)
-    jobs = gen.run_batch("spark", 3)
+def replay_records(system):
+    """Seeded detection workload: three jobs, time-interleaved."""
+    jobs = WorkloadGenerator(seed=77).run_batch(system, 3)
     records = [r for job in jobs for r in job.records]
     records.sort(key=lambda r: r.timestamp)
     return records
+
+
+@pytest.fixture(scope="module")
+def detection_records(spark_model):
+    return replay_records("spark")
+
+
+@pytest.fixture(scope="module")
+def mr_detection_records():
+    return replay_records("mapreduce")
 
 
 def run_stream(model, records, **tracker_kwargs):
@@ -179,24 +187,28 @@ class TestSessionTracker:
 
 
 class TestBoundedMemory:
-    def test_peak_sessions_bounded_under_10x_load(self, spark_model,
-                                                  detection_records):
+    def test_peak_sessions_bounded_under_10x_load(
+        self, spark_model, detection_records, mr_model, mr_detection_records
+    ):
         """Acceptance: with 10x more containers than the cap, the
-        runtime's peak tracked-session count stays under the cap."""
-        n_sessions = len(split_sessions(detection_records))
-        cap = max(1, n_sessions // 10)
-        sink, stats = run_stream(
-            spark_model, detection_records,
-            idle_timeout=1e12, max_open_sessions=cap, end_markers=(),
-        )
-        assert n_sessions >= 10 * cap
-        assert stats.peak_open_sessions <= cap
-        assert stats.evictions > 0
-        # Every session still gets at least one report (evicted slices
-        # re-open), and every record is accounted for.
-        assert sum(
-            r.message_count for r in sink.reports
-        ) == len(detection_records)
+        runtime's peak tracked-session count stays under the cap, on
+        the Spark and the MapReduce model."""
+        for model, records in ((spark_model, detection_records),
+                               (mr_model, mr_detection_records)):
+            n_sessions = len(split_sessions(records))
+            cap = max(1, n_sessions // 10)
+            sink, stats = run_stream(
+                model, records,
+                idle_timeout=1e12, max_open_sessions=cap, end_markers=(),
+            )
+            assert n_sessions >= 10 * cap
+            assert stats.peak_open_sessions <= cap
+            assert stats.evictions > 0
+            # Every session still gets at least one report (evicted
+            # slices re-open), and every record is accounted for.
+            assert sum(
+                r.message_count for r in sink.reports
+            ) == len(records)
 
 
 class TestCheckpointResume:
