@@ -1,7 +1,6 @@
-"""Anomaly detection: HW-graph instances and the session detector."""
+"""Anomaly detection: the session detector and its reports."""
 
 from .detector import AnomalyDetector, DetectorConfig
-from .instance import GroupInstance, HWGraphInstance
 from .partition import detect_job_partitioned
 from .report import Anomaly, AnomalyKind, JobReport, SessionReport
 
@@ -10,8 +9,6 @@ __all__ = [
     "AnomalyDetector",
     "AnomalyKind",
     "DetectorConfig",
-    "GroupInstance",
-    "HWGraphInstance",
     "JobReport",
     "SessionReport",
     "detect_job_partitioned",

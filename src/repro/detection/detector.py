@@ -12,11 +12,17 @@ For each incoming session the detector
    connect lines repeat the same message — while the per-record summary
    and group lookup still run on every record, so no two reports share
    a mutable value;
-2. builds a HW-graph instance and, once the session is complete, checks it
-   against the trained HW-graph: missing critical Intel Keys in subroutine
-   instances, order violations, unexpected keys inside a subroutine,
-   missing entity groups, and lifespan hierarchy violations are all
-   **erroneous HW-graph instance** anomalies.
+2. turns every other matched record into one row — timestamp, Intel
+   Key id, identifier values, identifier types — filed under the entity
+   groups its key feeds.  What a row needs of the key (its groups, and
+   which capture is an identifier or a value of which name) is compiled
+   into one :class:`KeyPlan` per Intel Key when the detector is built,
+   so the per-record step only scatters the match captures.  Once the
+   session is complete, each group's rows are split into subroutine
+   instances and checked against the trained HW-graph: missing critical
+   Intel Keys in subroutine instances, order violations, unexpected keys
+   inside a subroutine, missing entity groups, and lifespan hierarchy
+   violations are all **erroneous HW-graph instance** anomalies.
 
 Key-value-dump keys learned during training are ignored rather than
 reported (paper §5).
@@ -27,17 +33,30 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, ContextManager
+from operator import itemgetter
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Collection,
+    ContextManager,
+    Sequence,
+)
 
 from ..extraction.cache import ExtractionCache
 from ..extraction.idvalue import FieldRole
 from ..extraction.intelkey import IntelKey
-from ..extraction.pipeline import InformationExtractor
+from ..extraction.pipeline import InformationExtractor, to_number
 from ..graph.hwgraph import HWGraph
-from ..graph.lifespan import BEFORE, PARENT
+from ..graph.lifespan import BEFORE, PARENT, Lifespan
+from ..graph.subroutine import Row, SubroutineInstance, assign_instances
 from ..parsing.records import LogRecord, Session
-from ..parsing.spell import MatchResult, SpellParser, mask_message
-from .instance import HWGraphInstance
+from ..parsing.spell import (
+    MatchResult,
+    SpellParser,
+    extract_parameters,
+    mask_message,
+)
 from .report import Anomaly, AnomalyKind, JobReport, SessionReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -63,10 +82,12 @@ def match_captures(
     """The match-time captures when they may stand in for
     ``intel_key``'s template alignment, else ``None``.
 
-    They are exactly what :meth:`InformationExtractor.to_intel_message`
-    would recompute when the matched log key's template IS the Intel
-    Key's template, the key has a constant (the reserved all-star key's
-    match parameters use a different convention) and the match aligned.
+    They are exactly what ``extract_parameters(intel_key.template,
+    match.raw_tokens)`` would recompute (the alignment detection and
+    :meth:`InformationExtractor.to_intel_message` fall back to) when
+    the matched log key's template IS the Intel Key's template, the key
+    has a constant (the reserved all-star key's match parameters use a
+    different convention) and the match aligned.
     The per-key half of the rule is cached in ``verdicts`` by key id:
     templates are frozen while matching.
     """
@@ -79,6 +100,60 @@ def match_captures(
     if same_template and not match.misaligned:
         return match.parameters
     return None
+
+
+@dataclass(frozen=True, slots=True)
+class KeyPlan:
+    """What detection reads of one Intel Key, compiled once per detector.
+
+    ``slots`` has one entry per :class:`~repro.extraction.intelkey.FieldSpec`,
+    in field order: ``(name, False)`` for an identifier, ``(NAME, True)``
+    for a value — an identifier of type ``NAME`` (the upper-cased field
+    name) whenever its capture is not a number, as
+    :meth:`InformationExtractor.to_intel_message` files it — and
+    ``None`` for a locality, which detection never reads.
+    """
+
+    intel_key: IntelKey
+    #: Labels of the groups the key feeds, in the iteration order of
+    #: ``graph.key_groups[key_id]`` (the order that decides the order of
+    #: a report's subroutine anomalies).
+    groups: tuple[str, ...]
+    slots: tuple[tuple[str, bool] | None, ...]
+
+    @classmethod
+    def compile(
+        cls, intel_key: IntelKey, groups: tuple[str, ...]
+    ) -> "KeyPlan":
+        slots: list[tuple[str, bool] | None] = []
+        for spec in intel_key.fields:
+            if spec.role == FieldRole.IDENTIFIER:
+                slots.append((spec.name, False))
+            elif spec.role == FieldRole.VALUE:
+                slots.append((spec.name.upper(), True))
+            else:
+                slots.append(None)
+        return cls(intel_key, groups, tuple(slots))
+
+    def row(self, timestamp: float, captures: Sequence[str]) -> Row:
+        """One matched record's row, scattered from its captures."""
+        values: list[str] = []
+        types: list[str] = []
+        for slot, capture in zip(self.slots, captures):
+            if slot is None:
+                continue
+            name, is_value = slot
+            if is_value and to_number(capture) is not None:
+                continue
+            values.append(capture)
+            types.append(name)
+        return (
+            timestamp, self.intel_key.key_id, frozenset(values),
+            tuple(types),
+        )
+
+
+_timestamp = itemgetter(0)
 
 
 @dataclass(slots=True)
@@ -120,6 +195,17 @@ class AnomalyDetector:
         self._label_phrases: list[tuple[tuple[str, ...], str]] = [
             (tuple(label.split()), label) for label in graph.groups
         ]
+        # One plan per Intel Key that detection checks: every key but
+        # the ignored key-value dumps (paper §5).  Compiled against the
+        # graph as it is now, so a detector must not outlive a change
+        # to its graph (a model swap builds a new detector).
+        self._plans = {
+            key_id: KeyPlan.compile(
+                intel_key, tuple(graph.key_groups.get(key_id, ()))
+            )
+            for key_id, intel_key in graph.intel_keys.items()
+            if key_id not in graph.ignored_keys
+        }
         # Lazily resolved PARENT/BEFORE verdicts for _check_hierarchy —
         # pure over the frozen training graph, so computed once per
         # detector instead of once per session pair.
@@ -130,13 +216,15 @@ class AnomalyDetector:
         # Subroutine checks are pure over the frozen model and instance
         # key sequences repeat heavily across sessions, so both the
         # signature->subroutine resolution and the per-sequence problem
-        # list are memoized, each reset wholesale at _MEMO_CAP entries
-        # (a stream or serve detector lives as long as its process).
+        # list (already classified into anomaly fields) are memoized,
+        # each reset wholesale at _MEMO_CAP entries (a stream or serve
+        # detector lives as long as its process).
         self._best_match_memo: dict[
             tuple[str, tuple[str, ...]], "Subroutine | None"
         ] = {}
         self._check_memo: dict[
-            tuple[int, tuple[str, ...]], tuple[str, ...]
+            tuple[int, tuple[str, ...]],
+            tuple[tuple[AnomalyKind, str, str | None], ...],
         ] = {}
         # Unexpected-message extraction, memoised on (masked tokens,
         # message) and reset wholesale at _MEMO_CAP entries.
@@ -206,17 +294,15 @@ class AnomalyDetector:
         matches: list["MatchResult | None"] | None,
     ) -> SessionReport:
         report = SessionReport(session_id=session.session_id)
-        instance = HWGraphInstance(
-            session_id=session.session_id, graph=self.graph
-        )
 
         # Records are matched in one batch up front (memoized per
-        # distinct message), then the extraction/graph loop runs over
-        # the precomputed results; when the caller already matched the
-        # records (:meth:`detect_batch` across sessions, or a stream's
-        # live pass), its results are reused verbatim.  Match/extract
-        # phase times are accumulated across the loop and reported as
-        # two pre-measured spans rather than thousands of micro-spans.
+        # distinct message), then each matched record's captures are
+        # scattered into one row per record; when the caller already
+        # matched the records (:meth:`detect_batch` across sessions, or
+        # a stream's live pass), its results are reused verbatim.
+        # Match/scatter phase times are accumulated across the loop and
+        # reported as two pre-measured spans rather than thousands of
+        # micro-spans.
         timed = tracer is not None
         records = list(session)
         match_s = 0.0
@@ -229,6 +315,9 @@ class AnomalyDetector:
             )
             if timed:
                 match_s = time.perf_counter() - t0
+        plans = self._plans
+        captures_ok = self._captures_ok
+        group_rows: dict[str, list[Row]] = {}
         for record, match in zip(records, matches):
             report.message_count += 1
             if match is None:
@@ -237,44 +326,51 @@ class AnomalyDetector:
                 )
                 continue
             report.matched_count += 1
-            key_id = match.key.key_id
-            if key_id in self.graph.ignored_keys:
-                continue
-            intel_key = self.graph.intel_keys.get(key_id)
-            if intel_key is None:
+            # No plan: an ignored key-value dump, or no Intel Key.
+            plan = plans.get(match.key.key_id)
+            if plan is None:
                 continue
             if timed:
                 t0 = time.perf_counter()
-            message = self.extractor.to_intel_message(
-                intel_key,
-                record.message,
-                timestamp=record.timestamp,
-                session_id=session.session_id,
-                raw_tokens=match.raw_tokens,
-                captures=match_captures(
-                    match, intel_key, self._captures_ok
-                ),
-            )
+            captures = match_captures(match, plan.intel_key, captures_ok)
+            if captures is None:
+                raw_tokens = match.raw_tokens
+                if raw_tokens is None:
+                    raw_tokens = mask_message(record.message)[1]
+                captures = extract_parameters(
+                    plan.intel_key.template, raw_tokens
+                )
+            if captures is not None and plan.groups:
+                row = plan.row(record.timestamp, captures)
+                for label in plan.groups:
+                    rows = group_rows.get(label)
+                    if rows is None:
+                        group_rows[label] = [row]
+                    else:
+                        rows.append(row)
             if timed:
                 extract_s += time.perf_counter() - t0
-            if message is None:
+            if captures is None:
                 report.anomalies.append(self._unexpected_message(record))
-                continue
-            instance.add(message)
 
-        instance.finalize()
+        instances: dict[str, list[SubroutineInstance]] = {}
+        spans: dict[str, Lifespan] = {}
+        for label, rows in group_rows.items():
+            rows.sort(key=_timestamp)
+            instances[label] = assign_instances(rows)
+            spans[label] = Lifespan(rows[0][0], rows[-1][0])
         span: Callable[[str], ContextManager[Any]] = nullcontext
         if tracer is not None:
             tracer.record("detect.match", match_s)
             tracer.record("detect.extract", extract_s)
             span = tracer.span
         with span("detect.subroutines"):
-            self._check_subroutines(instance, report)
+            self._check_subroutines(instances, report)
         if self.config.report_missing_groups:
-            self._check_missing_groups(instance, report)
+            self._check_missing_groups(group_rows.keys(), report)
         if self.config.check_hierarchy:
             with span("detect.hierarchy"):
-                self._check_hierarchy(instance, report)
+                self._check_hierarchy(spans, report)
         return report
 
     def detect_batch(
@@ -369,13 +465,15 @@ class AnomalyDetector:
                 yield self.graph.groups[label]
 
     def _check_subroutines(
-        self, instance: HWGraphInstance, report: SessionReport
+        self,
+        instances: dict[str, list[SubroutineInstance]],
+        report: SessionReport,
     ) -> None:
-        for label, group_instance in instance.groups.items():
+        for label, group_instances in instances.items():
             node = self.graph.groups.get(label)
             if node is None:
                 continue
-            for sub_instance in group_instance.instances:
+            for sub_instance in group_instances:
                 signature = sub_instance.signature
                 sig_key = (label, signature)
                 if sig_key in self._best_match_memo:
@@ -406,34 +504,29 @@ class AnomalyDetector:
                     if len(self._check_memo) >= _MEMO_CAP:
                         self._check_memo.clear()
                     problems = self._check_memo[memo_key] = tuple(
-                        model.check_instance(sequence, complete=True)
+                        _parse_problem(problem)
+                        for problem in model.check_instance(
+                            sequence, complete=True
+                        )
                     )
-                for problem in problems:
-                    kind = AnomalyKind.INCOMPLETE_SUBROUTINE
-                    if problem.startswith("missing critical"):
-                        kind = AnomalyKind.MISSING_CRITICAL_KEY
-                    elif problem.startswith("order violation"):
-                        kind = AnomalyKind.ORDER_VIOLATION
-                    elif problem.startswith("unexpected key"):
-                        kind = AnomalyKind.UNEXPECTED_KEY
+                for kind, description, key_id in problems:
                     report.anomalies.append(
                         Anomaly(
                             kind=kind,
-                            description=problem,
+                            description=description,
                             group=label,
-                            key_id=_problem_key(problem),
+                            key_id=key_id,
                         )
                     )
 
     def _check_missing_groups(
-        self, instance: HWGraphInstance, report: SessionReport
+        self, present: Collection[str], report: SessionReport
     ) -> None:
         if (
             report.message_count
             < self.config.min_session_length_for_missing
         ):
             return
-        present = instance.present_groups()
         total = max(self.graph.training_sessions, 1)
         for label, node in self.graph.groups.items():
             if label in present:
@@ -472,12 +565,11 @@ class AnomalyDetector:
         return pairs
 
     def _check_hierarchy(
-        self, instance: HWGraphInstance, report: SessionReport
+        self, spans: dict[str, Lifespan], report: SessionReport
     ) -> None:
         pairs = self._hierarchy_pairs
         if pairs is None:
             pairs = self._hierarchy_pairs = self._constrained_pairs()
-        spans = instance.lifespans()
         labels = sorted(spans)
         for i, a in enumerate(labels):
             for b in labels[i + 1:]:
@@ -543,8 +635,19 @@ def _extraction_summary(
     return summary
 
 
-def _problem_key(problem: str) -> str | None:
+def _parse_problem(problem: str) -> tuple[AnomalyKind, str, str | None]:
+    """A :meth:`Subroutine.check_instance` problem string as the kind,
+    description and key id of its anomaly."""
+    kind = AnomalyKind.INCOMPLETE_SUBROUTINE
+    if problem.startswith("missing critical"):
+        kind = AnomalyKind.MISSING_CRITICAL_KEY
+    elif problem.startswith("order violation"):
+        kind = AnomalyKind.ORDER_VIOLATION
+    elif problem.startswith("unexpected key"):
+        kind = AnomalyKind.UNEXPECTED_KEY
+    key_id = None
     for token in problem.split():
         if token.startswith("K") and token[1:].isdigit():
-            return token
-    return None
+            key_id = token
+            break
+    return kind, problem, key_id

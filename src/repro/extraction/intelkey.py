@@ -154,10 +154,6 @@ class IntelMessage:
         """Sorted identifier *types* present (UpdateSubroutine signature)."""
         return tuple(sorted(self.identifiers))
 
-    def first_value(self, name: str) -> float | None:
-        vals = self.values.get(name)
-        return vals[0] if vals else None
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "key_id": self.key_id,

@@ -262,7 +262,7 @@ class InformationExtractor:
             if spec.role == FieldRole.IDENTIFIER:
                 msg.identifiers.setdefault(spec.name, []).append(value)
             elif spec.role == FieldRole.VALUE:
-                number = _to_number(value)
+                number = to_number(value)
                 if number is not None:
                     msg.values.setdefault(spec.name, []).append(number)
                 else:
@@ -291,7 +291,9 @@ class InformationExtractor:
         return None
 
 
-def _to_number(text: str) -> float | None:
+def to_number(text: str) -> float | None:
+    """The number a VALUE capture reads as, or ``None`` when it is not
+    one (the capture then files as an identifier)."""
     text = text.strip()
     if _NUMBER_RE.match(text):
         return float(text)

@@ -164,9 +164,6 @@ class HWGraph:
                 stack.extend(self.groups[child].children)
         return out
 
-    def groups_of_message(self, message: IntelMessage) -> set[str]:
-        return self.key_groups.get(message.key_id, set())
-
     def to_networkx(self) -> "nx.DiGraph":
         """Export hierarchy + ordering as a networkx DiGraph.
 

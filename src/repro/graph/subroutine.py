@@ -24,56 +24,70 @@ from typing import Iterable, Mapping, Sequence
 from ..extraction.intelkey import IntelMessage
 
 
+#: One log message as Algorithm 2 reads it: ``(timestamp, Intel Key id,
+#: identifier values, identifier types)``.  Detection scatters each
+#: matched record straight into a row; training adapts its Intel
+#: Messages with :func:`message_row`.
+Row = tuple[float, str, frozenset[str], tuple[str, ...]]
+
+
+def message_row(message: IntelMessage) -> Row:
+    """The row of one Intel Message."""
+    return (
+        message.timestamp,
+        message.key_id,
+        frozenset(message.identifier_values),
+        tuple(message.identifiers),
+    )
+
+
 @dataclass(slots=True)
 class SubroutineInstance:
-    """One runtime instance: accumulated identifier values + messages."""
+    """One runtime instance: accumulated identifier values + rows."""
 
     values: frozenset[str]
-    messages: list[IntelMessage] = field(default_factory=list)
+    rows: list[Row] = field(default_factory=list)
 
     @property
     def key_sequence(self) -> list[str]:
-        return [m.key_id for m in self.messages]
+        return [row[1] for row in self.rows]
 
     @property
     def signature(self) -> tuple[str, ...]:
         types: set[str] = set()
-        for message in self.messages:
-            types.update(message.identifiers.keys())
+        for row in self.rows:
+            types.update(row[3])
         return tuple(sorted(types))
 
     def __len__(self) -> int:
-        return len(self.messages)
+        return len(self.rows)
 
 
-def assign_instances(
-    messages: Iterable[IntelMessage],
-) -> list[SubroutineInstance]:
-    """Algorithm 2's main loop: split one session's group messages into
+def assign_instances(rows: Iterable[Row]) -> list[SubroutineInstance]:
+    """Algorithm 2's main loop: split one session's group rows into
     subroutine instances by identifier-value overlap.
 
     The ``NONE`` instance (no identifiers) is returned first when present.
     """
     none_instance = SubroutineInstance(values=frozenset())
     instances: list[SubroutineInstance] = []
-    for message in messages:
-        value_set = frozenset(message.identifier_values)
+    for row in rows:
+        value_set = row[2]
         if not value_set:
-            none_instance.messages.append(message)
+            none_instance.rows.append(row)
             continue
-        placed = False
         for instance in instances:
-            if value_set <= instance.values or instance.values <= value_set:
-                instance.values = frozenset(instance.values | value_set)
-                instance.messages.append(message)
-                placed = True
+            if value_set <= instance.values:
+                instance.rows.append(row)
                 break
-        if not placed:
-            instances.append(
-                SubroutineInstance(values=value_set, messages=[message])
-            )
+            if instance.values <= value_set:
+                instance.values = value_set
+                instance.rows.append(row)
+                break
+        else:
+            instances.append(SubroutineInstance(values=value_set, rows=[row]))
     result: list[SubroutineInstance] = []
-    if none_instance.messages:
+    if none_instance.rows:
         result.append(none_instance)
     result.extend(instances)
     return result
@@ -251,7 +265,7 @@ class SubroutineModel:
 
     def train_session(self, messages: Iterable[IntelMessage]) -> None:
         """Consume one session's messages for this group (Algorithm 2)."""
-        for instance in assign_instances(messages):
+        for instance in assign_instances(map(message_row, messages)):
             self._subroutine_for(instance.signature).update(
                 instance.key_sequence
             )

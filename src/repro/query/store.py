@@ -289,25 +289,6 @@ class ModelStore:
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json())
 
-    def save_canonical(self, path: str | Path) -> str:
-        """Atomically write :meth:`canonical_bytes`; return the digest.
-
-        Used by the serving registry: the on-disk artifact is exactly
-        the content the digest names, so a stored file can always be
-        re-verified against its filename.  Temp-file + ``os.replace``
-        keeps a crashed publish from leaving a torn artifact.
-        """
-        import os
-
-        path = Path(path)
-        body = self.canonical_bytes()
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_bytes(body)
-        os.replace(tmp, path)
-        import hashlib
-
-        return hashlib.sha256(body).hexdigest()
-
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ModelStore":
         return cls(

@@ -377,10 +377,7 @@ class DetectionService:
             if tenant is None:
                 self.supervisor.forget(tenant_id)
                 continue
-            if (
-                tenant.quarantined is not None
-                or tenant.detach_requested
-            ):
+            if tenant.quarantined is not None:
                 continue
             attempted += 1
             try:
@@ -437,22 +434,10 @@ class DetectionService:
                 self._register_failure(tenant, note, None)
             else:
                 self.supervisor.record_success(tenant.tenant_id)
-        changed += self._apply_detaches()
         changed += self.enforce_budget()
         if consumed or changed:
             self._mirror_metrics()
         return consumed
-
-    def _apply_detaches(self) -> int:
-        detached = 0
-        for tenant in self._snapshot():
-            if tenant.detach_requested:
-                try:
-                    self.detach(tenant.tenant_id, flush=True)
-                except KeyError:  # pragma: no cover - benign race
-                    continue
-                detached += 1
-        return detached
 
     def enforce_budget(self) -> int:
         """Evict LRU sessions until the fleet fits the global budget."""

@@ -234,7 +234,6 @@ class _Shared:
     """Fields touched by both the pump and the control plane."""
 
     pending_lease: "LeasedModel | None" = None
-    detached: bool = False
     failure: str | None = None
     #: Traceback tail of the failure (why, not just what).
     failure_trace: str | None = None
@@ -321,15 +320,6 @@ class Tenant:
             # Two swaps raced before a quantum ran; only the newest
             # target matters, drop the superseded lease.
             previous.release()
-
-    def request_detach(self) -> None:
-        with self._lock:
-            self._shared.detached = True
-
-    @property
-    def detach_requested(self) -> bool:
-        with self._lock:
-            return self._shared.detached
 
     @property
     def swap_pending(self) -> bool:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..parsing.records import LogRecord, Session
+from ..parsing.records import LogRecord
 from .groundtruth import Role, Template, TemplateCatalog
 
 ID = Role.IDENTIFIER
@@ -272,9 +272,3 @@ def generate_nova_records(
                  gb=int(rng.integers(10, 500)),
                  n=int(rng.integers(0, 32)))
     return records
-
-
-def sessions_from_records(records: list[LogRecord]) -> list[Session]:
-    from ..parsing.records import split_sessions
-
-    return split_sessions(records)

@@ -259,15 +259,6 @@ class StreamCheckpoint:
             raise
 
     @classmethod
-    def load_if_exists(
-        cls, path: str | Path
-    ) -> "StreamCheckpoint | None":
-        path = Path(path)
-        if not path.exists():
-            return None
-        return cls.load(path)
-
-    @classmethod
     def recover(
         cls, path: str | Path
     ) -> tuple["StreamCheckpoint | None", str, list[str]]:

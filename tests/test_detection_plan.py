@@ -33,9 +33,10 @@ from repro.extraction.idvalue import FieldRole
 from repro.extraction.intelkey import FieldSpec, IntelKey, IntelMessage
 from repro.graph.hwgraph import GroupNode, HWGraph
 from repro.graph.lifespan import BEFORE, PARENT, Lifespan
+from repro.graph.subroutine import message_row
 from repro.obs import MetricsRegistry
-from repro.parsing.records import Session
-from repro.parsing.spell import SpellParser
+from repro.parsing.records import LogRecord, Session
+from repro.parsing.spell import SpellParser, extract_parameters
 from repro.simulators import FaultSpec, WorkloadGenerator, sessions_of
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "detect_reports"
@@ -253,8 +254,9 @@ _DIGITS = re.compile(r"\d+")
 
 
 def _corrupt(message: str, how: int) -> str:
-    """Turn a number into a word (a VALUE capture that is no longer
-    numeric, or a form that no longer matches its key) or drop a word."""
+    """Turn numbers into words (a VALUE capture that is no longer
+    numeric, or a form that no longer matches its key), drop the last
+    word or append one."""
     words = message.split()
     if how == 0:
         return _DIGITS.sub("many", message, count=1)
@@ -294,6 +296,41 @@ def _mutate(session: Session, data) -> Session:
     return replace(session, records=records)
 
 
+def _assert_rows_agree(
+    detector: AnomalyDetector, sessions: list[Session]
+) -> None:
+    """Every matched record's plan row equals the row of the Intel
+    Message the object path built for it (types deduplicated in field
+    order, as the message's identifier map keeps them)."""
+    extractor = detector.extractor
+    for session in sessions:
+        records = list(session)
+        matches = detector.spell.match_batch([r.message for r in records])
+        for record, match in zip(records, matches):
+            if match is None:
+                continue
+            plan = detector._plans.get(match.key.key_id)
+            if plan is None:
+                continue
+            reused = match_captures(match, plan.intel_key, {})
+            message = extractor.to_intel_message(
+                plan.intel_key, record.message, timestamp=record.timestamp,
+                raw_tokens=match.raw_tokens, captures=reused,
+            )
+            captures = reused
+            if captures is None:
+                captures = extract_parameters(
+                    plan.intel_key.template, match.raw_tokens
+                )
+            assert (captures is None) == (message is None), record.message
+            if message is None:
+                continue
+            ts, key_id, values, types = plan.row(record.timestamp, captures)
+            assert (ts, key_id, values, tuple(dict.fromkeys(types))) == (
+                message_row(message)
+            ), record.message
+
+
 def _canonical(reports: list[SessionReport]) -> str:
     return json.dumps([r.to_dict() for r in reports], sort_keys=True)
 
@@ -315,6 +352,9 @@ def test_plan_path_equals_object_path(pools, data) -> None:
     assert _canonical(plan.detect_batch(sessions)) == want
     # The unbatched path (each session matched on its own) agrees too.
     assert _canonical([plan.detect_session(s) for s in sessions]) == want
+    # Below the report: each record's row, whether or not a difference
+    # in it would change a verdict.
+    _assert_rows_agree(plan, sessions)
 
 
 @pytest.mark.parametrize("genre", GENRES)
@@ -326,3 +366,203 @@ def test_plan_path_equals_object_path_on_whole_pool(pools, genre) -> None:
     assert _canonical(plan.detect_batch(pool)) == _canonical(
         reference.detect_batch(pool)
     )
+    _assert_rows_agree(plan, pool)
+
+
+# -- a hand-built model for the branches -----------------------------------------
+
+_TRAIN_LINES = [
+    "Fetched block blk_1 size 42",
+    "Committed block blk_1",
+    "Dumped stats a=1,b=2",
+    "Heartbeat from node host1",
+]
+
+
+def _intel_key(key_id: str, template: tuple[str, ...], *fields) -> IntelKey:
+    return IntelKey(
+        key_id=key_id, template=template, sample=" ".join(template),
+        fields=tuple(
+            FieldSpec(position=i, role=role, name=name)
+            for i, (role, name) in enumerate(fields)
+        ),
+    )
+
+
+def _trained_message(key_id: str, block: str) -> IntelMessage:
+    return IntelMessage(
+        key_id=key_id, timestamp=0.0, session_id="train", message=key_id,
+        identifiers={"BLOCK": [block], "HOST": ["host1"]},
+    )
+
+
+def _hand_model(
+    committed: tuple[str, ...] = ("Committed", "block", "*"),
+) -> AnomalyDetector:
+    """One entity group, ``block``: K0 ``Fetched block * size *`` (a
+    BLOCK identifier and a ``size`` value), then K1 (``committed``, a
+    BLOCK identifier), critical and in that order.  Its one trained
+    signature is (BLOCK, HOST), so the signature a session's instance
+    gets shows in the report: (BLOCK,) matches it, (BLOCK, SIZE) does
+    not.  K2, a key-value dump, is ignored; K3 has no Intel Key."""
+    spell = SpellParser()
+    for line in _TRAIN_LINES:
+        spell.consume(line)
+    ident, value = FieldRole.IDENTIFIER, FieldRole.VALUE
+    intel_keys = {
+        "K0": _intel_key(
+            "K0", ("Fetched", "block", "*", "size", "*"),
+            (ident, "BLOCK"), (value, "size"),
+        ),
+        "K1": _intel_key("K1", committed, (ident, "BLOCK")),
+        "K2": _intel_key("K2", ("Dumped", "stats", "*"), (ident, "STATS")),
+    }
+    node = GroupNode(label="block", key_ids={"K0", "K1"}, session_count=1)
+    node.model.train_session(
+        [_trained_message("K0", "blk_1"), _trained_message("K1", "blk_1")]
+    )
+    graph = HWGraph(
+        groups={"block": node},
+        intel_keys=intel_keys,
+        key_groups={"K0": {"block"}, "K1": {"block"}, "K2": {"block"}},
+        ignored_keys={"K2"},
+        training_sessions=1,
+    )
+    return AnomalyDetector(graph, spell)
+
+
+def _session(*messages: str) -> Session:
+    return Session(
+        session_id="s",
+        records=[
+            LogRecord(timestamp=float(t), level="INFO", source="x",
+                      message=message)
+            for t, message in enumerate(messages)
+        ],
+    )
+
+
+def _report(detector: AnomalyDetector, *messages: str) -> SessionReport:
+    """The report on one session of ``messages``, one second apart,
+    checked against the object path's."""
+    session = _session(*messages)
+    report = detector.detect_session(session)
+    assert report.message_count == len(messages)
+    reference = ObjectPathDetector(
+        detector.graph, detector.spell, detector.extractor
+    )
+    assert report.to_dict() == reference.detect_session(session).to_dict()
+    return report
+
+
+def _anomalies(detector: AnomalyDetector, *messages: str) -> list[dict]:
+    report = _report(detector, *messages)
+    return [
+        {k: v for k, v in a.to_dict().items() if k != "extraction"}
+        for a in report.anomalies
+    ]
+
+
+def _incomplete(signature: tuple[str, ...]) -> dict:
+    return {
+        "kind": "incomplete_subroutine",
+        "description": f"no trained subroutine for signature {signature} "
+                       f"in group 'block'",
+        "group": "block",
+    }
+
+
+def _missing(key_id: str) -> dict:
+    return {
+        "kind": "missing_critical_key",
+        "description": f"missing critical key {key_id} in subroutine "
+                       f"('BLOCK', 'HOST')",
+        "group": "block",
+        "key_id": key_id,
+    }
+
+
+def test_hand_model_clean_session() -> None:
+    detector = _hand_model()
+    assert _anomalies(
+        detector, "Fetched block blk_7 size 42", "Committed block blk_7"
+    ) == []
+
+
+def test_non_numeric_value_becomes_upper_case_identifier() -> None:
+    detector = _hand_model()
+    plan = detector._plans["K0"]
+    assert plan.row(3.0, ["blk_7", "42"]) == (
+        3.0, "K0", frozenset({"blk_7"}), ("BLOCK",)
+    )
+    assert plan.row(3.0, ["blk_7", "huge"]) == (
+        3.0, "K0", frozenset({"blk_7", "huge"}), ("BLOCK", "SIZE")
+    )
+    # The SIZE type moves the instance's signature off the trained one.
+    assert _anomalies(
+        detector, "Fetched block blk_7 size huge", "Committed block blk_7"
+    ) == [_incomplete(("BLOCK", "SIZE"))]
+
+
+def test_non_numeric_value_changes_the_overlap_split() -> None:
+    detector = _hand_model()
+    # A numeric size: K1's blk_8 shares no value with K0's blk_7, so
+    # each message is an instance of its own, each missing the other.
+    assert _anomalies(
+        detector, "Fetched block blk_7 size 42", "Committed block blk_8"
+    ) == [_missing("K1"), _missing("K0")]
+    # A non-numeric size carries blk_8 into K0's values, so K1 joins
+    # K0's instance, whose signature is then (BLOCK, SIZE).
+    assert _anomalies(
+        detector, "Fetched block blk_7 size blk_8", "Committed block blk_8"
+    ) == [_incomplete(("BLOCK", "SIZE"))]
+
+
+def test_match_with_another_template_is_realigned() -> None:
+    # The Intel Key's template is not the matched log key's, so the
+    # match captures (blk_7) must not stand in for its alignment, which
+    # captures "block blk_7": K1 no longer overlaps K0.
+    detector = _hand_model(committed=("Committed", "*"))
+    assert detector._plans["K1"].intel_key.template != tuple(
+        detector.spell.match("Committed block blk_7").key.tokens
+    )
+    assert _anomalies(
+        detector, "Fetched block blk_7 size 42", "Committed block blk_7"
+    ) == [_missing("K1"), _missing("K0")]
+
+
+def test_failed_realignment_is_an_unexpected_message() -> None:
+    detector = _hand_model(committed=("Stored", "block", "*"))
+    report = _report(
+        detector, "Fetched block blk_7 size 42", "Committed block blk_7"
+    )
+    assert report.matched_count == 2
+    assert [a.kind for a in report.anomalies] == [
+        AnomalyKind.UNEXPECTED_MESSAGE, AnomalyKind.MISSING_CRITICAL_KEY,
+    ]
+    assert report.anomalies[0].message == "Committed block blk_7"
+    assert report.anomalies[0].timestamp == 1.0
+
+
+def test_ignored_key_is_skipped() -> None:
+    # K2's Intel Key cannot align this message and K2 feeds the block
+    # group: were it not ignored, it would report.
+    detector = _hand_model()
+    assert "K2" not in detector._plans
+    report = _report(
+        detector, "Fetched block blk_7 size 42", "Dumped stats a=3,b=4",
+        "Committed block blk_7",
+    )
+    assert report.matched_count == 3
+    assert report.anomalies == []
+
+
+def test_key_without_intel_key_is_skipped() -> None:
+    detector = _hand_model()
+    assert "K3" not in detector._plans
+    report = _report(
+        detector, "Fetched block blk_7 size 42", "Heartbeat from node host2",
+        "Committed block blk_7",
+    )
+    assert report.matched_count == 3
+    assert report.anomalies == []

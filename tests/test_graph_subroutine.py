@@ -6,6 +6,7 @@ from repro.graph.subroutine import (
     Subroutine,
     SubroutineModel,
     assign_instances,
+    message_row,
 )
 
 
@@ -20,12 +21,16 @@ def msg(key_id, identifiers=None, t=0.0):
     return message
 
 
+def row(key_id, identifiers=None, t=0.0):
+    return message_row(msg(key_id, identifiers, t))
+
+
 class TestAssignInstances:
     def test_no_identifier_goes_to_none_instance(self):
         # Algorithm 2 line 7-8: identifier-less messages share the NONE
         # sequence.
         instances = assign_instances(
-            [msg("A"), msg("B", {"T": ["1"]}), msg("C")]
+            [row("A"), row("B", {"T": ["1"]}), row("C")]
         )
         none_instance = instances[0]
         assert none_instance.values == frozenset()
@@ -34,16 +39,16 @@ class TestAssignInstances:
     def test_subset_joins_existing_instance(self):
         # Algorithm 2 line 9-12: subset/superset identifier sets merge.
         instances = assign_instances([
-            msg("A", {"T": ["1"], "S": ["x"]}),
-            msg("B", {"T": ["1"]}),
+            row("A", {"T": ["1"], "S": ["x"]}),
+            row("B", {"T": ["1"]}),
         ])
         assert len(instances) == 1
         assert instances[0].key_sequence == ["A", "B"]
 
     def test_superset_extends_values(self):
         instances = assign_instances([
-            msg("A", {"T": ["1"]}),
-            msg("B", {"T": ["1"], "S": ["x"]}),
+            row("A", {"T": ["1"]}),
+            row("B", {"T": ["1"], "S": ["x"]}),
         ])
         assert len(instances) == 1
         assert instances[0].values == {"1", "x"}
@@ -51,14 +56,14 @@ class TestAssignInstances:
     def test_disjoint_values_new_instance(self):
         # Algorithm 2 line 14.
         instances = assign_instances([
-            msg("A", {"T": ["1"]}),
-            msg("A", {"T": ["2"]}),
+            row("A", {"T": ["1"]}),
+            row("A", {"T": ["2"]}),
         ])
         assert len(instances) == 2
 
     def test_signature_is_sorted_types(self):
         instances = assign_instances([
-            msg("A", {"T": ["1"], "F": ["9"]}),
+            row("A", {"T": ["1"], "F": ["9"]}),
         ])
         assert instances[0].signature == ("F", "T")
 
