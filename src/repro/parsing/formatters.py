@@ -9,6 +9,13 @@ customize and implement their own formatters."
 We provide formatters for the Hadoop family (MapReduce, Tez, YARN — one
 shared log4j layout) and for Spark, plus a generic fallback, and a registry
 through which users plug in their own.
+
+A line the formatter does not recognize continues the record before it
+(a stack trace, a wrapped message).  :class:`LineFolder` is the one place
+that folds such lines: :meth:`Formatter.parse_lines` runs it over a line
+stream, and the streaming file follower
+(:class:`repro.stream.FileFollowSource`) runs it over each block of lines
+it reads, holding the last record open across polls.
 """
 
 from __future__ import annotations
@@ -17,12 +24,14 @@ import functools
 import re
 from abc import ABC, abstractmethod
 from datetime import datetime, timezone
+from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 from .records import LogRecord
 
 __all__ = [
     "Formatter",
+    "LineFolder",
     "HadoopFormatter",
     "SparkFormatter",
     "GenericFormatter",
@@ -45,21 +54,79 @@ class Formatter(ABC):
     def parse_lines(self, lines: Iterable[str]) -> Iterator[LogRecord]:
         """Parse a line stream, folding continuation lines (stack traces)
         into the preceding record's message."""
-        current: LogRecord | None = None
-        for line in lines:
-            line = line.rstrip("\n")
-            if not line.strip():
+        folder = LineFolder(self)
+        lines = iter(lines)
+        while chunk := [
+            line.rstrip("\n") for line in islice(lines, _CHUNK_LINES)
+        ]:
+            out: list[LogRecord] = []
+            folder.fold(chunk, out)
+            yield from out
+        if folder.pending is not None:
+            yield folder.pending
+
+
+#: Lines :meth:`Formatter.parse_lines` folds per call.
+_CHUNK_LINES = 4096
+
+
+class LineFolder:
+    """Turns lines into records, folding each continuation line into the
+    record before it.
+
+    The newest record stays :attr:`pending` until a later header line or
+    the caller releases it, since more continuation lines may follow.
+    A blank or whitespace-only line is skipped.  A line that is neither a
+    header nor has a record to continue is an *orphan*.
+    """
+
+    __slots__ = ("_parse", "pending", "pending_line")
+
+    def __init__(self, formatter: Formatter) -> None:
+        self._parse = formatter.try_parse
+        #: The newest record, still open to continuation lines.
+        self.pending: LogRecord | None = None
+        #: Index, in the last :meth:`fold` call's lines, of the header
+        #: line of :attr:`pending`; -1 if it came from an earlier call.
+        self.pending_line = -1
+
+    def fold(
+        self,
+        lines: list[str],
+        out: list[LogRecord],
+        limit: int | None = None,
+        orphans: list[int] | None = None,
+    ) -> int:
+        """Fold ``lines`` (without line ends), appending each completed
+        record to ``out``; return how many lines were consumed.
+
+        With ``limit`` (above ``len(out)`` on entry), stop after the line
+        whose record brought ``len(out)`` to ``limit``.  Orphan lines are dropped, or their
+        indices appended to ``orphans`` when it is given.
+        """
+        parse = self._parse
+        pending = self.pending
+        pending_line = -1
+        consumed = len(lines)
+        for i, line in enumerate(lines):
+            if not line or line.isspace():
                 continue
-            record = self.try_parse(line)
+            record = parse(line)
             if record is not None:
-                if current is not None:
-                    yield current
-                current = record
-            elif current is not None:
-                current.message += "\n" + line.strip()
-                current.raw += "\n" + line
-        if current is not None:
-            yield current
+                if pending is not None:
+                    out.append(pending)
+                pending, pending_line = record, i
+                if limit is not None and len(out) >= limit:
+                    consumed = i + 1
+                    break
+            elif pending is not None:
+                pending.message += "\n" + line.strip()
+                pending.raw += "\n" + line
+            elif orphans is not None:
+                orphans.append(i)
+        self.pending = pending
+        self.pending_line = pending_line
+        return consumed
 
 
 # 2019-06-22 10:15:32,123 INFO [fetcher#1] org.apache...reduce.Fetcher: msg

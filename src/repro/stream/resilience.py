@@ -320,13 +320,11 @@ def finalization_id(session: Session) -> str:
     (only possible when the input itself was duplicated wholesale)
     deliberately share an id and dedupe.
     """
-    digest = hashlib.sha256()
-    digest.update(session.session_id.encode("utf-8", "replace"))
-    digest.update(b"\x00")
-    digest.update(session.app_id.encode("utf-8", "replace"))
+    parts = [session.session_id, "\x00", session.app_id]
     for record in session.records:
-        digest.update(b"\x00")
-        digest.update(repr(record.timestamp).encode("ascii", "replace"))
-        digest.update(b"\x1f")
-        digest.update(record.message.encode("utf-8", "replace"))
-    return digest.hexdigest()[:20]
+        parts += ("\x00", repr(record.timestamp), "\x1f", record.message)
+    # One encode of the joined text gives the bytes of encoding each
+    # part on its own: "replace" turns each unencodable code point (a
+    # lone surrogate) into one "?", and repr() of a float is ASCII.
+    data = "".join(parts).encode("utf-8", "replace")
+    return hashlib.sha256(data).hexdigest()[:20]

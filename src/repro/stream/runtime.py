@@ -923,22 +923,36 @@ class StreamRuntime:
 
     def _ingest(self, records: list, start: float) -> None:
         """Live-check a batch (one match per record) and feed it to the
-        tracker, which carries each match to the session's close."""
+        tracker, which carries each match to the session's close.
+
+        ``stream_records_total`` advances once per stretch of the batch
+        between stats boundaries, so stats still fire after the same
+        records, with the same counts, as with one increment per record.
+        """
         assert self._next_stats_at is not None
-        for record, (alert, match) in zip(
-            records, self.detector.observe_batch(records)
+        observe = self.tracker.observe
+        counted = 0  # records of this batch already in the counter
+        due = self._next_stats_at - int(self._m_records.value)
+        for n, (record, (alert, match)) in enumerate(
+            zip(records, self.detector.observe_batch(records)), 1
         ):
-            self._m_records.inc()
-            self._run_consumed += 1
             if alert is not None:
                 self._m_live_alerts.inc()
                 if self.on_alert is not None:
                     self.on_alert(alert)
-            for closed in self.tracker.observe(record, match):
+            for closed in observe(record, match):
                 self._finalize(closed)
-            if int(self._m_records.value) >= self._next_stats_at:
+            if n >= due:
+                self._count_records(n - counted)
+                counted = n
+                due += self.stats_every
                 self._next_stats_at += self.stats_every
                 self._emit_stats(start)
+        self._count_records(len(records) - counted)
+
+    def _count_records(self, count: int) -> None:
+        self._m_records.inc(count)
+        self._run_consumed += count
 
     def _finalize(self, closed: ClosedSession) -> None:
         fid = finalization_id(closed.session)

@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import logging
 import os
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Any, Callable, Iterator, Protocol, Sequence, runtime_checkable
 
-from ..parsing.formatters import Formatter, default_registry
+from ..parsing.formatters import Formatter, LineFolder, default_registry
 from ..parsing.records import LogRecord, yarn_session_key
 from .resilience import (
     REASON_BINARY,
@@ -55,6 +55,9 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+#: Bytes :class:`FileFollowSource` reads per ``read()``.
+BLOCK_SIZE = 1 << 16
 
 
 @runtime_checkable
@@ -151,12 +154,26 @@ class IterableSource:
 class FileFollowSource:
     """Tails a log file, yielding records parsed from new complete lines.
 
+    ``poll`` reads the file in blocks of :data:`BLOCK_SIZE` bytes from
+    the consumed offset and takes each block up to its last line end
+    (a line longer than a block doubles the read until it ends).  A
+    clean block, with no NUL byte and valid UTF-8 that holds no U+FFFD,
+    is decoded once and split on ``"\\n"``; each line's byte offset is
+    the block's offset plus the byte sizes of the lines before it, so no
+    per-line ``tell()`` is needed.  Any other block goes line by line:
+    each line with a NUL is quarantined as binary and each line that
+    does not decode cleanly as a decode error, at its own offset, and
+    the rest are parsed as usual.  Bytes after the last line end are a
+    line still being written; they are read again on the next poll.
+
     Continuation lines (stack traces) must fold into the preceding
-    record, so the most recent parsed record is held back until the next
-    header line arrives; ``flush_pending`` (called by the runtime when
-    the file has gone quiet or at end-of-input) releases it.  The
-    checkpoint position is the byte offset of the *held-back* record, so
-    resuming re-reads only that record and loses nothing.
+    record (:class:`~repro.parsing.formatters.LineFolder`, shared with
+    ``Formatter.parse_lines``), so the most recent parsed record is held
+    back until the next header line arrives; ``flush_pending`` (called
+    by the runtime when the file has gone quiet or at end-of-input)
+    releases it.  The checkpoint position is the byte offset of the
+    *held-back* record, so resuming re-reads only that record and loses
+    nothing.
 
     Rotation and truncation counters (``rotations`` / ``truncations``),
     IO-error counts (``io_errors``) and the dead-letter ``quarantine``
@@ -179,7 +196,7 @@ class FileFollowSource:
             quarantine if quarantine is not None else ListQuarantine()
         )
         self._offset = 0  # consumed-through byte offset
-        self._pending: LogRecord | None = None
+        self._folder = LineFolder(formatter)  # holds the pending record
         self._pending_offset = 0  # offset of the pending record's line
         self._inode: int | None = None
         self.rotations = 0
@@ -191,20 +208,27 @@ class FileFollowSource:
     def poll(self, max_records: int) -> list[LogRecord]:
         out: list[LogRecord] = []
         try:
-            fp = open(self.path, "rb")
+            fp = open(self.path, "rb", buffering=0)
         except FileNotFoundError:
             # Not created yet, or mid-rotation: nothing to read *now*.
             return out
         with fp:
             self._detect_regression(fp, out)
-            fp.seek(self._offset)
+            size = BLOCK_SIZE
             while len(out) < max_records:
-                line_start = fp.tell()
-                raw = fp.readline()
-                if not raw.endswith(b"\n"):
-                    break  # partial line still being written
-                self._offset = fp.tell()
-                self._consume_line(raw, line_start, out)
+                fp.seek(self._offset)
+                block = fp.read(size)
+                end = block.rfind(b"\n") + 1
+                if not end:
+                    if len(block) < size:
+                        break  # partial line still being written
+                    size *= 2  # a line longer than the read
+                    continue
+                if not self._consume(block[:end], out, max_records):
+                    break
+                if len(block) < size:
+                    break  # read to the end of the file
+                size = BLOCK_SIZE
         return out
 
     def _detect_regression(self, fp, out: list[LogRecord]) -> None:
@@ -241,45 +265,50 @@ class FileFollowSource:
     def _reset_to_start(self, out: list[LogRecord]) -> None:
         # The held-back record came from the old content and is
         # complete — release it rather than lose it.
-        if self._pending is not None:
-            out.append(self.session_key(self._pending))
-            self._pending = None
+        if self._folder.pending is not None:
+            out.append(self.session_key(self._folder.pending))
+            self._folder.pending = None
         self._offset = 0
         self._pending_offset = 0
 
-    def _consume_line(
-        self, raw: bytes, line_start: int, out: list[LogRecord]
-    ) -> None:
-        if b"\x00" in raw:
-            self._quarantine(REASON_BINARY, raw, line_start)
-            return
-        line = raw.decode("utf-8", errors="replace").rstrip("\n")
-        if "�" in line:
-            self._quarantine(REASON_DECODE, raw, line_start)
-            return
-        if not line.strip():
-            return
-        record = self.formatter.try_parse(line)
-        if record is not None:
-            if self._pending is not None:
-                out.append(self.session_key(self._pending))
-            self._pending = record
-            self._pending_offset = line_start
-        elif self._pending is not None:
-            self._pending.message += "\n" + line.strip()
-            self._pending.raw += "\n" + line
-        else:
+    def _consume(
+        self, body: bytes, out: list[LogRecord], max_records: int
+    ) -> bool:
+        """Parse the complete lines of ``body``, read at the consumed
+        offset, until ``out`` holds ``max_records`` records; advance the
+        offset past the lines used.  True if every line was used."""
+        start = self._offset
+        lines, sizes, bad = _split_lines(body)
+        orphans: list[int] = []
+        records: list[LogRecord] = []
+        folder = self._folder
+        used = folder.fold(lines, records, max_records - len(out), orphans)
+        out.extend(map(self.session_key, records))
+
+        def offset_of(i: int) -> int:
+            return start + sum(map(len, sizes[:i])) + i
+
+        if bad or orphans:
             # Nothing to fold an orphan continuation into: dead-letter
             # it with a reason instead of dropping it on the floor.
-            self._quarantine(REASON_UNPARSEABLE, raw, line_start)
+            starts = list(accumulate(
+                (len(size) + 1 for size in sizes[:used]), initial=start,
+            ))
+            for i, reason, text in sorted(
+                bad + [(i, REASON_UNPARSEABLE, lines[i]) for i in orphans]
+            ):
+                if i < used:
+                    self._quarantine(reason, text, starts[i])
+        if folder.pending_line >= 0:
+            self._pending_offset = offset_of(folder.pending_line)
+        if used == len(lines):
+            self._offset = start + len(body)
+            return True
+        self._offset = offset_of(used)
+        return False
 
-    def _quarantine(self, reason: str, raw: bytes, offset: int) -> None:
-        self.quarantine.put(
-            reason,
-            raw.decode("utf-8", errors="replace").rstrip("\n"),
-            source=self.path,
-            offset=offset,
-        )
+    def _quarantine(self, reason: str, text: str, offset: int) -> None:
+        self.quarantine.put(reason, text, source=self.path, offset=offset)
 
     def _io_error(self, where: str, exc: OSError) -> None:
         self.io_errors += 1
@@ -287,9 +316,10 @@ class FileFollowSource:
 
     def flush_pending(self) -> list[LogRecord]:
         """Release the held-back record (quiet file / end of input)."""
-        if self._pending is None:
+        record = self._folder.pending
+        if record is None:
             return []
-        record, self._pending = self._pending, None
+        self._folder.pending = None
         self._pending_offset = self._offset
         return [self.session_key(record)]
 
@@ -306,7 +336,11 @@ class FileFollowSource:
                 fp.seek(self._offset)
                 tail = fp.read()
             if tail.strip() and not tail.endswith(b"\n"):
-                self._quarantine(REASON_TRUNCATED, tail, self._offset)
+                self._quarantine(
+                    REASON_TRUNCATED,
+                    tail.decode("utf-8", errors="replace"),
+                    self._offset,
+                )
                 self._offset = size
         return self.flush_pending()
 
@@ -333,15 +367,55 @@ class FileFollowSource:
 
     def position(self) -> dict[str, Any]:
         offset = (
-            self._pending_offset if self._pending is not None
+            self._pending_offset if self._folder.pending is not None
             else self._offset
         )
         return {"kind": "file", "path": self.path, "offset": offset}
 
     def seek(self, position: dict[str, Any]) -> None:
         self._offset = int(position.get("offset", 0))
-        self._pending = None
+        self._folder.pending = None
         self._pending_offset = self._offset
         # Unknown inode after a restart; the first poll re-checks for
         # rotation/truncation that happened while we were down.
         self._inode = None
+
+
+def _split_lines(
+    body: bytes,
+) -> tuple[list[str], Sequence[Any], list[tuple[int, str, str]]]:
+    """The lines of ``body``, which ends with a line end.
+
+    Returns the decoded lines, a list as long whose items have each
+    line's size in bytes (the lines themselves when ``body`` is ASCII),
+    and the ``(index, reason, text)`` of each line to quarantine; those
+    lines are blank in the decoded lines, so they fold like blank lines.
+    """
+    if b"\x00" not in body:
+        try:
+            text = body.decode("utf-8")
+        except UnicodeDecodeError:
+            pass
+        else:
+            if "\ufffd" not in text:
+                lines = text.split("\n")
+                lines.pop()
+                if len(text) == len(body):
+                    return lines, lines, []
+                raws = body.split(b"\n")
+                raws.pop()
+                return lines, raws, []
+    raws = body.split(b"\n")
+    raws.pop()
+    lines = []
+    bad: list[tuple[int, str, str]] = []
+    for i, raw in enumerate(raws):
+        line = raw.decode("utf-8", errors="replace")
+        if b"\x00" in raw:
+            bad.append((i, REASON_BINARY, line))
+            line = ""
+        elif "\ufffd" in line:
+            bad.append((i, REASON_DECODE, line))
+            line = ""
+        lines.append(line)
+    return lines, raws, bad

@@ -135,42 +135,50 @@ class SessionTracker:
     ) -> list[ClosedSession]:
         """Ingest one record, with its live match if the caller has it;
         return any sessions this closed."""
-        closed: list[ClosedSession] = []
-        key, sid = session_bucket(record)
-        entry = self._open.get(key)
+        sid = record.session_id
+        if sid:  # the common case: session_bucket's first branch
+            key: tuple[str, str] = ("", sid)
+        else:
+            key, sid = session_bucket(record)
+        open_ = self._open
+        entry = open_.get(key)
         timestamp = record.timestamp
         if entry is None:
             entry = _Open(
                 session=Session(session_id=sid, app_id=record.app_id),
                 last_seen=timestamp,
             )
-            self._open[key] = entry
+            open_[key] = entry
             self._push(key, entry)
-        elif timestamp > entry.last_seen:
-            entry.last_seen = timestamp
-        entry.session.append(record)
+        else:
+            if timestamp > entry.last_seen:
+                entry.last_seen = timestamp
+            open_.move_to_end(key)
+        entry.session.records.append(record)
         if entry.matches is not None:
             if match is _UNMATCHED:
                 entry.matches = None
             else:
                 entry.matches.append(match)  # type: ignore[arg-type]
         entry.touched = next(self._seq)
-        self._open.move_to_end(key)
-        self.watermark = max(self.watermark, timestamp)
+        if timestamp > self.watermark:
+            self.watermark = timestamp
 
+        closed: list[ClosedSession] = []
         if self._marker is not None and self._marker.search(record.message):
-            del self._open[key]
+            del open_[key]
             closed.append(self._close(entry, "end_marker"))
 
         heap = self._heap
         if heap and heap[0][0] <= self.watermark - self.config.idle_timeout:
             closed.extend(self._expire_idle())
-        if len(self._open) > self.config.max_open_sessions:
+        if len(open_) > self.config.max_open_sessions:
             closed.extend(self._evict_over_cap())
         # Peak is recorded post-eviction: the cap is a hard bound on
         # tracked sessions, so peak_open never exceeds it.
-        self.peak_open = max(self.peak_open, len(self._open))
-        if len(heap) > 2 * len(self._open):
+        if len(open_) > self.peak_open:
+            self.peak_open = len(open_)
+        if len(heap) > 2 * len(open_):
             self._compact()
         return closed
 

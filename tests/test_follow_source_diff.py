@@ -16,9 +16,10 @@ The generated files mix header lines, continuations (also orphaned ones
 at the start), blank and whitespace-only lines, NUL lines, invalid
 UTF-8, valid non-ASCII text (U+FFFD included, which the follower has
 always quarantined as a decode error), lines longer than a read block
-and ``\\r\\n`` line ends.  Every ``position()`` seen along the way is
-then resumed from with ``seek()`` by a fresh pair, and ``finalize()``
-must release the same tail.
+and ``\\r\\n`` line ends.  They are read at the default block size and
+at block sizes small enough that most files span many blocks.  Every
+``position()`` seen along the way is then resumed from with ``seek()``
+by a fresh pair, and ``finalize()`` must release the same tail.
 
 ``REPRO_CHAOS_SEED`` seeds the examples, as in the chaos suite.
 """
@@ -35,6 +36,7 @@ from hypothesis import strategies as st
 from repro.parsing.formatters import default_registry
 from repro.parsing.records import LogRecord, yarn_session_key
 from repro.stream import FileFollowSource, ListQuarantine
+from repro.stream import source as source_module
 from repro.stream.resilience import (
     REASON_BINARY,
     REASON_DECODE,
@@ -44,8 +46,8 @@ from repro.stream.resilience import (
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "1"))
 
-#: Longer than the follower's read block, so a line spans blocks.
-LONG = (1 << 16) + 3
+#: Longer than the follower's default read block.
+LONG = source_module.BLOCK_SIZE + 3
 
 
 class LineFollower:
@@ -263,6 +265,7 @@ def _drain(oracle, follower) -> None:
     _same(oracle, follower, follower.finalize(), oracle.finalize())
 
 
+@pytest.mark.parametrize("block", [5, 100, source_module.BLOCK_SIZE])
 @pytest.mark.parametrize("formatter", ["hadoop", "generic"])
 @seed(CHAOS_SEED)
 @settings(
@@ -271,7 +274,11 @@ def _drain(oracle, follower) -> None:
                            HealthCheck.too_slow],
 )
 @given(script=_script())
-def test_follower_matches_per_line_reader(tmp_path, formatter, script):
+def test_follower_matches_per_line_reader(tmp_path, monkeypatch, block,
+                                          formatter, script):
+    # Small blocks put block boundaries inside most files, and every
+    # line is longer than a 5-byte block.
+    monkeypatch.setattr(source_module, "BLOCK_SIZE", block)
     data, pieces, polls, flushes = script
     path = tmp_path / "follow.log"
     path.write_bytes(b"")
