@@ -104,11 +104,6 @@ def default_severity(code: str) -> Severity:
     return entry[0] if entry else Severity.ERROR
 
 
-def code_meaning(code: str) -> str:
-    entry = DIAGNOSTIC_CODES.get(code)
-    return entry[1] if entry else "unregistered diagnostic code"
-
-
 @dataclass(frozen=True, slots=True)
 class Diagnostic:
     """One finding of a static check.

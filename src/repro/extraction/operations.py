@@ -33,9 +33,6 @@ class Operation:
     obj: str
     surface: str = ""
 
-    def as_tuple(self) -> tuple[str, str, str]:
-        return (self.subject, self.predicate, self.obj)
-
     def __str__(self) -> str:  # pragma: no cover
         subj = self.subject or "_"
         obj = self.obj or "_"

@@ -69,12 +69,6 @@ class Parse:
             and (relation is None or arc.relation == relation)
         ]
 
-    def relation_of(self, dep: int) -> str | None:
-        for arc in self.arcs:
-            if arc.dep == dep:
-                return arc.relation
-        return None
-
     def has_clause(self) -> bool:
         """True if the sentence contains at least one clause (a predicate)."""
         return self.root is not None

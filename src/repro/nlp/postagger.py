@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lexicon import build_lexicon
-from .tags import is_adjective, is_noun, is_verb
+from .tags import is_adjective, is_noun
 from .tokenizer import Token, tokenize
 
 _BE_FORMS = frozenset({"be", "am", "is", "are", "was", "were", "been",
@@ -190,8 +190,3 @@ def tag_tokens(tokens: list[Token]) -> list[TaggedToken]:
 def tag(text: str) -> list[TaggedToken]:
     """Tokenize and POS-tag ``text``."""
     return tag_tokens(tokenize(text))
-
-
-def is_verbal(tagged: TaggedToken) -> bool:
-    """True if the token carries a verb tag."""
-    return is_verb(tagged.tag)

@@ -56,10 +56,6 @@ class LogRecord:
         if not self.raw:
             self.raw = self.message
 
-    def with_session(self, session_id: str) -> "LogRecord":
-        self.session_id = session_id
-        return self
-
     def to_dict(self) -> dict[str, Any]:
         """Portable form (what the analysis pipeline consumes).
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..parsing.records import GroundTruth, LogRecord, Session
+from ..parsing.records import LogRecord, Session
 from .events import Simulation
 from .groundtruth import TemplateCatalog
 
@@ -147,27 +147,6 @@ class LogEmitter:
             )
         )
 
-    def emit_raw(
-        self,
-        message: str,
-        source: str = "Component",
-        level: str = "INFO",
-        truth: GroundTruth | None = None,
-    ) -> None:
-        if not self.container.alive(self.sim.now):
-            return
-        self.container.session.append(
-            LogRecord(
-                timestamp=self.base_time + self.sim.now,
-                level=level,
-                source=source,
-                message=message,
-                session_id=self.container.container_id,
-                app_id=self.container.app_id,
-                truth=truth,
-            )
-        )
-
 
 @dataclass(slots=True)
 class JobLogs:
@@ -187,6 +166,3 @@ class JobLogs:
     @property
     def records(self) -> list[LogRecord]:
         return [r for s in self.sessions for r in s.records]
-
-    def total_messages(self) -> int:
-        return sum(len(s) for s in self.sessions)

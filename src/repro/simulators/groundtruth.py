@@ -128,9 +128,6 @@ class TemplateCatalog:
     def all(self) -> list[Template]:
         return list(self._templates.values())
 
-    def normal_templates(self) -> list[Template]:
-        return [t for t in self._templates.values() if not t.anomalous]
-
     # -- aggregate ground truth (feeds Table 4) -----------------------------------
 
     def true_entities(self) -> set[str]:
@@ -138,13 +135,6 @@ class TemplateCatalog:
             entity
             for template in self._templates.values()
             for entity in template.entities
-        }
-
-    def true_operations(self) -> set[tuple[str, str, str]]:
-        return {
-            op
-            for template in self._templates.values()
-            for op in template.operations
         }
 
     def role_counts(self) -> dict[Role, int]:
