@@ -39,7 +39,8 @@ def test_ablation_grouping_suffix_rule(benchmark):
         # Group by *any* common phrase, suffixes included.
         groups: list[tuple[tuple[str, ...], set]] = []
         for phrase in sorted(
-            {tuple(e.split()) for e in entities}, key=len
+            {tuple(e.split()) for e in entities},
+            key=lambda p: (len(p), p),
         ):
             placed = False
             for idx, (name, members) in enumerate(groups):
