@@ -101,8 +101,8 @@ class LineFolder:
         record to ``out``; return how many lines were consumed.
 
         With ``limit`` (above ``len(out)`` on entry), stop after the line
-        whose record brought ``len(out)`` to ``limit``.  Orphan lines are dropped, or their
-        indices appended to ``orphans`` when it is given.
+        whose record brought ``len(out)`` to ``limit``.  Orphan lines are
+        dropped, or their indices appended to ``orphans`` when given.
         """
         parse = self._parse
         pending = self.pending
