@@ -931,8 +931,8 @@ class StreamRuntime:
         """
         assert self._next_stats_at is not None
         observe = self.tracker.observe
+        base = int(self._m_records.value)
         counted = 0  # records of this batch already in the counter
-        due = self._next_stats_at - int(self._m_records.value)
         for n, (record, (alert, match)) in enumerate(
             zip(records, self.detector.observe_batch(records)), 1
         ):
@@ -942,10 +942,9 @@ class StreamRuntime:
                     self.on_alert(alert)
             for closed in observe(record, match):
                 self._finalize(closed)
-            if n >= due:
+            if base + n >= self._next_stats_at:
                 self._count_records(n - counted)
                 counted = n
-                due += self.stats_every
                 self._next_stats_at += self.stats_every
                 self._emit_stats(start)
         self._count_records(len(records) - counted)
