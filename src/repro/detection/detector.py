@@ -16,8 +16,9 @@ For each incoming session the detector
    Key id, identifier values, identifier types — filed under the entity
    groups its key feeds.  What a row needs of the key (its groups, and
    which capture is an identifier or a value of which name) is compiled
-   into one :class:`KeyPlan` per Intel Key when the detector is built,
-   so the per-record step only scatters the match captures.  Once the
+   into one :class:`~repro.graph.subroutine.KeyPlan` per Intel Key when
+   the detector is built, so the per-record step only scatters the match
+   captures.  Once the
    session is complete, each group's rows are split into subroutine
    instances and checked against the trained HW-graph: missing critical
    Intel Keys in subroutine instances, order violations, unexpected keys
@@ -40,16 +41,20 @@ from typing import (
     Callable,
     Collection,
     ContextManager,
-    Sequence,
 )
 
 from ..extraction.cache import ExtractionCache
 from ..extraction.idvalue import FieldRole
 from ..extraction.intelkey import IntelKey
-from ..extraction.pipeline import InformationExtractor, to_number
+from ..extraction.pipeline import InformationExtractor
 from ..graph.hwgraph import HWGraph
 from ..graph.lifespan import BEFORE, PARENT, Lifespan
-from ..graph.subroutine import Row, SubroutineInstance, assign_instances
+from ..graph.subroutine import (
+    KeyPlan,
+    Row,
+    SubroutineInstance,
+    assign_instances,
+)
 from ..parsing.records import LogRecord, Session
 from ..parsing.spell import (
     MatchResult,
@@ -100,57 +105,6 @@ def match_captures(
     if same_template and not match.misaligned:
         return match.parameters
     return None
-
-
-@dataclass(frozen=True, slots=True)
-class KeyPlan:
-    """What detection reads of one Intel Key, compiled once per detector.
-
-    ``slots`` has one entry per :class:`~repro.extraction.intelkey.FieldSpec`,
-    in field order: ``(name, False)`` for an identifier, ``(NAME, True)``
-    for a value — an identifier of type ``NAME`` (the upper-cased field
-    name) whenever its capture is not a number, as
-    :meth:`InformationExtractor.to_intel_message` files it — and
-    ``None`` for a locality, which detection never reads.
-    """
-
-    intel_key: IntelKey
-    #: Labels of the groups the key feeds, in the iteration order of
-    #: ``graph.key_groups[key_id]`` (the order that decides the order of
-    #: a report's subroutine anomalies).
-    groups: tuple[str, ...]
-    slots: tuple[tuple[str, bool] | None, ...]
-
-    @classmethod
-    def compile(
-        cls, intel_key: IntelKey, groups: tuple[str, ...]
-    ) -> "KeyPlan":
-        slots: list[tuple[str, bool] | None] = []
-        for spec in intel_key.fields:
-            if spec.role == FieldRole.IDENTIFIER:
-                slots.append((spec.name, False))
-            elif spec.role == FieldRole.VALUE:
-                slots.append((spec.name.upper(), True))
-            else:
-                slots.append(None)
-        return cls(intel_key, groups, tuple(slots))
-
-    def row(self, timestamp: float, captures: Sequence[str]) -> Row:
-        """One matched record's row, scattered from its captures."""
-        values: list[str] = []
-        types: list[str] = []
-        for slot, capture in zip(self.slots, captures):
-            if slot is None:
-                continue
-            name, is_value = slot
-            if is_value and to_number(capture) is not None:
-                continue
-            values.append(capture)
-            types.append(name)
-        return (
-            timestamp, self.intel_key.key_id, frozenset(values),
-            tuple(types),
-        )
 
 
 _timestamp = itemgetter(0)

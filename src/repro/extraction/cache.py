@@ -6,10 +6,10 @@ sample message)`` — everything else in the :class:`IntelKey` derives from
 those two.  :class:`ExtractionCache` memoises that function.  It has two
 owners:
 
-* training keeps one instance per process
-  (:func:`repro.parallel.cache.process_cache`), alive across worker
-  tasks and cleared when a training run starts, so a template that
-  dozens of shards rediscover is POS-tagged once per process;
+* each training run (:func:`repro.parallel.pipeline.train_parallel`)
+  extracts its canonical Intel Keys through a fresh instance on the
+  model's own extractor, which also counts the run's extraction
+  traffic;
 * every :class:`~repro.detection.detector.AnomalyDetector` owns one,
   built on its own extractor and bounded by the detector's memo cap, so
   an unexpected message that repeats (a retried fetch or connect line)
@@ -36,7 +36,7 @@ class ExtractionCache:
     """Memo for the log-key → Intel Key transformation.
 
     ``extractor`` is the :class:`InformationExtractor` to run on a miss;
-    left out, one is built on first use (see :meth:`warm`).
+    left out, one is built on first use.
     """
 
     def __init__(self, extractor: InformationExtractor | None = None) -> None:
@@ -50,15 +50,6 @@ class ExtractionCache:
         if self._extractor is None:
             self._extractor = InformationExtractor()
         return self._extractor
-
-    def warm(self) -> None:
-        """Eagerly build the extractor (lexicon + POS tagger).
-
-        Called by the worker-pool initializer so a fresh process pays
-        the construction cost once, up front, instead of inside its
-        first task.
-        """
-        _ = self.extractor
 
     def __len__(self) -> int:
         return len(self._memo)
@@ -96,7 +87,7 @@ class ExtractionCache:
     def clear(self) -> None:
         """Drop every memoised key and zero the counters.
 
-        The warm extractor is kept: it holds no corpus state.
+        The extractor is kept: it holds no corpus state.
         """
         self._memo.clear()
         self.hits = 0

@@ -9,7 +9,9 @@ per incoming session for anomaly detection (§4.2).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Iterable, Mapping
 
 import networkx as nx
@@ -17,7 +19,9 @@ import networkx as nx
 from ..extraction.intelkey import IntelKey, IntelMessage
 from .grouping import GroupingResult, group_entities
 from .lifespan import BEFORE, PARENT, Lifespan, RelationMatrix
-from .subroutine import Subroutine, SubroutineModel
+from .subroutine import Row, Subroutine, SubroutineModel, message_row
+
+_timestamp = itemgetter(0)
 
 
 @dataclass(slots=True)
@@ -51,34 +55,29 @@ class GraphPartial:
 
     def add_session(
         self,
-        messages: Iterable[IntelMessage],
+        rows: Iterable[Row],
         key_groups: Mapping[str, Iterable[str]],
     ) -> None:
-        """Fold one session's Intel Messages (any order; sorted by
-        timestamp here)."""
-        ordered = sorted(messages, key=lambda m: m.timestamp)
-        per_group: dict[str, list[IntelMessage]] = {}
-        for message in ordered:
-            for label in sorted(key_groups.get(message.key_id, ())):
-                per_group.setdefault(label, []).append(message)
+        """Fold one session's rows (any order; sorted by timestamp
+        here)."""
+        per_group: dict[str, list[Row]] = {}
+        for row in sorted(rows, key=_timestamp):
+            for label in sorted(key_groups.get(row[1], ())):
+                per_group.setdefault(label, []).append(row)
 
         lifespans: dict[str, Lifespan] = {}
-        for label, group_msgs in per_group.items():
+        for label, group_rows in per_group.items():
             group = self.groups.get(label)
             if group is None:
                 group = self.groups[label] = GroupPartial()
             group.session_count += 1
-            group.model.train_session(group_msgs)
-            key_repeats: dict[str, int] = {}
-            for message in group_msgs:
-                key_repeats[message.key_id] = (
-                    key_repeats.get(message.key_id, 0) + 1
-                )
+            group.model.train_session(group_rows)
+            key_repeats = Counter(row[1] for row in group_rows)
             group.max_key_repeat = max(
                 group.max_key_repeat, max(key_repeats.values())
             )
             lifespans[label] = Lifespan(
-                group_msgs[0].timestamp, group_msgs[-1].timestamp
+                group_rows[0][0], group_rows[-1][0]
             )
         self.relations.observe_session(lifespans)
         self.training_sessions += 1
@@ -333,8 +332,10 @@ class HWGraphBuilder:
     # -- training -----------------------------------------------------------------
 
     def train_session(self, messages: Iterable[IntelMessage]) -> None:
-        """Consume one normal-execution session (time-ordered messages)."""
-        self.partial.add_session(messages, self.graph.key_groups)
+        """Consume one normal-execution session's Intel Messages."""
+        self.partial.add_session(
+            map(message_row, messages), self.graph.key_groups
+        )
 
     # -- finalisation ---------------------------------------------------------------
 

@@ -73,34 +73,44 @@ class RelationMatrix:
         self.min_support = min_support
 
     def observe_session(self, lifespans: Mapping[str, Lifespan]) -> None:
-        """Record the pairwise relations implied by one session."""
+        """Record the pairwise relations implied by one session.
+
+        Each pair is classified with the :class:`Lifespan` boundary
+        semantics, inlined as plain float comparisons (this runs once
+        per pair of groups per training session):
+
+        * a contains b and b contains a — identical lifespans, including
+          zero-width ones — is ``EQUAL``, a dedicated mark that does not
+          break a consistent PARENT vote from other sessions and keeps
+          zero-width intervals from reading as orderings;
+        * otherwise one containing the other is PARENT / CHILD
+          (containment that is not identity is strict);
+        * otherwise ``a.precedes(b)`` (touching spans count, as in
+          detection-side ``_check_hierarchy``) is BEFORE, the converse
+          AFTER, and anything else PARALLEL.
+        """
         names = sorted(lifespans)
         self._groups.update(names)
+        spans = [(lifespans[n].start, lifespans[n].end) for n in names]
+        observations = self._observations
         for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                la, lb = lifespans[a], lifespans[b]
-                if la.strictly_contains(lb):
-                    rel = PARENT
-                elif lb.strictly_contains(la):
+            a_start, a_end = spans[i]
+            for j in range(i + 1, len(names)):
+                b_start, b_end = spans[j]
+                if a_start <= b_start and b_end <= a_end:
+                    if a_start == b_start and a_end == b_end:
+                        rel = "EQUAL"
+                    else:
+                        rel = PARENT
+                elif b_start <= a_start and a_end <= b_end:
                     rel = CHILD
-                elif la.contains(lb) and lb.contains(la):
-                    # Identical lifespans (checked before BEFORE/AFTER so
-                    # zero-width intervals do not read as orderings); a
-                    # dedicated mark that does not break a consistent
-                    # PARENT vote from other sessions.
-                    rel = "EQUAL"
-                elif la.precedes(lb):
-                    # Same boundary as detection-side _check_hierarchy:
-                    # touching spans (la.end == lb.start) count as
-                    # ordered.  The EQUAL branch above already caught
-                    # identical (incl. zero-width) lifespans, so the two
-                    # precedes tests cannot both be true here.
+                elif a_end <= b_start:
                     rel = BEFORE
-                elif lb.precedes(la):
+                elif b_end <= a_start:
                     rel = AFTER
                 else:
                     rel = PARALLEL
-                counts = self._observations.setdefault((a, b), {})
+                counts = observations.setdefault((a, names[j]), {})
                 counts[rel] = counts.get(rel, 0) + 1
 
     def merge(self, other: "RelationMatrix") -> None:

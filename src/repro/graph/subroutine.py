@@ -21,13 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from ..extraction.intelkey import IntelMessage
+from ..extraction.idvalue import FieldRole
+from ..extraction.intelkey import IntelKey, IntelMessage
+from ..extraction.pipeline import to_number
 
 
 #: One log message as Algorithm 2 reads it: ``(timestamp, Intel Key id,
-#: identifier values, identifier types)``.  Detection scatters each
-#: matched record straight into a row; training adapts its Intel
-#: Messages with :func:`message_row`.
+#: identifier values, identifier types)``.  Training and detection both
+#: scatter each record's captures straight into a row through the
+#: record's :class:`KeyPlan`; :func:`message_row` adapts an Intel
+#: Message.
 Row = tuple[float, str, frozenset[str], tuple[str, ...]]
 
 
@@ -39,6 +42,57 @@ def message_row(message: IntelMessage) -> Row:
         frozenset(message.identifier_values),
         tuple(message.identifiers),
     )
+
+
+@dataclass(frozen=True, slots=True)
+class KeyPlan:
+    """What a row needs of one Intel Key, compiled once per key.
+
+    ``slots`` has one entry per :class:`~repro.extraction.intelkey.FieldSpec`,
+    in field order: ``(name, False)`` for an identifier, ``(NAME, True)``
+    for a value — an identifier of type ``NAME`` (the upper-cased field
+    name) whenever its capture is not a number, as
+    :meth:`InformationExtractor.to_intel_message` files it — and
+    ``None`` for a locality, which no row carries.
+    """
+
+    intel_key: IntelKey
+    #: Labels of the groups the key feeds.  Detection keeps the
+    #: iteration order of ``graph.key_groups[key_id]`` (the order that
+    #: decides the order of a report's subroutine anomalies).
+    groups: tuple[str, ...]
+    slots: tuple[tuple[str, bool] | None, ...]
+
+    @classmethod
+    def compile(
+        cls, intel_key: IntelKey, groups: tuple[str, ...]
+    ) -> "KeyPlan":
+        slots: list[tuple[str, bool] | None] = []
+        for spec in intel_key.fields:
+            if spec.role == FieldRole.IDENTIFIER:
+                slots.append((spec.name, False))
+            elif spec.role == FieldRole.VALUE:
+                slots.append((spec.name.upper(), True))
+            else:
+                slots.append(None)
+        return cls(intel_key, groups, tuple(slots))
+
+    def row(self, timestamp: float, captures: Sequence[str]) -> Row:
+        """One matched record's row, scattered from its captures."""
+        values: list[str] = []
+        types: list[str] = []
+        for slot, capture in zip(self.slots, captures):
+            if slot is None:
+                continue
+            name, is_value = slot
+            if is_value and to_number(capture) is not None:
+                continue
+            values.append(capture)
+            types.append(name)
+        return (
+            timestamp, self.intel_key.key_id, frozenset(values),
+            tuple(types),
+        )
 
 
 @dataclass(slots=True)
@@ -263,9 +317,9 @@ class SubroutineModel:
     def __init__(self) -> None:
         self.subroutines: dict[tuple[str, ...], Subroutine] = {}
 
-    def train_session(self, messages: Iterable[IntelMessage]) -> None:
-        """Consume one session's messages for this group (Algorithm 2)."""
-        for instance in assign_instances(map(message_row, messages)):
+    def train_session(self, rows: Iterable[Row]) -> None:
+        """Consume one session's rows for this group (Algorithm 2)."""
+        for instance in assign_instances(rows):
             self._subroutine_for(instance.signature).update(
                 instance.key_sequence
             )

@@ -5,11 +5,12 @@ This is IntelLog's only trainer: :meth:`repro.core.IntelLog.train` calls
 shards (a pure function of the corpus, never of the worker count) which
 are grouped into size-targeted *shard batches* — the units actually
 shipped to worker processes, themselves a pure function of the corpus.
-The per-record and per-session work runs in a warm process pool (or
-inline at ``workers=1``): phase 1 masks messages into form tables,
-phase 2 folds each batch's sessions into one mergeable HW-graph partial.
-The parent keeps only the small serial steps — the Spell form replay,
-canonical Intel Key extraction, and merging one partial per batch — and
+The per-record and per-session work runs in a process pool (or inline
+at ``workers=1``): phase 1 masks messages into form tables, phase 2
+turns each record into one compiled plan row and folds each batch's
+sessions into one mergeable HW-graph partial.  The parent keeps only
+the small serial steps — the Spell form replay, canonical Intel Key
+extraction, and merging one partial per batch — and
 folds results in an order fixed by corpus content, so
 ``IntelLog.train(sessions, workers=N)`` produces the same model bytes
 for every ``N`` and every batch layout.  See ``DESIGN.md``
@@ -17,7 +18,6 @@ for every ``N`` and every batch layout.  See ``DESIGN.md``
 """
 
 from ..extraction.cache import ExtractionCache
-from .cache import process_cache
 from .merge import MergeError, MergeResult, merge_shards
 from .pipeline import ParallelReport, lpt_makespan, train_parallel
 from .shard import (
@@ -41,7 +41,6 @@ from .worker import (
     ShardParse,
     StatsSlice,
     compute_batch_stats,
-    init_worker,
     parse_batch,
 )
 
@@ -65,13 +64,11 @@ __all__ = [
     "compute_batch_stats",
     "corpus_manifest",
     "derive_batch_target",
-    "init_worker",
     "lpt_makespan",
     "make_batches",
     "make_shards",
     "merge_shards",
     "parse_batch",
-    "process_cache",
     "shard_hash",
     "train_parallel",
 ]

@@ -17,11 +17,14 @@ every worker count and every batch layout:
   assignment of one streaming Spell pass over the corpus
   (:func:`~repro.parallel.merge.merge_shards` — batching never reaches
   it: results are flattened back to per-shard parses in corpus order
-  first), then extracts the canonical Intel Keys and builds the entity
-  grouping.
-* **Phase 2** — every batch rebuilds its Intel Messages (reusing the
-  chunk tokens phase 1 memoised) and folds its sessions, in corpus
-  order, into one mergeable
+  first), then extracts the canonical Intel Keys through the model's
+  own extractor, builds the entity grouping and compiles one
+  :class:`~repro.graph.subroutine.KeyPlan` per Intel Key that feeds a
+  group.
+* **Phase 2** — every batch receives the plans of the keys it uses,
+  turns each record into one plan row (aligning the chunk tokens phase
+  1 memoised against the key's template) and folds its sessions, in
+  corpus order, into one mergeable
   :class:`~repro.graph.hwgraph.GraphPartial` in a worker
   (:func:`~repro.parallel.worker.compute_batch_stats`).
 * **Apply** — the parent merges the per-batch partials in batch order
@@ -35,10 +38,9 @@ canonical Intel Key extraction and one partial merge per batch plus
 :meth:`~repro.graph.hwgraph.HWGraphBuilder.build`; all per-record and
 per-session work runs in the batches.
 
-One :class:`ProcessPoolExecutor` serves both phases: it is created once
-with an initializer that pre-warms the per-process extraction cache
-(:func:`~repro.parallel.worker.init_worker`), ``max_workers`` is clamped
-to the number of batches (no idle processes), and batches are submitted
+One :class:`ProcessPoolExecutor` serves both phases: it is created once,
+``max_workers`` is clamped to the number of batches (no idle
+processes), and batches are submitted
 individually — the batch *is* the chunk, so no per-tiny-task round trips
 remain for a chunksize to amortize.  Payload bytes shipped each way are
 measured per batch and land in the :class:`ParallelReport`.
@@ -55,11 +57,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
 from ..detection.detector import AnomalyDetector
+from ..extraction.cache import ExtractionCache
 from ..extraction.intelkey import IntelKey
 from ..graph.hwgraph import HWGraphBuilder
+from ..graph.subroutine import KeyPlan
 from ..obs import MetricsRegistry, Tracer
 from ..parsing.records import Session
-from .cache import process_cache
 from .merge import MergeError, MergeResult, merge_shards
 from .shard import (
     Shard,
@@ -78,7 +81,6 @@ from .worker import (
     ParseSlice,
     ShardParse,
     StatsSlice,
-    init_worker,
     compute_batch_stats,
     parse_batch,
 )
@@ -149,7 +151,7 @@ class ParallelReport:
     #: Pickled bytes returned per batch, worker -> parent.
     parse_result_bytes: list[int] = field(default_factory=list)
     stats_result_bytes: list[int] = field(default_factory=list)
-    #: Extraction memo traffic: parent canonical pass + all worker tasks.
+    #: Extraction memo traffic of the canonical Intel Key pass.
     cache_hits: int = 0
     cache_misses: int = 0
 
@@ -162,10 +164,9 @@ class ParallelReport:
     def cache_lookups(self) -> int:
         """Total extraction-memo lookups (hits + misses).
 
-        For a fixed corpus this is invariant across worker counts: the
-        canonical pass looks up every log key once and every batch task
-        looks up its batch key table once, and both the key table and
-        the batch partition are pure functions of the corpus.
+        One per log key: the parent's canonical pass is the only
+        extraction in training, so for a fixed corpus this is invariant
+        across worker counts and batch layouts.
         """
         return self.cache_hits + self.cache_misses
 
@@ -410,8 +411,8 @@ def train_parallel(
 
     The batch layout is :func:`~repro.parallel.shard.derive_batch_target`
     of the corpus size, computed once here; the model never depends on
-    it.  The process-wide extraction memo is cleared first, so it only
-    ever holds one run's keys.
+    it.  Intel Keys are extracted by ``intellog.extractor``, so its
+    naming filters and locality patterns shape the model.
 
     Stage walls come from nested ``train.*`` spans; passing a
     ``registry`` additionally feeds them into its
@@ -434,17 +435,12 @@ def train_parallel(
         )
         batches = make_batches(shards, batch_target)
         config = intellog.config
-        # Cleared before the pool forks, so workers start empty too.
-        parent_cache = process_cache()
-        parent_cache.clear()
 
         # Never spawn idle processes: more workers than batches would
         # only add fork/teardown cost with nothing to run.
         pool_workers = max(1, min(workers, len(batches)))
         executor = (
-            ProcessPoolExecutor(
-                max_workers=pool_workers, initializer=init_worker
-            )
+            ProcessPoolExecutor(max_workers=pool_workers)
             if pool_workers > 1
             else None
         )
@@ -478,30 +474,27 @@ def train_parallel(
                 )
 
             # Canonical Intel Keys, in Spell key order (the order
-            # ``InformationExtractor.build_all`` uses).  The memo was
-            # cleared at the start and phase 1 never touches it, so its
-            # counters after this pass are exactly the parent's traffic;
-            # inline phase-2 lookups are counted by the batch tasks.
+            # ``InformationExtractor.build_all`` uses), through a memo
+            # of this run only.
             with tracer.span("train.extract") as extract_span:
+                extraction = ExtractionCache(intellog.extractor)
                 intel_keys: dict[str, IntelKey] = {
-                    key.key_id: parent_cache.extract(
-                        key.key_id, tuple(key.tokens), key.sample
+                    key.key_id: extraction.extract(
+                        key.key_id, key.tokens, key.sample
                     )
                     for key in merged.spell.keys()
                 }
-                parent_hits, parent_misses = parent_cache.stats()
                 builder = HWGraphBuilder(intel_keys)
-                key_labels = {
-                    key_id: tuple(sorted(labels))
+                plans = {
+                    key_id: KeyPlan.compile(
+                        intel_keys[key_id], tuple(sorted(labels))
+                    )
                     for key_id, labels in builder.graph.key_groups.items()
-                }
-                key_rows = {
-                    key.key_id: (key.key_id, tuple(key.tokens), key.sample)
-                    for key in merged.spell.keys()
+                    if labels
                 }
 
-            # Phase 2: per-batch Intel Messages + session statistics,
-            # with one batch-deduplicated key table per task.
+            # Phase 2: per-batch plan rows + session statistics, with
+            # one batch-deduplicated plan table per task.
             with tracer.span("train.stats") as stats_span:
                 stats_tasks = []
                 for batch in batches:
@@ -510,7 +503,7 @@ def train_parallel(
                             key_id
                             for shard in batch.shards
                             for key_id in merged.record_keys[shard.index]
-                        }
+                        }.intersection(plans)
                     )
                     stats_tasks.append(
                         BatchStatsTask(
@@ -520,7 +513,6 @@ def train_parallel(
                                 StatsSlice(
                                     index=shard.index,
                                     content_hash=shard.content_hash,
-                                    session_id=shard.session.session_id,
                                     rows=[
                                         (record.timestamp, record.message)
                                         for record in shard.session.records
@@ -531,13 +523,7 @@ def train_parallel(
                                 )
                                 for shard in batch.shards
                             ],
-                            key_table=[
-                                key_rows[key_id] for key_id in used
-                            ],
-                            key_labels={
-                                key_id: key_labels[key_id]
-                                for key_id in used
-                            },
+                            plans={key_id: plans[key_id] for key_id in used},
                         )
                     )
                 batch_stats: list[BatchStats] = _run_tasks(
@@ -615,10 +601,8 @@ def train_parallel(
         stats_payload_bytes=report_bytes["stats_sent"],
         parse_result_bytes=report_bytes["parse_recv"],
         stats_result_bytes=report_bytes["stats_recv"],
-        cache_hits=parent_hits
-        + sum(result.cache_hits for result in batch_stats),
-        cache_misses=parent_misses
-        + sum(result.cache_misses for result in batch_stats),
+        cache_hits=extraction.hits,
+        cache_misses=extraction.misses,
     )
     intellog.last_parallel_report = report
 

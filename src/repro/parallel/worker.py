@@ -1,19 +1,20 @@
 """Batch tasks executed in worker processes.
 
 All tasks are pure functions of their arguments (plus the process-local
-extraction and chunk-tokenizer memos, which memoise pure functions), so
-running them in any process, in any order, at any concurrency yields
-identical results — the parent only has to fix the *order* in which
-results are folded in.
+chunk-tokenizer memo, which memoises a pure function), so running them
+in any process, in any order, at any concurrency yields identical
+results — the parent only has to fix the *order* in which results are
+folded in.
 
 The unit shipped to a worker is a **shard batch**
 (:class:`~repro.parallel.shard.ShardBatch`), and payloads are kept lean
 in both directions: tasks carry plain token/tuple rows (message strings
-for phase 1; ``(timestamp, message)`` rows plus one batch-deduplicated
-key table for phase 2) instead of pickled :class:`Session` /
-:class:`LogRecord` dataclasses, and results carry only form tables
-(phase 1) or one :class:`~repro.graph.hwgraph.GraphPartial` (phase 2)
-plus the echoed content hashes — never the inputs.
+for phase 1; ``(timestamp, message)`` rows plus the batch's compiled
+:class:`~repro.graph.subroutine.KeyPlan` table for phase 2) instead of
+pickled :class:`Session` / :class:`LogRecord` dataclasses, and results
+carry only form tables (phase 1) or one
+:class:`~repro.graph.hwgraph.GraphPartial` (phase 2) plus the echoed
+content hashes — never the inputs.
 
 Phase 1 (:func:`parse_batch`) masks every message and builds each member
 shard's *form table*: the distinct masked token sequences with their
@@ -24,30 +25,25 @@ and evolution) runs once in the parent over distinct forms only (see
 (:func:`~repro.parsing.spell.mask_message`).
 
 Phase 2 (:func:`compute_batch_stats`) receives the canonical per-record
-key assignment back, rebuilds each shard's Intel Messages (extracting
-the batch's Intel Keys once through the process-local memo cache; the
-raw tokens come from the chunk memo, so no record is tokenized twice)
-and folds the batch's sessions, in corpus order, into one
-:class:`~repro.graph.hwgraph.GraphPartial` — subroutines, lifespan
-relations and group counters, the same fold behind
-:meth:`~repro.graph.hwgraph.HWGraphBuilder.train_session`.  The parent
-only merges one partial per batch.
-
-:func:`init_worker` runs once per pool process (executor initializer):
-it pre-imports the parsing/extraction modules and warms the per-process
-:class:`~repro.extraction.cache.ExtractionCache`'s extractor, so the
-lexicon/POS-tagger setup happens off every task's critical path.
+key assignment back, with one plan per Intel Key the batch uses that
+feeds an entity group — compiled in the parent from the parent's
+canonical Intel Keys, so no worker extracts anything.  It aligns each
+record's raw tokens (read from the chunk memo, so no record is
+tokenized twice) against its key's template, scatters the captures into
+one row with :meth:`KeyPlan.row` — the same compiled step detection
+takes — and folds the batch's sessions, in corpus order, into one
+:class:`~repro.graph.hwgraph.GraphPartial`: subroutines, lifespan
+relations and group counters.  The parent only merges one partial per
+batch.
 """
-
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
 
-from ..extraction.cache import ExtractionCache
 from ..graph.hwgraph import GraphPartial
-from ..parsing.spell import mask_message
-from .cache import process_cache
+from ..graph.subroutine import KeyPlan
+from ..parsing.spell import extract_parameters, mask_message
 
 
 class ParallelWorkerError(RuntimeError):
@@ -60,18 +56,6 @@ class ParallelWorkerError(RuntimeError):
         )
         self.phase = phase
         self.batch_index = batch_index
-
-
-def init_worker() -> None:
-    """Pool-process initializer: pre-import and warm the hot path.
-
-    Imports of the parsing/extraction modules are already paid by this
-    module's own imports; what remains cold in a fresh process is the
-    :class:`InformationExtractor` (lexicon + POS tagger construction),
-    which :meth:`ExtractionCache.warm` builds eagerly so the first task
-    does not pay for it.
-    """
-    process_cache().warm()
 
 
 # -- phase 1: masking + form tables -----------------------------------------
@@ -172,7 +156,7 @@ def parse_batch(task: BatchParseTask) -> BatchParse:
     )
 
 
-# -- phase 2: Intel Messages + the batch's HW-graph partial -----------------
+# -- phase 2: plan rows + the batch's HW-graph partial ----------------------
 
 
 @dataclass(slots=True)
@@ -183,7 +167,6 @@ class StatsSlice:
 
     index: int
     content_hash: str
-    session_id: str
     rows: list[tuple[float, str]] = field(default_factory=list)
     record_keys: list[str] = field(default_factory=list)
 
@@ -192,18 +175,16 @@ class StatsSlice:
 class BatchStatsTask:
     """Input of :func:`compute_batch_stats` (one per shard batch).
 
-    The key table / labels are deduplicated at batch level: the union of
-    the member shards' used keys, shipped once per batch instead of once
-    per shard.
+    ``plans`` holds one compiled plan per Intel Key the member shards
+    use that feeds at least one entity group, with the group labels
+    sorted; a record of any other key cannot reach the partial and is
+    skipped.  Shipped once per batch, not once per shard.
     """
 
     index: int
     batch_hash: str
     slices: list[StatsSlice] = field(default_factory=list)
-    key_table: list[tuple[str, tuple[str, ...], str]] = field(
-        default_factory=list
-    )
-    key_labels: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    plans: dict[str, KeyPlan] = field(default_factory=dict)
 
 
 @dataclass(slots=True)
@@ -217,67 +198,48 @@ class BatchStats:
     #: ``(index, content_hash)`` of every member shard, in batch order,
     #: echoed so the parent can verify the pairing before merging.
     shards: list[tuple[int, str]] = field(default_factory=list)
-    #: CPU seconds each member shard took (Intel Messages + fold).
+    #: CPU seconds each member shard took (rows + fold).
     shard_seconds: list[float] = field(default_factory=list)
-    cache_hits: int = 0
-    cache_misses: int = 0
     duration: float = 0.0
 
 
 def _fold_shard(
     piece: StatsSlice,
-    intel_keys: dict,
-    key_labels: dict[str, tuple[str, ...]],
-    cache: ExtractionCache,
+    plans: dict[str, KeyPlan],
+    key_groups: dict[str, tuple[str, ...]],
     partial: GraphPartial,
 ) -> float:
-    """Rebuild one shard's Intel Messages and fold its session into
+    """Turn one shard's records into rows and fold its session into
     ``partial``; returns the CPU seconds it took."""
     started = time.process_time()
-    messages = []
+    rows = []
     for (timestamp, text), key_id in zip(piece.rows, piece.record_keys):
-        intel_key = intel_keys.get(key_id)
-        if intel_key is None:
+        plan = plans.get(key_id)
+        if plan is None:
             continue
-        message = cache.extractor.to_intel_message(
-            intel_key,
-            text,
-            timestamp=timestamp,
-            session_id=piece.session_id,
+        captures = extract_parameters(
+            plan.intel_key.template, mask_message(text)[1]
         )
-        if message is not None:
-            messages.append(message)
-    partial.add_session(messages, key_labels)
+        if captures is not None:
+            rows.append(plan.row(timestamp, captures))
+    partial.add_session(rows, key_groups)
     return time.process_time() - started
 
 
 def compute_batch_stats(task: BatchStatsTask) -> BatchStats:
-    """Phase-2 worker entry point: fold every shard of one batch.
-
-    The batch's Intel Keys are extracted once (through the per-process
-    memo) and shared by all member shards; cache traffic is accounted at
-    batch level so the parent can aggregate worker-side lookups exactly.
-    """
+    """Phase-2 worker entry point: fold every shard of one batch."""
     batch_started = time.process_time()
-    cache = process_cache()
-    hits0, misses0 = cache.stats()
-    intel_keys = {
-        key_id: cache.extract(key_id, tokens, sample)
-        for key_id, tokens, sample in task.key_table
-    }
+    key_groups = {key_id: plan.groups for key_id, plan in task.plans.items()}
     partial = GraphPartial()
     shard_seconds = [
-        _fold_shard(piece, intel_keys, task.key_labels, cache, partial)
+        _fold_shard(piece, task.plans, key_groups, partial)
         for piece in task.slices
     ]
-    hits1, misses1 = cache.stats()
     return BatchStats(
         index=task.index,
         batch_hash=task.batch_hash,
         partial=partial,
         shards=[(piece.index, piece.content_hash) for piece in task.slices],
         shard_seconds=shard_seconds,
-        cache_hits=hits1 - hits0,
-        cache_misses=misses1 - misses0,
         duration=time.process_time() - batch_started,
     )

@@ -127,20 +127,29 @@ def mask_message(message: str) -> tuple[list[str], list[str]]:
 
 
 def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    """Length of the longest common subsequence of token lists ``a``, ``b``."""
+    """Length of the longest common subsequence of token lists ``a``, ``b``.
+
+    Bit-parallel (Allison and Dix's recurrence in Hyyrö's form): bit
+    ``j`` of ``row`` stands for ``b[j]``, and one integer add, subtract
+    and two masks per token of ``a`` advance the whole DP row, where the
+    textbook DP pays one Python step per cell.  The LCS length is the
+    number of cleared bits.
+    """
     if not a or not b:
         return 0
-    # Single-row DP; O(len(a) * len(b)).
-    prev = [0] * (len(b) + 1)
+    positions: dict[str, int] = {}
+    bit = 1
+    for y in b:
+        positions[y] = positions.get(y, 0) | bit
+        bit <<= 1
+    full = bit - 1
+    row = full
     for x in a:
-        curr = [0] * (len(b) + 1)
-        for j, y in enumerate(b, 1):
-            if x == y:
-                curr[j] = prev[j - 1] + 1
-            else:
-                curr[j] = max(prev[j], curr[j - 1])
-        prev = curr
-    return prev[-1]
+        match = positions.get(x)
+        if match:
+            low = row & match
+            row = ((row + low) | (row - low)) & full
+    return len(b) - row.bit_count()
 
 
 def lcs_merge(a: Sequence[str], b: Sequence[str]) -> list[str]:

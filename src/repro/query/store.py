@@ -284,10 +284,15 @@ class ModelStore:
         return hashlib.sha256(self.canonical_bytes()).hexdigest()
 
     def to_json(self, indent: int | None = 2) -> str:
+        """Indented JSON for readers; :meth:`save` writes the canonical
+        form instead."""
         return json.dumps(self.to_dict(), indent=indent)
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json())
+        """Write :meth:`canonical_bytes`: the bytes the registry
+        publishes and :meth:`digest` hashes, so a saved file is its own
+        digest's preimage."""
+        Path(path).write_bytes(self.canonical_bytes())
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ModelStore":

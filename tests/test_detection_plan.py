@@ -419,7 +419,10 @@ def _hand_model(
     }
     node = GroupNode(label="block", key_ids={"K0", "K1"}, session_count=1)
     node.model.train_session(
-        [_trained_message("K0", "blk_1"), _trained_message("K1", "blk_1")]
+        [
+            message_row(_trained_message("K0", "blk_1")),
+            message_row(_trained_message("K1", "blk_1")),
+        ]
     )
     graph = HWGraph(
         groups={"block": node},

@@ -151,6 +151,24 @@ class TestCanonicalSerialization:
         )
         assert restored.digest() == store.digest()
 
+    def test_saved_file_is_the_canonical_form(
+        self, corpus, expected, tmp_path
+    ):
+        """``save`` writes the canonical bytes, and the file reloads to
+        a model with the same digest."""
+        intellog = IntelLog()
+        intellog.train(corpus)
+        store = ModelStore.from_intellog(intellog)
+        path = tmp_path / "model.json"
+        store.save(path)
+        assert path.read_bytes() == store.canonical_bytes()
+        reloaded = ModelStore.load_path(path)
+        assert reloaded.digest() == store.digest() == expected["digest"]
+        assert (
+            ModelStore.from_intellog(reloaded.to_intellog()).digest()
+            == expected["digest"]
+        )
+
     def test_restored_model_serializes_identically(self, corpus, expected):
         """Save → load → save is a fixed point of the serialization."""
         intellog = IntelLog()

@@ -135,22 +135,22 @@ class TestSubroutineModel:
     def test_signature_partitioning(self):
         model = SubroutineModel()
         model.train_session([
-            msg("A", {"T": ["1"]}),
-            msg("B", {"T": ["1"]}),
-            msg("C"),
+            row("A", {"T": ["1"]}),
+            row("B", {"T": ["1"]}),
+            row("C"),
         ])
         assert ("T",) in model.subroutines
         assert () in model.subroutines
 
     def test_best_match_exact(self):
         model = SubroutineModel()
-        model.train_session([msg("A", {"T": ["1"]})])
+        model.train_session([row("A", {"T": ["1"]})])
         assert model.best_match(("T",)) is model.subroutines[("T",)]
 
     def test_best_match_subset(self):
         model = SubroutineModel()
         model.train_session([
-            msg("A", {"T": ["1"], "S": ["s1"]}),
+            row("A", {"T": ["1"], "S": ["s1"]}),
         ])
         # An instance that only accumulated T so far matches the (S, T)
         # subroutine.
@@ -158,13 +158,13 @@ class TestSubroutineModel:
 
     def test_best_match_none_for_foreign(self):
         model = SubroutineModel()
-        model.train_session([msg("A", {"T": ["1"]})])
+        model.train_session([row("A", {"T": ["1"]})])
         assert model.best_match(("X",)) is None
 
     def test_stats(self):
         model = SubroutineModel()
         model.train_session(
-            [msg("A", {"T": ["1"]}), msg("B", {"T": ["1"]})]
+            [row("A", {"T": ["1"]}), row("B", {"T": ["1"]})]
         )
         stats = model.stats()
         assert stats["max"] == 2

@@ -1,5 +1,5 @@
-"""Tests for ``repro.parallel``: sharding, merge determinism, the memo
-cache and the pipeline's equivalence with the fused serial trainer.
+"""Tests for ``repro.parallel``: sharding, merge determinism, the
+extraction memo and the pipeline's equivalence with the fused serial trainer.
 
 The hypothesis suites pin the deterministic-merge invariant directly:
 the merged parser state is a pure function of the corpus — independent of
@@ -23,7 +23,10 @@ from hypothesis import strategies as st
 
 from repro import IntelLog
 from repro.core.intellog import TrainingSummary
+from repro.extraction.pipeline import InformationExtractor
 from repro.graph.hwgraph import GraphPartial, HWGraphBuilder
+from repro.graph.subroutine import KeyPlan, message_row
+from repro.nlp.camelcase import FilterChain, camel_filter
 from repro.parallel import (
     MIN_BATCH_RECORDS,
     BatchParseTask,
@@ -38,13 +41,11 @@ from repro.parallel import (
     compute_batch_stats,
     corpus_manifest,
     derive_batch_target,
-    init_worker,
     lpt_makespan,
     make_batches,
     make_shards,
     merge_shards,
     parse_batch,
-    process_cache,
     shard_hash,
     train_parallel,
 )
@@ -376,9 +377,6 @@ class TestExtractionCache:
         cache.extract("K0", self.KEY, self.SAMPLE)
         assert cache.stats() == (0, 1)
 
-    def test_process_cache_is_a_singleton(self):
-        assert process_cache() is process_cache()
-
 
 # -- pipeline ----------------------------------------------------------------
 
@@ -465,8 +463,9 @@ class TestTrainParallel:
         )
 
     def test_cache_holds_only_last_run(self):
-        """The process-wide memo is cleared per run: after training A
-        then B it holds exactly B's keys."""
+        """Each run extracts through a memo of its own: training A then
+        B on one instance reports exactly B's traffic, the same as a
+        fresh instance trained on B alone."""
         corpus_a = self._sessions()
         corpus_b = [
             Session(
@@ -485,12 +484,73 @@ class TestTrainParallel:
         ]
         model_a = IntelLog()
         model_a.train(corpus_a)
-        model_b = IntelLog()
-        model_b.train(corpus_b)
         keys_a = {(tuple(k.tokens), k.sample) for k in model_a.spell.keys()}
-        keys_b = {(tuple(k.tokens), k.sample) for k in model_b.spell.keys()}
+        model_a.train(corpus_b)
+        keys_b = {(tuple(k.tokens), k.sample) for k in model_a.spell.keys()}
         assert keys_a and keys_b and not keys_a & keys_b
-        assert set(process_cache()._memo) == keys_b
+        fresh = IntelLog()
+        fresh.train(corpus_b)
+        retrained = model_a.last_parallel_report
+        assert retrained.cache_misses == len(keys_b)
+        assert (retrained.cache_hits, retrained.cache_misses) == (
+            fresh.last_parallel_report.cache_hits,
+            fresh.last_parallel_report.cache_misses,
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_training_extracts_with_the_models_extractor(
+        self, workers, monkeypatch
+    ):
+        """A user's naming filter shapes the trained Intel Keys and
+        groups, inline and with a pool (paper §3.1: systems extend the
+        camel-case filter with their own naming conventions)."""
+
+        def snake(word):
+            parts = [p.lower() for p in word.split("_") if p]
+            if len(parts) >= 2 and all(p.isalpha() for p in parts):
+                return parts
+            return None
+
+        sessions = [
+            Session(
+                session_id=f"w{i}",
+                records=[
+                    LogRecord(
+                        timestamp=float(i * 100 + j),
+                        level="INFO",
+                        source="Engine",
+                        message=message,
+                    )
+                    for j, message in enumerate(
+                        (
+                            f"starting stream_pipeline pipeline_{i}",
+                            f"flushed {100 + i} records to shard-{i}",
+                            f"stream_pipeline pipeline_{i} completed "
+                            f"cleanly",
+                        )
+                    )
+                ],
+            )
+            for i in range(6)
+        ]
+        force_batch_target(monkeypatch, 6)
+        intellog = IntelLog()
+        intellog.extractor = InformationExtractor(
+            filters=FilterChain([camel_filter, snake])
+        )
+        intellog.train(sessions, workers=workers)
+        assert intellog.last_parallel_report.pool_workers == workers
+        entities = {
+            entity
+            for key in intellog.intel_keys.values()
+            for entity in key.entities
+        }
+        assert "stream pipeline" in entities, entities
+        assert "stream_pipeline" not in entities
+        assert any(
+            ("stream", "pipeline") in node.entities
+            for node in intellog.graph.groups.values()
+        )
 
     def test_detector_works_after_parallel_training(self):
         sessions = self._sessions()
@@ -848,23 +908,15 @@ class TestCacheConservation:
         assert len(set(totals.values())) == 1, totals
 
     def test_lookup_total_matches_structure(self, monkeypatch):
-        """Total lookups = one canonical pass over the key table plus
-        one batch-key-table pass per batch."""
+        """Total lookups = one canonical pass over the key table: the
+        parent extracts every log key once and no batch extracts."""
         sessions = TestWorkerFailure()._sessions()
         force_batch_target(monkeypatch, 3)
         intellog = IntelLog()
         intellog.train(sessions, workers=1)
         report = intellog.last_parallel_report
-        # Same key set in every session here, so each of the 5 batches
-        # looks up the full table once, plus the canonical pass.
-        assert report.cache_lookups == report.log_keys * (
-            report.batches + 1
-        )
-
-    def test_init_worker_warms_extractor(self):
-        cache = process_cache()
-        init_worker()
-        assert cache._extractor is not None
+        assert report.batches == 5
+        assert report.cache_lookups == report.log_keys
 
 
 class TestBatchStats:
@@ -888,6 +940,9 @@ class TestBatchStats:
         merged = merge_shards(shards, shard_parses(shards))
         key = merged.spell.keys()[0]
         key_labels = {key.key_id: ("worker",)}
+        intel_key = ExtractionCache().extract(
+            key.key_id, key.tokens, key.sample
+        )
         task = BatchStatsTask(
             index=0,
             batch_hash=batch_hash(shards),
@@ -895,7 +950,6 @@ class TestBatchStats:
                 StatsSlice(
                     index=shard.index,
                     content_hash=shard.content_hash,
-                    session_id=shard.session.session_id,
                     rows=[
                         (r.timestamp, r.message)
                         for r in shard.session.records
@@ -904,8 +958,7 @@ class TestBatchStats:
                 )
                 for shard in shards
             ],
-            key_table=[(key.key_id, tuple(key.tokens), key.sample)],
-            key_labels=key_labels,
+            plans={key.key_id: KeyPlan.compile(intel_key, ("worker",))},
         )
         result = compute_batch_stats(task)
         assert result.shards == [
@@ -913,17 +966,16 @@ class TestBatchStats:
         ]
         assert len(result.shard_seconds) == 2
 
-        extractor = process_cache().extractor
-        intel_key = process_cache().extract(
-            key.key_id, tuple(key.tokens), key.sample
-        )
+        extractor = InformationExtractor()
         direct = GraphPartial()
         for session in sessions:
             direct.add_session(
                 [
-                    extractor.to_intel_message(
-                        intel_key, r.message, timestamp=r.timestamp,
-                        session_id=session.session_id,
+                    message_row(
+                        extractor.to_intel_message(
+                            intel_key, r.message, timestamp=r.timestamp,
+                            session_id=session.session_id,
+                        )
                     )
                     for r in session.records
                 ],

@@ -52,7 +52,33 @@ class TestTokenizerProperties:
         assert covered == non_ws
 
 
+def lcs_length_dp(a, b):
+    """The textbook LCS dynamic programme (the reference for the
+    bit-parallel ``lcs_length``)."""
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        curr = [0] * (len(b) + 1)
+        for j, y in enumerate(b, 1):
+            if x == y:
+                curr[j] = prev[j - 1] + 1
+            else:
+                curr[j] = max(prev[j], curr[j - 1])
+        prev = curr
+    return prev[-1]
+
+
+#: A small alphabet, so drawn lists repeat tokens and share many.
+dense_token_lists = st.lists(
+    st.sampled_from(["a", "b", "c", "d", STAR]), max_size=40
+)
+
+
 class TestLcsProperties:
+    @settings(max_examples=500)
+    @given(dense_token_lists, dense_token_lists)
+    def test_equals_the_dynamic_programme(self, a, b):
+        assert lcs_length(a, b) == lcs_length_dp(a, b)
+
     @given(token_lists, token_lists)
     def test_symmetric(self, a, b):
         assert lcs_length(a, b) == lcs_length(b, a)

@@ -1,8 +1,8 @@
 """Training does each per-record and per-session job once.
 
 * **Tokenize once** — phase 1 masks every message through the chunk
-  memo of :func:`repro.parsing.spell.mask_message`; phase 2 and the
-  extraction fallback read the same memo, so a whole training run calls
+  memo of :func:`repro.parsing.spell.mask_message`; phase 2's plan rows
+  read the same memo, so a whole training run calls
   the regex chunk tokenizer exactly once per distinct chunk and never
   the message-level ``words()``.
 * **Fold per batch** — each batch folds its sessions into one
@@ -27,7 +27,7 @@ import repro.parsing.spell
 from repro import IntelLog
 from repro.extraction.intelkey import IntelKey, IntelMessage
 from repro.graph.hwgraph import GraphPartial, HWGraphBuilder
-from repro.graph.subroutine import Subroutine
+from repro.graph.subroutine import Subroutine, message_row
 from repro.parsing.records import Session
 
 GOLDEN_CORPUS = Path(__file__).parent / "golden" / "corpus.jsonl"
@@ -138,7 +138,9 @@ def test_batch_partials_fold_to_the_sequential_graph(sessions, data):
     for run in _cut(sessions, data, "batch boundaries"):
         partial = GraphPartial()
         for messages in run:
-            partial.add_session(messages, batched.graph.key_groups)
+            partial.add_session(
+                map(message_row, messages), batched.graph.key_groups
+            )
         batched.partial.merge(partial)
     got = batched.build().to_dict()
 

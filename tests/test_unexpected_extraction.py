@@ -12,8 +12,9 @@ implementation it replaced is kept below as the oracle
   or hosts each get the oracle's extraction, which pins the memo key to
   (masked tokens, whole message) rather than the masked form alone;
 * reports of one repeated message share no mutable state;
-* detection never touches training's per-process memo, and importing
-  the detector does not import ``repro.parallel``.
+* detection's memo is the detector's own — training keeps none past
+  its run — and importing the detector does not import
+  ``repro.parallel``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from repro import IntelLog
 from repro.detection.detector import AnomalyDetector, _extraction_summary
 from repro.detection.report import Anomaly, AnomalyKind
 from repro.obs import MetricsRegistry
-from repro.parallel import process_cache
 from repro.parsing.records import LogRecord, Session
 from repro.parsing.spell import LogKey, mask_message
 from repro.simulators import FaultSpec, MapReduceConfig
@@ -216,19 +216,27 @@ def test_mutating_one_report_leaves_a_repeat_unchanged(relay_model):
 
 
 def test_detection_leaves_the_training_memo_alone(mr_model, mr_simulator):
+    """Training keeps no extraction memo past its run, so the one a
+    detector reads is its own: it starts empty, runs on the detector's
+    extractor, and detecting leaves the trained Intel Keys as they
+    were."""
     job = mr_simulator.run_job(
         "wordcount",
         MapReduceConfig(input_gb=3.0),
         fault=FaultSpec("network", at_fraction=0.4),
         base_time=9e5,
     )
-    cache = process_cache()
-    before = (cache.stats(), len(cache))
+    trained = {
+        key_id: key.to_dict() for key_id, key in mr_model.intel_keys.items()
+    }
     memo, _oracle = _detectors(mr_model)
+    assert len(memo._extraction_cache) == 0
     memo.detect_job(job.sessions, job.app_id)
     assert memo._extraction_cache.misses > 0
-    assert (cache.stats(), len(cache)) == before
-    assert memo._extraction_cache is not cache
+    assert memo._extraction_cache.extractor is memo.extractor
+    assert {
+        key_id: key.to_dict() for key_id, key in mr_model.intel_keys.items()
+    } == trained
 
 
 def test_detector_import_skips_the_training_pool():
