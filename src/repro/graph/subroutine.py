@@ -59,7 +59,8 @@ class KeyPlan:
     intel_key: IntelKey
     #: Labels of the groups the key feeds.  Detection keeps the
     #: iteration order of ``graph.key_groups[key_id]`` (the order that
-    #: decides the order of a report's subroutine anomalies).
+    #: decides the order of a report's subroutine anomalies); training
+    #: sorts them.
     groups: tuple[str, ...]
     slots: tuple[tuple[str, bool] | None, ...]
 

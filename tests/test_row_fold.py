@@ -224,7 +224,6 @@ def trained_partial(
     monkeypatch.setattr(HWGraphBuilder, "build", capturing_build)
     intellog = IntelLog()
     intellog.train(sessions, workers=workers)
-    monkeypatch.setattr(HWGraphBuilder, "build", real_build)
     [partial] = captured
     return intellog, partial
 
