@@ -10,6 +10,7 @@ original fused serial loop, kept below as :func:`fused_train`.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
 import time
@@ -53,6 +54,24 @@ from repro.parallel import pipeline
 from repro.parallel.pipeline import _run_tasks
 from repro.parsing.records import LogRecord, Session
 from repro.query.store import ModelStore
+
+# -- reference shard hash -----------------------------------------------------
+
+
+def frozen_shard_hash(session: Session) -> str:
+    """``shard_hash`` as it stood with one digest update per field: the
+    shard hashes, manifests and batch hashes must not move."""
+    digest = hashlib.sha256()
+    digest.update(session.session_id.encode())
+    digest.update(b"\x00")
+    digest.update(session.app_id.encode())
+    for record in session.records:
+        digest.update(b"\x1e")
+        digest.update(repr(record.timestamp).encode())
+        digest.update(b"\x1f")
+        digest.update(record.message.encode())
+    return digest.hexdigest()
+
 
 # -- reference trainer --------------------------------------------------------
 
@@ -313,6 +332,31 @@ class TestSharding:
         assert a == shard_hash(sessions[0])  # deterministic
         sessions[0].records[1].message += " extra"
         assert shard_hash(sessions[0]) != a
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ids=st.tuples(st.text(max_size=6), st.text(max_size=6)),
+        rows=st.lists(
+            st.tuples(
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.text(max_size=12),
+            ),
+            max_size=6,
+        ),
+    )
+    def test_shard_hash_equals_frozen_copy(self, ids, rows):
+        session = Session(
+            session_id=ids[0],
+            app_id=ids[1],
+            records=[
+                LogRecord(
+                    timestamp=timestamp, level="INFO", source="S",
+                    message=message,
+                )
+                for timestamp, message in rows
+            ],
+        )
+        assert shard_hash(session) == frozen_shard_hash(session)
 
     def test_manifest_depends_on_order_and_content(self):
         sessions = self._sessions()
