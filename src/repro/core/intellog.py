@@ -183,7 +183,9 @@ class IntelLog:
                     timestamp=record.timestamp,
                     session_id=session.session_id,
                     raw_tokens=match.raw_tokens,
-                    captures=match_captures(match, intel_key, verdicts),
+                    captures=match_captures(
+                        match, intel_key.template, verdicts
+                    ),
                 )
                 if message is not None:
                     out.append(message)

@@ -81,13 +81,13 @@ _MEMO_CAP = 4096
 
 def match_captures(
     match: MatchResult,
-    intel_key: IntelKey,
+    template: tuple[str, ...],
     verdicts: dict[str, bool],
 ) -> list[str] | None:
-    """The match-time captures when they may stand in for
-    ``intel_key``'s template alignment, else ``None``.
+    """The match-time captures when they may stand in for the
+    alignment against an Intel Key's ``template``, else ``None``.
 
-    They are exactly what ``extract_parameters(intel_key.template,
+    They are exactly what ``extract_parameters(template,
     match.raw_tokens)`` would recompute (the alignment detection and
     :meth:`InformationExtractor.to_intel_message` fall back to) when
     the matched log key's template IS the Intel Key's template, the key
@@ -101,7 +101,7 @@ def match_captures(
     if same_template is None:
         same_template = verdicts[key_id] = bool(
             match.key.constant_tokens()
-        ) and tuple(match.key.tokens) == intel_key.template
+        ) and tuple(match.key.tokens) == template
     if same_template and not match.misaligned:
         return match.parameters
     return None
@@ -286,14 +286,12 @@ class AnomalyDetector:
                 continue
             if timed:
                 t0 = time.perf_counter()
-            captures = match_captures(match, plan.intel_key, captures_ok)
+            captures = match_captures(match, plan.template, captures_ok)
             if captures is None:
                 raw_tokens = match.raw_tokens
                 if raw_tokens is None:
                     raw_tokens = mask_message(record.message)[1]
-                captures = extract_parameters(
-                    plan.intel_key.template, raw_tokens
-                )
+                captures = extract_parameters(plan.template, raw_tokens)
             if captures is not None and plan.groups:
                 row = plan.row(record.timestamp, captures)
                 for label in plan.groups:

@@ -48,15 +48,19 @@ def message_row(message: IntelMessage) -> Row:
 class KeyPlan:
     """What a row needs of one Intel Key, compiled once per key.
 
-    ``slots`` has one entry per :class:`~repro.extraction.intelkey.FieldSpec`,
-    in field order: ``(name, False)`` for an identifier, ``(NAME, True)``
-    for a value — an identifier of type ``NAME`` (the upper-cased field
-    name) whenever its capture is not a number, as
+    ``template`` is the key's template, which a record's raw tokens
+    are aligned against.  ``slots`` has one entry per
+    :class:`~repro.extraction.intelkey.FieldSpec`, in field order:
+    ``(name, False)`` for an identifier, ``(NAME, True)`` for a value —
+    an identifier of type ``NAME`` (the upper-cased field name) whenever
+    its capture is not a number, as
     :meth:`InformationExtractor.to_intel_message` files it — and
-    ``None`` for a locality, which no row carries.
+    ``None`` for a locality, which no row carries.  Nothing else of the
+    Intel Key is kept, so a plan ships lean to training's workers.
     """
 
-    intel_key: IntelKey
+    key_id: str
+    template: tuple[str, ...]
     #: Labels of the groups the key feeds.  Detection keeps the
     #: iteration order of ``graph.key_groups[key_id]`` (the order that
     #: decides the order of a report's subroutine anomalies); training
@@ -76,7 +80,10 @@ class KeyPlan:
                 slots.append((spec.name.upper(), True))
             else:
                 slots.append(None)
-        return cls(intel_key, groups, tuple(slots))
+        return cls(
+            intel_key.key_id, tuple(intel_key.template), groups,
+            tuple(slots),
+        )
 
     def row(self, timestamp: float, captures: Sequence[str]) -> Row:
         """One matched record's row, scattered from its captures."""
@@ -90,10 +97,7 @@ class KeyPlan:
                 continue
             values.append(capture)
             types.append(name)
-        return (
-            timestamp, self.intel_key.key_id, frozenset(values),
-            tuple(types),
-        )
+        return (timestamp, self.key_id, frozenset(values), tuple(types))
 
 
 @dataclass(slots=True)

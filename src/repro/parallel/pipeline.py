@@ -22,9 +22,9 @@ every worker count and every batch layout:
   :class:`~repro.graph.subroutine.KeyPlan` per Intel Key that feeds a
   group.
 * **Phase 2** — every batch receives the plans of the keys it uses,
-  turns each record into one plan row (aligning the chunk tokens phase
-  1 memoised against the key's template) and folds its sessions, in
-  corpus order, into one mergeable
+  turns each record into one plan row (aligning the record's raw
+  tokens — inline, the ones phase 1 kept — against the key's template)
+  and folds its sessions, in corpus order, into one mergeable
   :class:`~repro.graph.hwgraph.GraphPartial` in a worker
   (:func:`~repro.parallel.worker.compute_batch_stats`).
 * **Apply** — the parent merges the per-batch partials in batch order
@@ -349,11 +349,14 @@ def _run_tasks(
     return results
 
 
-def _parse_tasks(batches: Sequence[ShardBatch]) -> list[BatchParseTask]:
+def _parse_tasks(
+    batches: Sequence[ShardBatch], keep_tokens: bool
+) -> list[BatchParseTask]:
     return [
         BatchParseTask(
             index=batch.index,
             batch_hash=batch.batch_hash,
+            keep_tokens=keep_tokens,
             slices=[
                 ParseSlice(
                     index=shard.index,
@@ -367,6 +370,25 @@ def _parse_tasks(batches: Sequence[ShardBatch]) -> list[BatchParseTask]:
         )
         for batch in batches
     ]
+
+
+def _stats_slice(
+    shard: Shard, parse: ShardParse, record_keys: list[str]
+) -> StatsSlice:
+    """One shard's phase-2 slice: phase 1's raw tokens when it kept
+    them, else the message texts for the worker to mask."""
+    records = shard.session.records
+    return StatsSlice(
+        index=shard.index,
+        content_hash=shard.content_hash,
+        timestamps=[record.timestamp for record in records],
+        record_keys=record_keys,
+        tokens=parse.tokens,
+        messages=(
+            () if parse.tokens is not None
+            else tuple(record.message for record in records)
+        ),
+    )
 
 
 def _in_batch_order(
@@ -454,7 +476,8 @@ def train_parallel(
                 batch_parses: list[BatchParse] = _run_tasks(
                     executor,
                     parse_batch,
-                    _parse_tasks(batches),
+                    # Inline, phase 2 reads phase 1's raw tokens.
+                    _parse_tasks(batches, keep_tokens=executor is None),
                     phase="parse",
                     sent_bytes=report_bytes["parse_sent"],
                     recv_bytes=report_bytes["parse_recv"],
@@ -466,6 +489,7 @@ def train_parallel(
                     parse for result in batch_parses
                     for parse in result.parses
                 ]
+                parse_by_index = {parse.index: parse for parse in parses}
 
             # Merge: replay distinct forms to the canonical Spell table.
             with tracer.span("train.merge") as merge_span:
@@ -510,16 +534,10 @@ def train_parallel(
                             index=batch.index,
                             batch_hash=batch.batch_hash,
                             slices=[
-                                StatsSlice(
-                                    index=shard.index,
-                                    content_hash=shard.content_hash,
-                                    rows=[
-                                        (record.timestamp, record.message)
-                                        for record in shard.session.records
-                                    ],
-                                    record_keys=merged.record_keys[
-                                        shard.index
-                                    ],
+                                _stats_slice(
+                                    shard,
+                                    parse_by_index[shard.index],
+                                    merged.record_keys[shard.index],
                                 )
                                 for shard in batch.shards
                             ],
@@ -571,7 +589,6 @@ def train_parallel(
             config.detector,
         )
 
-    parse_by_index = {parse.index: parse for parse in parses}
     report = ParallelReport(
         workers=workers,
         shards=len(shards),

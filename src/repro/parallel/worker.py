@@ -9,37 +9,43 @@ folded in.
 The unit shipped to a worker is a **shard batch**
 (:class:`~repro.parallel.shard.ShardBatch`), and payloads are kept lean
 in both directions: tasks carry plain token/tuple rows (message strings
-for phase 1; ``(timestamp, message)`` rows plus the batch's compiled
-:class:`~repro.graph.subroutine.KeyPlan` table for phase 2) instead of
-pickled :class:`Session` / :class:`LogRecord` dataclasses, and results
-carry only form tables (phase 1) or one
+for phase 1; timestamps, per-record key ids and either raw tokens or
+message strings for phase 2, plus the batch's compiled
+:class:`~repro.graph.subroutine.KeyPlan` table) instead of pickled
+:class:`Session` / :class:`LogRecord` dataclasses, and results carry
+only form tables (phase 1) or one
 :class:`~repro.graph.hwgraph.GraphPartial` (phase 2) plus the echoed
 content hashes — never the inputs.
 
-Phase 1 (:func:`parse_batch`) masks every message and builds each member
-shard's *form table*: the distinct masked token sequences with their
-first local position, occurrence count and first raw message.  This is
-the per-message half of Spell; the cross-shard half (template matching
-and evolution) runs once in the parent over distinct forms only (see
-:mod:`repro.parallel.merge`).  Masking fills the process's chunk memo
-(:func:`~repro.parsing.spell.mask_message`).
+Phase 1 (:func:`parse_batch`) masks every message once and builds each
+member shard's *form table*: the distinct masked token sequences with
+their first local position, occurrence count and first raw message.
+This is the per-message half of Spell; the cross-shard half (template
+matching and evolution) runs once in the parent over distinct forms
+only (see :mod:`repro.parallel.merge`).  When the task asks for them
+(:attr:`BatchParseTask.keep_tokens`, set for inline runs), each
+record's raw tokens — the other half of the same
+:func:`~repro.parsing.spell.mask_message` call — are kept for phase 2.
 
 Phase 2 (:func:`compute_batch_stats`) receives the canonical per-record
 key assignment back, with one plan per Intel Key the batch uses that
 feeds an entity group — compiled in the parent from the parent's
 canonical Intel Keys, so no worker extracts anything.  It aligns each
-record's raw tokens (read from the chunk memo, so no record is
-tokenized twice) against its key's template, scatters the captures into
-one row with :meth:`KeyPlan.row` — the same compiled step detection
-takes — and folds the batch's sessions, in corpus order, into one
-:class:`~repro.graph.hwgraph.GraphPartial`: subroutines, lifespan
-relations and group counters.  The parent only merges one partial per
-batch.
+record's raw tokens against its key's template, scatters the captures
+into one row with :meth:`KeyPlan.row` — the same compiled step
+detection takes — and folds the batch's sessions, in corpus order, into
+one :class:`~repro.graph.hwgraph.GraphPartial`: subroutines, lifespan
+relations and group counters.  Inline, the raw tokens are the ones
+phase 1 kept, so no record is masked twice.  A pool worker gets the
+message texts instead and masks the records that have a plan: shipping
+phase 1's tokens back and forth would cost more bytes than the masking
+costs CPU.  The parent only merges one partial per batch.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 from ..graph.hwgraph import GraphPartial
 from ..graph.subroutine import KeyPlan
@@ -67,7 +73,8 @@ class ShardParse:
 
     ``forms[i] = (tokens, first_local_idx, count, sample)`` — the distinct
     masked forms in first-appearance order; ``record_forms[r]`` maps the
-    shard's ``r``-th record to its form index.
+    shard's ``r``-th record to its form index; ``tokens[r]``, when the
+    task kept them, is the ``r``-th record's raw tokens.
     """
 
     index: int
@@ -76,6 +83,7 @@ class ShardParse:
         default_factory=list
     )
     record_forms: list[int] = field(default_factory=list)
+    tokens: list[list[str]] | None = None
     #: CPU seconds spent in this shard's masking (process time: immune
     #: to the timesharing noise of oversubscribed worker pools).
     duration: float = 0.0
@@ -98,6 +106,9 @@ class BatchParseTask:
     index: int
     batch_hash: str
     slices: list[ParseSlice] = field(default_factory=list)
+    #: Keep each record's raw tokens for phase 2 (inline runs only: a
+    #: pool would ship them back and forth).
+    keep_tokens: bool = False
 
 
 @dataclass(slots=True)
@@ -113,13 +124,17 @@ class BatchParse:
 
 def _mask_form_table(
     messages: tuple[str, ...] | list[str],
+    tokens: list[list[str]] | None = None,
 ) -> tuple[list[tuple[tuple[str, ...], int, int, str]], list[int]]:
-    """Mask messages into a distinct-form table + per-record form index."""
+    """Mask messages into a distinct-form table + per-record form index,
+    appending each record's raw tokens to ``tokens`` when given."""
     form_index: dict[tuple[str, ...], int] = {}
     forms: list[list] = []  # [tokens, first_local_idx, count, sample]
     record_forms: list[int] = []
     for position, message in enumerate(messages):
-        masked, _raw = mask_message(message)
+        masked, raw = mask_message(message)
+        if tokens is not None:
+            tokens.append(raw)
         form = tuple(masked)
         idx = form_index.get(form)
         if idx is None:
@@ -138,13 +153,15 @@ def parse_batch(task: BatchParseTask) -> BatchParse:
     parses: list[ShardParse] = []
     for piece in task.slices:
         started = time.process_time()
-        forms, record_forms = _mask_form_table(piece.messages)
+        tokens: list[list[str]] | None = [] if task.keep_tokens else None
+        forms, record_forms = _mask_form_table(piece.messages, tokens)
         parses.append(
             ShardParse(
                 index=piece.index,
                 content_hash=piece.content_hash,
                 forms=forms,
                 record_forms=record_forms,
+                tokens=tokens,
                 duration=time.process_time() - started,
             )
         )
@@ -162,13 +179,19 @@ def parse_batch(task: BatchParseTask) -> BatchParse:
 @dataclass(slots=True)
 class StatsSlice:
     """One shard's lean phase-2 payload inside a :class:`BatchStatsTask`:
-    ``rows`` are ``(timestamp, message)`` — the only record fields the
-    statistics path reads."""
+    per record, its timestamp, its key id and its raw tokens — the only
+    record fields the statistics path reads.
+
+    ``tokens`` are phase 1's (inline runs); when they are ``None`` the
+    worker masks ``messages`` for them (pool runs).
+    """
 
     index: int
     content_hash: str
-    rows: list[tuple[float, str]] = field(default_factory=list)
+    timestamps: list[float] = field(default_factory=list)
     record_keys: list[str] = field(default_factory=list)
+    tokens: list[list[str]] | None = None
+    messages: tuple[str, ...] = ()
 
 
 @dataclass(slots=True)
@@ -198,43 +221,64 @@ class BatchStats:
     #: ``(index, content_hash)`` of every member shard, in batch order,
     #: echoed so the parent can verify the pairing before merging.
     shards: list[tuple[int, str]] = field(default_factory=list)
-    #: CPU seconds each member shard took (rows + fold).
+    #: CPU seconds each member shard took (rows + fold, plus masking
+    #: on a pool).
     shard_seconds: list[float] = field(default_factory=list)
     duration: float = 0.0
 
 
 def _fold_shard(
-    piece: StatsSlice,
+    records: Iterable[tuple[float, Sequence[str], str]],
     plans: dict[str, KeyPlan],
     key_groups: dict[str, tuple[str, ...]],
     partial: GraphPartial,
-) -> float:
-    """Turn one shard's records into rows and fold its session into
-    ``partial``; returns the CPU seconds it took."""
-    started = time.process_time()
+) -> None:
+    """Turn one shard's ``(timestamp, raw tokens, key id)`` records into
+    rows and fold its session into ``partial``."""
     rows = []
-    for (timestamp, text), key_id in zip(piece.rows, piece.record_keys):
+    for timestamp, tokens, key_id in records:
         plan = plans.get(key_id)
         if plan is None:
             continue
-        captures = extract_parameters(
-            plan.intel_key.template, mask_message(text)[1]
-        )
+        captures = extract_parameters(plan.template, tokens)
         if captures is not None:
             rows.append(plan.row(timestamp, captures))
     partial.add_session(rows, key_groups)
-    return time.process_time() - started
+
+
+def _slice_tokens(
+    piece: StatsSlice, plans: dict[str, KeyPlan]
+) -> list[Sequence[str]]:
+    """The slice's raw tokens: phase 1's, or its messages masked here
+    (only those of records that have a plan; the rest are skipped)."""
+    if piece.tokens is not None:
+        return piece.tokens
+    return [
+        mask_message(text)[1] if key_id in plans else ()
+        for text, key_id in zip(piece.messages, piece.record_keys)
+    ]
 
 
 def compute_batch_stats(task: BatchStatsTask) -> BatchStats:
     """Phase-2 worker entry point: fold every shard of one batch."""
     batch_started = time.process_time()
-    key_groups = {key_id: plan.groups for key_id, plan in task.plans.items()}
+    plans = task.plans
+    key_groups = {key_id: plan.groups for key_id, plan in plans.items()}
     partial = GraphPartial()
-    shard_seconds = [
-        _fold_shard(piece, task.plans, key_groups, partial)
-        for piece in task.slices
-    ]
+    shard_seconds = []
+    for piece in task.slices:
+        started = time.process_time()
+        _fold_shard(
+            zip(
+                piece.timestamps,
+                _slice_tokens(piece, plans),
+                piece.record_keys,
+            ),
+            plans,
+            key_groups,
+            partial,
+        )
+        shard_seconds.append(time.process_time() - started)
     return BatchStats(
         index=task.index,
         batch_hash=task.batch_hash,

@@ -123,7 +123,7 @@ class ObjectPathDetector(AnomalyDetector):
                 timestamp=record.timestamp,
                 session_id=session.session_id,
                 raw_tokens=match.raw_tokens,
-                captures=match_captures(match, intel_key, {}),
+                captures=match_captures(match, intel_key.template, {}),
             )
             if message is None:
                 report.anomalies.append(self._unexpected_message(record))
@@ -312,15 +312,16 @@ def _assert_rows_agree(
             plan = detector._plans.get(match.key.key_id)
             if plan is None:
                 continue
-            reused = match_captures(match, plan.intel_key, {})
+            intel_key = detector.graph.intel_keys[plan.key_id]
+            reused = match_captures(match, plan.template, {})
             message = extractor.to_intel_message(
-                plan.intel_key, record.message, timestamp=record.timestamp,
+                intel_key, record.message, timestamp=record.timestamp,
                 raw_tokens=match.raw_tokens, captures=reused,
             )
             captures = reused
             if captures is None:
                 captures = extract_parameters(
-                    plan.intel_key.template, match.raw_tokens
+                    plan.template, match.raw_tokens
                 )
             assert (captures is None) == (message is None), record.message
             if message is None:
@@ -526,7 +527,7 @@ def test_match_with_another_template_is_realigned() -> None:
     # match captures (blk_7) must not stand in for its alignment, which
     # captures "block blk_7": K1 no longer overlaps K0.
     detector = _hand_model(committed=("Committed", "*"))
-    assert detector._plans["K1"].intel_key.template != tuple(
+    assert detector._plans["K1"].template != tuple(
         detector.spell.match("Committed block blk_7").key.tokens
     )
     assert _anomalies(

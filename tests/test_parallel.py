@@ -159,12 +159,13 @@ def default_batches(shards):
     )
 
 
-def shard_parses(shards):
+def shard_parses(shards, keep_tokens=False):
     """Phase 1 over ``shards`` as one batch, flattened to per-shard
     parses in corpus order."""
     task = BatchParseTask(
         index=0,
         batch_hash=batch_hash(shards),
+        keep_tokens=keep_tokens,
         slices=[
             ParseSlice(
                 index=s.index,
@@ -994,11 +995,9 @@ class TestBatchStats:
                 StatsSlice(
                     index=shard.index,
                     content_hash=shard.content_hash,
-                    rows=[
-                        (r.timestamp, r.message)
-                        for r in shard.session.records
-                    ],
+                    timestamps=[r.timestamp for r in shard.session.records],
                     record_keys=merged.record_keys[shard.index],
+                    messages=tuple(r.message for r in shard.session.records),
                 )
                 for shard in shards
             ],
@@ -1033,6 +1032,21 @@ class TestBatchStats:
         want = direct.groups["worker"]
         assert group.model.subroutines == want.model.subroutines
         assert partial.relations.to_dict() == direct.relations.to_dict()
+
+        # Inline, the slices carry phase 1's raw tokens instead of the
+        # messages; the partial is the same.
+        kept = {
+            parse.index: parse.tokens
+            for parse in shard_parses(shards, keep_tokens=True)
+        }
+        for piece in task.slices:
+            piece.tokens, piece.messages = kept[piece.index], ()
+        inline = compute_batch_stats(task).partial
+        [(label, kept_group)] = inline.groups.items()
+        assert label == "worker"
+        assert (kept_group.session_count, kept_group.max_key_repeat) == (2, 3)
+        assert kept_group.model.subroutines == group.model.subroutines
+        assert inline.relations.to_dict() == partial.relations.to_dict()
 
     def test_stats_echo_mismatch_is_rejected(self, monkeypatch):
         sessions = TestWorkerFailure()._sessions()

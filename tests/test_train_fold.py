@@ -18,7 +18,6 @@ import json
 from collections import Counter
 from pathlib import Path
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -72,7 +71,6 @@ def test_training_tokenizes_each_distinct_chunk_once(monkeypatch):
     assert max(calls.values()) == 1
 
 
-@pytest.mark.xfail(strict=True, reason="phase 2 masks each record again")
 def test_training_masks_each_record_once(monkeypatch):
     import repro.parallel.worker
 
