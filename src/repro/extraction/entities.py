@@ -33,6 +33,13 @@ POS_PATTERNS: tuple[tuple[str, ...], ...] = (
     ("NN",),
 )
 
+#: POS_PATTERNS by first tag, in order: a position whose tag heads no
+#: pattern cannot start an entity.
+_PATTERNS_BY_HEAD: dict[str, tuple[tuple[str, ...], ...]] = {
+    head: tuple(p for p in POS_PATTERNS if p[0] == head)
+    for head in dict.fromkeys(p[0] for p in POS_PATTERNS)
+}
+
 
 @dataclass(frozen=True, slots=True)
 class Entity:
@@ -96,7 +103,7 @@ def extract_entities(
     if filters is None:
         filters = make_default_chain()
 
-    coarse_tags = [coarse(t.tag) for t in tokens]
+    coarse_tags = tuple(coarse(t.tag) for t in tokens)
     unit_positions = _value_unit_positions(tokens)
     entities: list[Entity] = []
 
@@ -119,12 +126,11 @@ def extract_entities(
                 i += 1
                 continue
         matched = False
-        for pattern in POS_PATTERNS:
+        for pattern in _PATTERNS_BY_HEAD.get(coarse_tags[i], ()):
             end = i + len(pattern)
             if end > n:
                 continue
-            window = coarse_tags[i:end]
-            if tuple(window) != pattern:
+            if coarse_tags[i:end] != pattern:
                 continue
             # Head of the phrase must not be a measurement unit of a value,
             # and prepositional patterns must not bridge units.
@@ -165,19 +171,7 @@ def extract_entities(
             matched = True
             break
         if not matched:
-            # Camel-case word outside any noun pattern (tagged NNP etc.).
-            tok = tokens[i]
-            if tok.kind == "word":
-                parts = filters.split(tok.text)
-                if parts:
-                    lemma = lemmatize_phrase(parts, ["NN"] * len(parts))
-                    entities.append(
-                        Entity(
-                            words=tuple(lemma),
-                            span=(i, i + 1),
-                            pattern="camel",
-                        )
-                    )
+            # A camel-case word was taken above, before the patterns.
             i += 1
     return _dedupe(entities)
 

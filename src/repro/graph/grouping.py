@@ -129,7 +129,11 @@ def group_entities(entities: Iterable[str | Sequence[str]]) -> GroupingResult:
 
     for phrase in ordered:
         grouped = False
+        words = set(phrase)
         for group in groups:
+            # Most groups share no word with the phrase.
+            if words.isdisjoint(group.name):
+                continue
             common = longest_common_phrase(group.name, phrase)
             if common:
                 group.entities.add(phrase)

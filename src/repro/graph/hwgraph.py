@@ -9,16 +9,22 @@ per incoming session for anomaly detection (§4.2).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 import networkx as nx
 
 from ..extraction.intelkey import IntelKey, IntelMessage
 from .grouping import GroupingResult, group_entities
-from .lifespan import BEFORE, PARENT, Lifespan, RelationMatrix
+from .lifespan import (
+    AFTER,
+    BEFORE,
+    CHILD,
+    PARENT,
+    Lifespan,
+    RelationMatrix,
+)
 from .subroutine import Row, Subroutine, SubroutineModel, message_row
 
 _timestamp = itemgetter(0)
@@ -56,26 +62,37 @@ class GraphPartial:
     def add_session(
         self,
         rows: Iterable[Row],
-        key_groups: Mapping[str, Iterable[str]],
+        key_groups: Mapping[str, Sequence[str]],
     ) -> None:
         """Fold one session's rows (any order; sorted by timestamp
-        here)."""
+        here).  ``key_groups`` maps a key id to the labels of the groups
+        it feeds, already sorted (they are sorted once, where the
+        mapping is built)."""
         per_group: dict[str, list[Row]] = {}
         for row in sorted(rows, key=_timestamp):
-            for label in sorted(key_groups.get(row[1], ())):
-                per_group.setdefault(label, []).append(row)
+            for label in key_groups.get(row[1], ()):
+                group_rows = per_group.get(label)
+                if group_rows is None:
+                    per_group[label] = [row]
+                else:
+                    group_rows.append(row)
 
         lifespans: dict[str, Lifespan] = {}
+        groups = self.groups
         for label, group_rows in per_group.items():
-            group = self.groups.get(label)
+            group = groups.get(label)
             if group is None:
-                group = self.groups[label] = GroupPartial()
+                group = groups[label] = GroupPartial()
             group.session_count += 1
             group.model.train_session(group_rows)
-            key_repeats = Counter(row[1] for row in group_rows)
-            group.max_key_repeat = max(
-                group.max_key_repeat, max(key_repeats.values())
-            )
+            # A group cannot repeat a key more often than it has rows.
+            if len(group_rows) > group.max_key_repeat:
+                repeats: dict[str, int] = {}
+                for row in group_rows:
+                    repeats[row[1]] = repeats.get(row[1], 0) + 1
+                group.max_key_repeat = max(
+                    group.max_key_repeat, max(repeats.values())
+                )
             lifespans[label] = Lifespan(
                 group_rows[0][0], group_rows[-1][0]
             )
@@ -306,6 +323,12 @@ class HWGraphBuilder:
         )
         self.graph = HWGraph(intel_keys=self.intel_keys)
         self._init_groups()
+        #: ``graph.key_groups`` with each key's labels sorted once: the
+        #: mapping :meth:`GraphPartial.add_session` folds rows with.
+        self.sorted_key_groups: dict[str, tuple[str, ...]] = {
+            key_id: tuple(sorted(labels))
+            for key_id, labels in self.graph.key_groups.items()
+        }
         #: Training statistics so far; :meth:`build` installs them.
         #: ``repro.parallel`` merges per-batch partials into it.
         self.partial = GraphPartial()
@@ -334,7 +357,7 @@ class HWGraphBuilder:
     def train_session(self, messages: Iterable[IntelMessage]) -> None:
         """Consume one normal-execution session's Intel Messages."""
         self.partial.add_session(
-            map(message_row, messages), self.graph.key_groups
+            map(message_row, messages), self.sorted_key_groups
         )
 
     # -- finalisation ---------------------------------------------------------------
@@ -361,12 +384,22 @@ class HWGraphBuilder:
                 for key_id in removed.key_ids:
                     graph.key_groups.get(key_id, set()).discard(label)
 
+        # Every directed verdict, from the observed pairs only: a pair
+        # never observed together is PARALLEL.
+        observed = set(labels)
+        verdicts = [
+            (a, b, relation)
+            for a, b, relation in graph.relations.verdicts()
+            if a in observed and b in observed
+        ]
+
         # Ancestor sets from PARENT relations.
         ancestors: dict[str, set[str]] = {label: set() for label in labels}
-        for a in labels:
-            for b in labels:
-                if a != b and graph.relations.relation(a, b) == PARENT:
-                    ancestors[b].add(a)
+        for a, b, relation in verdicts:
+            if relation == PARENT:
+                ancestors[b].add(a)
+            elif relation == CHILD:
+                ancestors[a].add(b)
 
         # Parent of g = the ancestor that is itself a descendant of all of
         # g's other ancestors (the deepest one); ties break alphabetically.
@@ -384,14 +417,15 @@ class HWGraphBuilder:
         for node in graph.groups.values():
             node.children.sort()
 
-        # Sibling BEFORE edges.
-        for label in labels:
+        # Sibling BEFORE edges, added in (label, other) order.
+        edges = []
+        for a, b, relation in verdicts:
+            if relation == BEFORE:
+                edges.append((a, b))
+            elif relation == AFTER:
+                edges.append((b, a))
+        for label, other in sorted(edges):
             node = graph.groups[label]
-            for other in labels:
-                if other == label:
-                    continue
-                if graph.groups[other].parent != node.parent:
-                    continue
-                if graph.relations.relation(label, other) == BEFORE:
-                    node.before.add(other)
+            if graph.groups[other].parent == node.parent:
+                node.before.add(other)
         return graph

@@ -110,15 +110,23 @@ class RelationMatrix:
                     rel = AFTER
                 else:
                     rel = PARALLEL
-                counts = observations.setdefault((a, names[j]), {})
-                counts[rel] = counts.get(rel, 0) + 1
+                pair = (a, names[j])
+                counts = observations.get(pair)
+                if counts is None:
+                    observations[pair] = {rel: 1}
+                else:
+                    counts[rel] = counts.get(rel, 0) + 1
 
     def merge(self, other: "RelationMatrix") -> None:
         """Add ``other``'s observations: per pair and relation, counts
         sum, so merging matrices equals observing all their sessions."""
         self._groups.update(other._groups)
+        observations = self._observations
         for pair, counts in other._observations.items():
-            mine = self._observations.setdefault(pair, {})
+            mine = observations.get(pair)
+            if mine is None:
+                observations[pair] = dict(counts)
+                continue
             for rel, count in counts.items():
                 mine[rel] = mine.get(rel, 0) + count
 
@@ -153,6 +161,15 @@ class RelationMatrix:
                        PARALLEL: PARALLEL}[rel]
             return rel
         return PARALLEL
+
+    def verdicts(self) -> list[tuple[str, str, str]]:
+        """``(a, b, relation(a, b))`` for every observed pair, ``a < b``,
+        in sorted order; every other pair of distinct groups is
+        PARALLEL."""
+        return [
+            (a, b, self.relation(a, b))
+            for a, b in sorted(self._observations)
+        ]
 
     def relations_of(self, group: str) -> dict[str, str]:
         """Relations from ``group`` to every other observed group."""

@@ -170,6 +170,11 @@ class Subroutine:
     instance_count: int = 0
     #: Observed instance lengths in log messages (Table 5 statistics).
     instance_lengths: list[int] = field(default_factory=list)
+    #: First-seen key orders already consumed by :meth:`update` — a
+    #: memo, not model state: it is not serialized or compared.
+    orders: set[tuple[str, ...]] = field(
+        default_factory=set, compare=False, repr=False
+    )
 
     @property
     def critical_keys(self) -> set[str]:
@@ -220,33 +225,41 @@ class Subroutine:
         """Consume one instance's Intel Key sequence (UpdateSubroutine)."""
         self.instance_count += 1
         self.instance_lengths.append(len(key_sequence))
-        first_pos: dict[str, int] = {}
-        for pos, key in enumerate(key_sequence):
-            first_pos.setdefault(key, pos)
-        observed = list(first_pos)
+        # Distinct keys in first-seen order: for i < j, observed[i]
+        # first appeared before observed[j].
+        observed = tuple(dict.fromkeys(key_sequence))
+        key_counts = self.key_counts
+        if observed in self.orders:
+            # A repeat order: its first pass compared all its pairs and
+            # dropped every BEFORE it contradicts, and a compared pair
+            # is never added to ``before`` again, so only counts move.
+            for key in observed:
+                key_counts[key] += 1
+            return
+        self.orders.add(observed)
 
         for key in observed:
-            if key not in self.key_counts:
+            count = key_counts.get(key)
+            if count is None:
                 self.keys.append(key)
                 # A key first seen now was missing from earlier instances.
-                self.key_counts[key] = 0
-            self.key_counts[key] += 1
+                key_counts[key] = 1
+            else:
+                key_counts[key] = count + 1
 
         # Update pairwise order relations among co-occurring keys.
+        before = self.before
+        compared = self.compared
         for i, a in enumerate(observed):
             for b in observed[i + 1:]:
-                pa, pb = first_pos[a], first_pos[b]
-                earlier, later = (a, b) if pa < pb else (b, a)
-                pair = (earlier, later)
-                reverse = (later, earlier)
-                if pair in self.compared or reverse in self.compared:
+                pair = (a, b)
+                reverse = (b, a)
+                if pair in compared or reverse in compared:
                     # Seen before: keep BEFORE only if consistent.
-                    if reverse in self.before:
-                        self.before.discard(reverse)
-                    # pair in before stays; pair order matches.
+                    before.discard(reverse)
                 else:
-                    self.compared.add(pair)
-                    self.before.add(pair)
+                    compared.add(pair)
+                    before.add(pair)
 
     def merge(self, other: "Subroutine") -> None:
         """Fold in ``other``, trained on the instances that come after
@@ -276,6 +289,9 @@ class Subroutine:
                     self.before.add(pair)
         self.instance_count += other.instance_count
         self.instance_lengths.extend(other.instance_lengths)
+        # The merge equals one pass over both runs, which consumed
+        # ``other``'s orders too.
+        self.orders |= other.orders
 
     # -- detection -------------------------------------------------------------
 

@@ -31,7 +31,8 @@ class NameFilter(Protocol):
 
 def is_camel_case(word: str) -> bool:
     """True for words with an internal case change, e.g. ``MapTask``."""
-    if len(word) < 2 or not word.isalnum():
+    # An all-lowercase word (the common case) has no uppercase letter.
+    if len(word) < 2 or word.islower() or not word.isalnum():
         return False
     has_upper_inside = any(c.isupper() for c in word[1:])
     has_lower = any(c.islower() for c in word)

@@ -41,8 +41,6 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_KIND_ORDER = ("path", "hostport", "ident", "number", "word", "star", "punct")
-
 
 @dataclass(frozen=True, slots=True)
 class Token:
@@ -62,12 +60,10 @@ class Token:
 
 def iter_tokens(text: str) -> Iterator[Token]:
     """Yield :class:`Token` objects for ``text`` in surface order."""
+    # The named groups are the top-level alternatives, none nested, so
+    # the last (only) group that matched names the token's kind.
     for match in _TOKEN_RE.finditer(text):
-        for kind in _KIND_ORDER:
-            value = match.group(kind)
-            if value is not None:
-                yield Token(value, kind, match.start(kind))
-                break
+        yield Token(match.group(), match.lastgroup, match.start())
 
 
 def tokenize(text: str) -> list[Token]:

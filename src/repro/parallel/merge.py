@@ -123,15 +123,15 @@ def merge_shards(
     line_ids_by_key: dict[str, list[int]] = {}
     total_records = 0
     for shard, parse in zip(shards, ordered):
-        keys = [
-            assignment[parse.forms[form_idx][0]]
-            for form_idx in parse.record_forms
-        ]
+        form_keys = [assignment[form[0]] for form in parse.forms]
+        keys = [form_keys[form_idx] for form_idx in parse.record_forms]
         record_keys.append(keys)
-        for position, key_id in enumerate(keys):
-            line_ids_by_key.setdefault(key_id, []).append(
-                shard.base_offset + position + 1
-            )
+        for line_id, key_id in enumerate(keys, shard.base_offset + 1):
+            line_ids = line_ids_by_key.get(key_id)
+            if line_ids is None:
+                line_ids_by_key[key_id] = [line_id]
+            else:
+                line_ids.append(line_id)
         total_records += len(keys)
     spell.rebuild_bookkeeping(line_ids_by_key, total_records)
 

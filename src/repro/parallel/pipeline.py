@@ -510,10 +510,8 @@ def train_parallel(
                 }
                 builder = HWGraphBuilder(intel_keys)
                 plans = {
-                    key_id: KeyPlan.compile(
-                        intel_keys[key_id], tuple(sorted(labels))
-                    )
-                    for key_id, labels in builder.graph.key_groups.items()
+                    key_id: KeyPlan.compile(intel_keys[key_id], labels)
+                    for key_id, labels in builder.sorted_key_groups.items()
                     if labels
                 }
 

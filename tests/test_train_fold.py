@@ -172,7 +172,7 @@ def test_batch_partials_fold_to_the_sequential_graph(sessions, data):
         partial = GraphPartial()
         for messages in run:
             partial.add_session(
-                map(message_row, messages), batched.graph.key_groups
+                map(message_row, messages), batched.sorted_key_groups
             )
         batched.partial.merge(partial)
     got = batched.build().to_dict()
