@@ -65,17 +65,19 @@ class Shard:
 
 
 def shard_hash(session: Session) -> str:
-    """Content hash of one session: ids, timestamps and message texts."""
-    digest = hashlib.sha256()
-    digest.update(session.session_id.encode())
-    digest.update(b"\x00")
-    digest.update(session.app_id.encode())
-    for record in session.records:
-        digest.update(b"\x1e")
-        digest.update(repr(record.timestamp).encode())
-        digest.update(b"\x1f")
-        digest.update(record.message.encode())
-    return digest.hexdigest()
+    """Content hash of one session: ids, timestamps and message texts.
+
+    The fields are joined into one buffer and hashed in one update
+    (sha256 streams, so this equals one update per field).
+    """
+    text = "".join(
+        [session.session_id, "\x00", session.app_id]
+        + [
+            f"\x1e{record.timestamp!r}\x1f{record.message}"
+            for record in session.records
+        ]
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def make_shards(sessions: Iterable[Session]) -> list[Shard]:
