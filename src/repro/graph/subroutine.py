@@ -340,10 +340,13 @@ class SubroutineModel:
 
     def train_session(self, rows: Iterable[Row]) -> None:
         """Consume one session's rows for this group (Algorithm 2)."""
+        subroutines = self.subroutines
         for instance in assign_instances(rows):
-            self._subroutine_for(instance.signature).update(
-                instance.key_sequence
-            )
+            signature = instance.signature
+            sub = subroutines.get(signature)
+            if sub is None:
+                sub = subroutines[signature] = Subroutine(signature=signature)
+            sub.update(instance.key_sequence)
 
     def merge(self, other: "SubroutineModel") -> None:
         """Fold in ``other``, trained on the sessions after this one's.
@@ -358,13 +361,6 @@ class SubroutineModel:
                 self.subroutines[signature] = sub
             else:
                 mine.merge(sub)
-
-    def _subroutine_for(self, signature: tuple[str, ...]) -> Subroutine:
-        sub = self.subroutines.get(signature)
-        if sub is None:
-            sub = Subroutine(signature=signature)
-            self.subroutines[signature] = sub
-        return sub
 
     def get(self, signature: tuple[str, ...]) -> Subroutine | None:
         return self.subroutines.get(signature)
