@@ -54,6 +54,7 @@ from repro.parallel import pipeline
 from repro.parallel.pipeline import _run_tasks
 from repro.parsing.records import LogRecord, Session
 from repro.query.store import ModelStore
+from repro.simulators import WorkloadGenerator, sessions_of
 
 # -- reference shard hash -----------------------------------------------------
 
@@ -931,6 +932,29 @@ class TestReportRoundTrip:
         assert len(data["stats_shard_seconds"]) == report.shards
         assert data["payload_bytes_total"] == report.payload_bytes_total
         assert data["cache_lookups"] == report.cache_lookups
+
+
+# -- payload ------------------------------------------------------------------
+
+#: Ceiling on the phase-2 bytes shipped at ``workers=2`` on the
+#: speed-gate corpus: what phase 2 shipped before its plans carried whole
+#: Intel Keys (465,525 bytes).  A plan holds only the key id, template,
+#: groups and slots.
+PHASE2_PAYLOAD_BOUND = 386_087
+
+
+def test_phase2_payload_on_the_speed_gate_corpus():
+    """The corpus of ``benchmarks/test_speed_gates.py`` at
+    ``REPRO_SCALE=1``: 10 spark and 10 MapReduce jobs."""
+    sessions = []
+    for i, system in enumerate(("spark", "mapreduce")):
+        generator = WorkloadGenerator(seed=500 + i)
+        sessions.extend(sessions_of(generator.run_batch(system, 10)))
+    intellog = IntelLog()
+    intellog.train(sessions, workers=2)
+    report = intellog.last_parallel_report
+    assert report.pool_workers == 2
+    assert 0 < sum(report.stats_payload_bytes) <= PHASE2_PAYLOAD_BOUND
 
 
 # -- cache accounting ---------------------------------------------------------

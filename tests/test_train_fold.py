@@ -1,15 +1,21 @@
 """Training does each per-record and per-session job once.
 
 * **Tokenize once** — phase 1 masks every message through the chunk
-  memo of :func:`repro.parsing.spell.mask_message`; phase 2's plan rows
-  read the same memo, so a whole training run calls
-  the regex chunk tokenizer exactly once per distinct chunk and never
-  the message-level ``words()``.
+  memo of :func:`repro.parsing.spell.mask_message`, so a whole training
+  run calls the regex chunk tokenizer exactly once per distinct chunk
+  and never the message-level ``words()``.
+* **Mask once** — inline, phase 2's plan rows align the raw tokens of
+  phase 1's ``mask_message`` call, so each training record is masked
+  exactly once; besides that, only Spell's form replay masks, one
+  sample per distinct form.
 * **Fold per batch** — each batch folds its sessions into one
   :class:`~repro.graph.hwgraph.GraphPartial` and the parent merges the
   partials in corpus order.  The hypothesis tests pin that merging is
   exact: any split of a session stream into consecutive runs folds to
   the same serialized HW-graph as the sequential fold.
+* **No repeated fold work** — the fold, with labels sorted once and
+  repeat key orders counted without a pair rescan, equals frozen copies
+  of the fold that sorted per row and rescanned every instance.
 """
 
 from __future__ import annotations
