@@ -171,7 +171,9 @@ class Subroutine:
     #: Observed instance lengths in log messages (Table 5 statistics).
     instance_lengths: list[int] = field(default_factory=list)
     #: First-seen key orders already consumed by :meth:`update` — a
-    #: memo, not model state: it is not serialized or compared.
+    #: memo, not model state: it is not serialized or compared, and any
+    #: subset of the consumed orders (none, after a merge or a load) is
+    #: a valid memo.
     orders: set[tuple[str, ...]] = field(
         default_factory=set, compare=False, repr=False
     )
@@ -289,9 +291,6 @@ class Subroutine:
                     self.before.add(pair)
         self.instance_count += other.instance_count
         self.instance_lengths.extend(other.instance_lengths)
-        # The merge equals one pass over both runs, which consumed
-        # ``other``'s orders too.
-        self.orders |= other.orders
 
     # -- detection -------------------------------------------------------------
 
