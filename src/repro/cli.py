@@ -135,24 +135,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     registry = _metrics_registry(args)
     if registry is not None:
         intellog.detector().instrument(registry)
-    workers = max(1, int(getattr(args, "workers", 1) or 1))
-    if workers > 1:
-        # Partitioned detect: sessions are split into contiguous chunks
-        # and detected by worker processes that each load the model
-        # from disk — reports are identical to the single-process path,
-        # in the same order.
-        from .detection.partition import detect_job_partitioned
-        from .parsing.records import split_sessions
-
-        records = intellog._format(_read_lines(args.logs), None)
-        report = detect_job_partitioned(
-            args.model, list(split_sessions(records)), workers,
-            job_id="cli",
-        )
-    else:
-        report = intellog.detect_lines(
-            _read_lines(args.logs), job_id="cli"
-        )
+    report = intellog.detect_lines(_read_lines(args.logs), job_id="cli")
     print(json.dumps(report.to_dict(), indent=2))
     _write_metrics(registry, args)
     return 1 if report.anomalous else 0
@@ -573,10 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--model", default="intellog-model.json")
     detect.add_argument("--metrics-out", default=None, metavar="PATH",
                         help="write a JSON metrics snapshot on exit")
-    detect.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="detect session chunks across N processes "
-                             "(each loads its own model copy; metrics "
-                             "then cover only the parent process)")
     detect.set_defaults(func=cmd_detect)
 
     inspect = sub.add_parser("inspect", help="print the HW-graph")

@@ -1,7 +1,6 @@
 """Anomaly detection: the session detector and its reports."""
 
 from .detector import AnomalyDetector, DetectorConfig
-from .partition import detect_job_partitioned
 from .report import Anomaly, AnomalyKind, JobReport, SessionReport
 
 __all__ = [
@@ -11,5 +10,4 @@ __all__ = [
     "DetectorConfig",
     "JobReport",
     "SessionReport",
-    "detect_job_partitioned",
 ]

@@ -52,7 +52,7 @@ through the very same code path, with no subprocesses.
 from __future__ import annotations
 
 import pickle
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
@@ -284,14 +284,13 @@ class ParallelReport:
         )
 
 
-def _payload_size(obj) -> int:
-    try:
-        return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
-    except Exception:
-        # An unpicklable task fails the same way inside the executor;
-        # let the future surface it as a ParallelWorkerError with the
-        # batch index attached instead of dying in the measurement.
-        return 0
+def _run_pickled(fn: Callable[[_T], _R], blob: bytes) -> bytes:
+    """Worker side of :func:`_run_tasks`: unpickle the task the parent
+    pickled, run ``fn`` and return its result pickled, so each
+    direction is pickled once and its size is ``len`` of the blob."""
+    return pickle.dumps(
+        fn(pickle.loads(blob)), protocol=pickle.HIGHEST_PROTOCOL
+    )
 
 
 def _run_tasks(
@@ -311,13 +310,14 @@ def _run_tasks(
 
     Any task failure — in the worker, or while pickling the task on the
     way out — is wrapped in :class:`ParallelWorkerError` carrying the
-    phase and batch index, and every still-pending future is cancelled
-    first: a phase-1 crash must not sit behind a full queue of doomed
-    phase-1 tasks before surfacing.
+    phase and batch index, and every future already submitted is
+    cancelled first: a phase-1 crash must not sit behind a full queue of
+    doomed phase-1 tasks before surfacing.
 
-    With an executor, ``sent_bytes``/``recv_bytes`` collect the pickled
-    payload size per batch in each direction (left untouched inline:
-    nothing crosses a process boundary).
+    With an executor, the parent pickles each task once and submits the
+    bytes (:func:`_run_pickled`); ``sent_bytes``/``recv_bytes`` collect
+    the length of each batch's blob in each direction (left untouched
+    inline: nothing crosses a process boundary).
     """
     if executor is None:
         results: list[_R] = []
@@ -330,21 +330,30 @@ def _run_tasks(
                 ) from exc
         return results
 
-    futures = [executor.submit(fn, task) for task in tasks]
-    if sent_bytes is not None:
-        sent_bytes.extend(_payload_size(task) for task in tasks)
+    futures: list[Future[bytes]] = []
+
+    def fail(task: _T, exc: Exception) -> ParallelWorkerError:
+        for pending in futures:
+            pending.cancel()
+        return ParallelWorkerError(phase, task.index, repr(exc))
+
+    for task in tasks:
+        try:
+            blob = pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            raise fail(task, exc) from exc
+        if sent_bytes is not None:
+            sent_bytes.append(len(blob))
+        futures.append(executor.submit(_run_pickled, fn, blob))
     results = []
     for task, future in zip(tasks, futures):
         try:
-            result = future.result()
+            blob = future.result()
+            result = pickle.loads(blob)
         except Exception as exc:
-            for pending in futures:
-                pending.cancel()
-            raise ParallelWorkerError(
-                phase, task.index, repr(exc)
-            ) from exc
+            raise fail(task, exc) from exc
         if recv_bytes is not None:
-            recv_bytes.append(_payload_size(result))
+            recv_bytes.append(len(blob))
         results.append(result)
     return results
 

@@ -148,6 +148,15 @@ class TestSessionAttribution:
         )
 
 
+def test_detect_has_no_workers_flag(tmp_path):
+    """Detection runs in one process: ``detect --workers`` is a usage
+    error, not a silently ignored knob."""
+    with pytest.raises(SystemExit) as exc:
+        main(["detect", str(tmp_path / "detect.log"),
+              "--model", str(tmp_path / "m.json"), "--workers", "2"])
+    assert exc.value.code == 2
+
+
 class TestTrainParallelCli:
     def _canonical(self, path):
         from repro.query.store import ModelStore

@@ -21,6 +21,7 @@ import pytest
 
 from repro import IntelLog
 from repro.parsing.records import Session
+from repro.query.store import ModelStore
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "detect_reports"
 GENRES = ["mapreduce", "spark", "tez", "tensorflow"]
@@ -33,11 +34,23 @@ def _load(genre: str) -> tuple[dict, list[Session], list[Session]]:
     return fixture, train, detect
 
 
-@pytest.mark.parametrize("genre", GENRES)
-def test_detect_report_byte_identical(genre: str) -> None:
+@pytest.mark.parametrize(
+    ("genre", "reloaded"),
+    [pytest.param(g, False, id=g) for g in GENRES]
+    + [pytest.param(g, True, id=f"{g}-reloaded") for g in GENRES],
+)
+def test_detect_report_byte_identical(
+    genre: str, reloaded: bool, tmp_path: Path
+) -> None:
+    """The trained model, and the same model saved and loaded back,
+    both reproduce the pinned report."""
     fixture, train, detect = _load(genre)
     intellog = IntelLog()
     intellog.train(train)
+    if reloaded:
+        model_path = tmp_path / "model.json"
+        ModelStore.from_intellog(intellog).save(str(model_path))
+        intellog = ModelStore.load_path(str(model_path)).to_intellog()
     report = intellog.detect_job(detect, job_id=f"golden-{genre}")
     # Byte-level comparison of the canonical JSON encoding — any drift
     # in anomaly ordering, counts, extraction payloads or report shape
@@ -49,24 +62,6 @@ def test_detect_report_byte_identical(genre: str) -> None:
         f"(regenerate with tools/regen_golden.py --detect-reports and "
         f"review the diff)"
     )
-
-
-def test_partitioned_detect_equals_serial(tmp_path: Path) -> None:
-    """``repro detect --workers N``: chunked multi-process detection
-    must reassemble the exact serial job report, in session order."""
-    from repro.detection.partition import detect_job_partitioned
-    from repro.query.store import ModelStore
-
-    _, train, detect = _load("mapreduce")
-    intellog = IntelLog()
-    intellog.train(train)
-    model_path = tmp_path / "model.json"
-    ModelStore.from_intellog(intellog).save(str(model_path))
-    serial = intellog.detect_job(detect, job_id="part").to_dict()
-    partitioned = detect_job_partitioned(
-        str(model_path), detect, workers=2, job_id="part"
-    ).to_dict()
-    assert partitioned == serial
 
 
 @pytest.mark.parametrize("genre", ["spark", "tensorflow"])
