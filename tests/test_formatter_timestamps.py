@@ -268,3 +268,80 @@ def test_file_poll_keeps_every_record_around_impossible_line(bad, tmp_path):
     records = source.poll(100) + source.flush_pending()
     assert [r.message for r in records] == ["one", f"two\n{bad}", "three"]
     assert source.quarantine.snapshot() == {}
+
+
+# -- one long-lived formatter per layout, against the frozen copies ----------
+#
+# A stream or serve source keeps one formatter for its whole life, so its
+# per-instance state sees every timestamp the source ever reads.  Each
+# example below reuses the same two formatters: runs of repeated seconds,
+# sweeps of distinct seconds (one of them longer than 4,096), impossible
+# timestamps (also repeated after a valid line), and hadoop lines with
+# and without milliseconds must all decode as the frozen copies do.
+
+_LONG_LIVED = {"hadoop": HadoopFormatter(), "spark": SparkFormatter()}
+
+_BAD_TS = {
+    "hadoop": ["2019-02-30 10:15:32", "2019-06-22 24:00:00",
+               "2019-06-22 10:15:60"],
+    "spark": ["19/02/30 10:15:32", "19/06/22 24:00:00",
+              "19/06/22 10:15:60"],
+}
+
+#: 2019-06-22 00:00:00 UTC: repeated seconds are drawn just after it.
+_BASE = 1_561_161_600
+
+_MS = st.one_of(st.none(), st.integers(0, 999))
+_TOKEN = st.one_of(
+    st.tuples(st.just("repeat"), st.integers(0, 30), _MS),
+    st.tuples(st.just("any"), st.integers(0, 2**31 - 1), _MS),
+    st.tuples(st.just("bad"), st.integers(0, 2), _MS),
+)
+
+
+def _line(layout: str, kind: str, value: int, ms: int | None) -> str:
+    if kind == "bad":
+        ts = _BAD_TS[layout][value]
+    else:
+        seconds = _BASE + value if kind == "repeat" else value
+        stamp = datetime.fromtimestamp(seconds, tz=timezone.utc)
+        ts = stamp.strftime(
+            "%Y-%m-%d %H:%M:%S" if layout == "hadoop" else "%y/%m/%d %H:%M:%S"
+        )
+    if layout == "hadoop":
+        millis = "" if ms is None else f",{ms:03d}"
+        return f"{ts}{millis} INFO [t] org.x.Task: m{value}"
+    return f"{ts} INFO org.x.Task: m{value}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tokens=st.lists(_TOKEN, max_size=40),
+    sweep=st.tuples(
+        st.integers(0, 2**30), st.integers(0, 600), st.integers(1, 90_000),
+    ),
+)
+@example(tokens=[("bad", 0, None), ("repeat", 3, 5), ("bad", 0, None),
+                 ("repeat", 3, None), ("bad", 2, 7)],
+         sweep=(_BASE, 4_200, 1))
+def test_long_lived_formatter_matches_frozen_copy(tokens, sweep):
+    start, count, stride = sweep
+    lines = {
+        layout: (
+            [_line(layout, *token) for token in tokens]
+            + [_line(layout, "any", start + k * stride, k % 2 or None)
+               for k in range(count)]
+            + [_line(layout, *token) for token in tokens]
+        )
+        for layout in _LONG_LIVED
+    }
+    for layout, frozen in [("hadoop", strptime_hadoop),
+                           ("spark", strptime_spark)]:
+        parser = _LONG_LIVED[layout]
+        for line in lines[layout]:
+            got, want = parser.try_parse(line), frozen(line)
+            if want is not None and want.timestamp is None:
+                want = None  # the frozen path raised: not this format
+            assert got == want
+            if got is not None:
+                assert same_float(got.timestamp, want.timestamp)
