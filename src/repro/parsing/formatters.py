@@ -16,6 +16,12 @@ that folds such lines: :meth:`Formatter.parse_lines` runs it over a line
 stream, and the streaming file follower
 (:class:`repro.stream.FileFollowSource`) runs it over each block of lines
 it reads, holding the last record open across polls.
+
+A log writes many lines per second, so the Hadoop and Spark formatters
+each remember the epoch seconds of the timestamp texts they have decoded,
+up to ``_TS_MEMO_CAP`` entries, then start afresh.
+:meth:`FormatterRegistry.get` builds a new formatter per call, so each
+source has a memo of its own.
 """
 
 from __future__ import annotations
@@ -183,19 +189,44 @@ def _decode_ts(ts: str, date_fmt: str) -> float | None:
     return float(day + hour * 3600 + minute * 60 + second)
 
 
+#: Entries a formatter's timestamp memo holds before it is reset
+#: wholesale, the bound of the repo's other memos.
+_TS_MEMO_CAP = 4096
+
+
+def _decode_into(
+    memo: dict[str, float], ts: str, date_fmt: str
+) -> float | None:
+    """:func:`_decode_ts`, remembered in ``memo`` when it names a real
+    instant.  A rejected timestamp is not stored, so a memo miss is
+    never mistaken for a rejection; it is decoded again each time."""
+    seconds = _decode_ts(ts, date_fmt)
+    if seconds is not None:
+        if len(memo) >= _TS_MEMO_CAP:
+            memo.clear()
+        memo[ts] = seconds
+    return seconds
+
+
 class HadoopFormatter(Formatter):
     """Hadoop-family log4j layout (MapReduce, Tez, YARN daemons)."""
 
     name = "hadoop"
+
+    def __init__(self) -> None:
+        #: Timestamp text → epoch seconds (see :func:`_decode_into`).
+        self._ts_memo: dict[str, float] = {}
 
     def try_parse(self, line: str) -> LogRecord | None:
         match = _HADOOP_RE.match(line)
         if not match:
             return None
         ts, ms, level, thread, source, message = match.groups()
-        seconds = _decode_ts(ts, "%Y-%m-%d")
+        seconds = self._ts_memo.get(ts)
         if seconds is None:
-            return None
+            seconds = _decode_into(self._ts_memo, ts, "%Y-%m-%d")
+            if seconds is None:
+                return None
         return LogRecord(
             timestamp=seconds + (int(ms) / 1000.0 if ms else 0.0),
             level=level,
@@ -211,14 +242,20 @@ class SparkFormatter(Formatter):
 
     name = "spark"
 
+    def __init__(self) -> None:
+        #: Timestamp text → epoch seconds (see :func:`_decode_into`).
+        self._ts_memo: dict[str, float] = {}
+
     def try_parse(self, line: str) -> LogRecord | None:
         match = _SPARK_RE.match(line)
         if not match:
             return None
         ts, level, source, message = match.groups()
-        seconds = _decode_ts(ts, "%y/%m/%d")
+        seconds = self._ts_memo.get(ts)
         if seconds is None:
-            return None
+            seconds = _decode_into(self._ts_memo, ts, "%y/%m/%d")
+            if seconds is None:
+                return None
         return LogRecord(
             timestamp=seconds,
             level=level,

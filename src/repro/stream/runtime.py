@@ -925,29 +925,51 @@ class StreamRuntime:
         """Live-check a batch (one match per record) and feed it to the
         tracker, which carries each match to the session's close.
 
-        ``stream_records_total`` advances once per stretch of the batch
-        between stats boundaries, so stats still fire after the same
-        records, with the same counts, as with one increment per record.
+        The tracker takes the batch in slices that end at stats
+        boundaries, one ``observe_batch`` call each.  Each slice's live
+        alerts and closures are then replayed in record order (a
+        record's alert before the sessions its arrival closed), and
+        ``stream_records_total`` advances once per slice, so stats fire
+        after the same records, with the same counts and tracker state,
+        as with one tracker call and one increment per record.
         """
         assert self._next_stats_at is not None
-        observe = self.tracker.observe
+        observe_batch = self.tracker.observe_batch
+        live = self.detector.observe_batch(records)
+        matches = [match for _, match in live]
+        alerts = [
+            (n, alert) for n, (alert, _) in enumerate(live)
+            if alert is not None
+        ]
+        next_alert = 0
         base = int(self._m_records.value)
-        counted = 0  # records of this batch already in the counter
-        for n, (record, (alert, match)) in enumerate(
-            zip(records, self.detector.observe_batch(records)), 1
-        ):
-            if alert is not None:
-                self._m_live_alerts.inc()
-                if self.on_alert is not None:
-                    self.on_alert(alert)
-            for closed in observe(record, match):
+        total = len(records)
+        done = 0  # records of this batch fed, replayed and counted
+        while done < total:
+            end = min(total, max(done + 1, self._next_stats_at - base))
+            for i, closed in observe_batch(
+                records[done:end], matches[done:end]
+            ):
+                next_alert = self._raise_alerts(alerts, next_alert, done + i)
                 self._finalize(closed)
-            if base + n >= self._next_stats_at:
-                self._count_records(n - counted)
-                counted = n
+            next_alert = self._raise_alerts(alerts, next_alert, end - 1)
+            self._count_records(end - done)
+            done = end
+            if base + end >= self._next_stats_at:
                 self._next_stats_at += self.stats_every
                 self._emit_stats(start)
-        self._count_records(len(records) - counted)
+
+    def _raise_alerts(
+        self, alerts: list[tuple[int, LiveAlert]], next_alert: int, upto: int
+    ) -> int:
+        """Raise ``alerts[next_alert:]`` up to batch index ``upto``;
+        return the index of the first one not raised."""
+        while next_alert < len(alerts) and alerts[next_alert][0] <= upto:
+            self._m_live_alerts.inc()
+            if self.on_alert is not None:
+                self.on_alert(alerts[next_alert][1])
+            next_alert += 1
+        return next_alert
 
     def _count_records(self, count: int) -> None:
         self._m_records.inc(count)

@@ -34,6 +34,7 @@ import json
 import re
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from ..parsing.records import LogRecord, Session, session_bucket
 from ..parsing.spell import MatchResult
@@ -135,51 +136,82 @@ class SessionTracker:
     ) -> list[ClosedSession]:
         """Ingest one record, with its live match if the caller has it;
         return any sessions this closed."""
-        sid = record.session_id
-        if sid:  # the common case: session_bucket's first branch
-            key: tuple[str, str] = ("", sid)
-        else:
-            key, sid = session_bucket(record)
+        return [
+            closed for _, closed in self.observe_batch((record,), (match,))
+        ]
+
+    def observe_batch(
+        self,
+        records: Sequence[LogRecord],
+        matches: Sequence[MatchResult | None | object],
+    ) -> list[tuple[int, ClosedSession]]:
+        """Ingest ``records`` in order, ``matches[i]`` being the live
+        match of ``records[i]`` as :meth:`observe` takes it; return
+        ``(i, closed)`` for each session closed, in closing order, ``i``
+        being the index of the record whose arrival closed it.
+
+        The state after the call, and the closures, are those of one
+        :meth:`observe` per record.
+        """
         open_ = self._open
-        entry = open_.get(key)
-        timestamp = record.timestamp
-        if entry is None:
-            entry = _Open(
-                session=Session(session_id=sid, app_id=record.app_id),
-                last_seen=timestamp,
-            )
-            open_[key] = entry
-            self._push(key, entry)
-        else:
-            if timestamp > entry.last_seen:
-                entry.last_seen = timestamp
-            open_.move_to_end(key)
-        entry.session.records.append(record)
-        if entry.matches is not None:
-            if match is _UNMATCHED:
-                entry.matches = None
-            else:
-                entry.matches.append(match)  # type: ignore[arg-type]
-        entry.touched = next(self._seq)
-        if timestamp > self.watermark:
-            self.watermark = timestamp
-
-        closed: list[ClosedSession] = []
-        if self._marker is not None and self._marker.search(record.message):
-            del open_[key]
-            closed.append(self._close(entry, "end_marker"))
-
+        get = open_.get
+        move_to_end = open_.move_to_end
         heap = self._heap
-        if heap and heap[0][0] <= self.watermark - self.config.idle_timeout:
-            closed.extend(self._expire_idle())
-        if len(open_) > self.config.max_open_sessions:
-            closed.extend(self._evict_over_cap())
-        # Peak is recorded post-eviction: the cap is a hard bound on
-        # tracked sessions, so peak_open never exceeds it.
-        if len(open_) > self.peak_open:
-            self.peak_open = len(open_)
-        if len(heap) > 2 * len(open_):
-            self._compact()
+        seq = self._seq
+        search = self._marker.search if self._marker is not None else None
+        idle_timeout = self.config.idle_timeout
+        cap = self.config.max_open_sessions
+        watermark = self.watermark
+        peak = self.peak_open
+        closed: list[tuple[int, ClosedSession]] = []
+        try:
+            for i, (record, match) in enumerate(zip(records, matches)):
+                sid = record.session_id
+                if sid:  # the common case: session_bucket's first branch
+                    key: tuple[str, str] = ("", sid)
+                else:
+                    key, sid = session_bucket(record)
+                entry = get(key)
+                timestamp = record.timestamp
+                if entry is None:
+                    entry = _Open(
+                        session=Session(session_id=sid, app_id=record.app_id),
+                        last_seen=timestamp,
+                    )
+                    open_[key] = entry
+                    entry.pushed = next(seq)
+                    heapq.heappush(heap, (timestamp, entry.pushed, key))
+                else:
+                    if timestamp > entry.last_seen:
+                        entry.last_seen = timestamp
+                    move_to_end(key)
+                entry.session.records.append(record)
+                if entry.matches is not None:
+                    if match is _UNMATCHED:
+                        entry.matches = None
+                    else:
+                        entry.matches.append(match)  # type: ignore[arg-type]
+                entry.touched = next(seq)
+                if timestamp > watermark:
+                    watermark = timestamp
+
+                if search is not None and search(record.message):
+                    del open_[key]
+                    closed.append((i, self._close(entry, "end_marker")))
+                if heap and heap[0][0] <= watermark - idle_timeout:
+                    self.watermark = watermark
+                    closed += [(i, item) for item in self._expire_idle()]
+                if len(open_) > cap:
+                    closed += [(i, item) for item in self._evict_over_cap()]
+                # Peak is recorded post-eviction: the cap is a hard bound
+                # on tracked sessions, so peak_open never exceeds it.
+                if len(open_) > peak:
+                    peak = len(open_)
+                if len(heap) > 2 * len(open_):
+                    self._compact()
+        finally:
+            self.watermark = watermark
+            self.peak_open = peak
         return closed
 
     def flush(self) -> list[ClosedSession]:

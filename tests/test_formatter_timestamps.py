@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.parsing import formatters
 from repro.parsing.formatters import (
     HadoopFormatter,
     SparkFormatter,
@@ -277,7 +278,8 @@ def test_file_poll_keeps_every_record_around_impossible_line(bad, tmp_path):
 # example below reuses the same two formatters: runs of repeated seconds,
 # sweeps of distinct seconds (one of them longer than 4,096), impossible
 # timestamps (also repeated after a valid line), and hadoop lines with
-# and without milliseconds must all decode as the frozen copies do.
+# and without milliseconds must all decode as the frozen copies do, and
+# the timestamp memo must stay within its cap.
 
 _LONG_LIVED = {"hadoop": HadoopFormatter(), "spark": SparkFormatter()}
 
@@ -345,3 +347,4 @@ def test_long_lived_formatter_matches_frozen_copy(tokens, sweep):
             assert got == want
             if got is not None:
                 assert same_float(got.timestamp, want.timestamp)
+            assert len(parser._ts_memo) <= formatters._TS_MEMO_CAP
