@@ -18,9 +18,12 @@ The batch pipeline buffers every record and calls
 Closed sessions come back time-sorted, with the live Spell match each
 record arrived with, ready for detection.  Idle expiry pops a min-heap
 keyed on ``last_seen``, so per-record work does not grow with the number
-of open sessions.  The tracker state (without matches) round-trips
-through ``state_dict()`` / ``load_state()`` for checkpointing.  A
-checkpoint writes it from ``state_json_parts()``: the same text as
+of open sessions.  The runtime feeds records a stretch at a time through
+``observe_batch``; ``observe`` is its one-record form.
+
+The tracker state (without matches) round-trips through
+``state_dict()`` / ``load_state()`` for checkpointing.  A checkpoint
+writes it from ``state_json_parts()``: the same text as
 sorted-key ``json.dumps(state_dict())``, but each open session keeps
 the text of the records it has already encoded, so a save encodes only
 the records that arrived since the previous one.
@@ -179,8 +182,7 @@ class SessionTracker:
                         last_seen=timestamp,
                     )
                     open_[key] = entry
-                    entry.pushed = next(seq)
-                    heapq.heappush(heap, (timestamp, entry.pushed, key))
+                    self._push(key, entry)
                 else:
                     if timestamp > entry.last_seen:
                         entry.last_seen = timestamp
