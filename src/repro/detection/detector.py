@@ -39,7 +39,7 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
-    Collection,
+    Container,
     ContextManager,
 )
 
@@ -48,13 +48,8 @@ from ..extraction.idvalue import FieldRole
 from ..extraction.intelkey import IntelKey
 from ..extraction.pipeline import InformationExtractor
 from ..graph.hwgraph import HWGraph
-from ..graph.lifespan import BEFORE, PARENT, Lifespan
-from ..graph.subroutine import (
-    KeyPlan,
-    Row,
-    SubroutineInstance,
-    assign_instances,
-)
+from ..graph.lifespan import BEFORE, PARENT
+from ..graph.subroutine import KeyPlan, Row, split_instances
 from ..parsing.records import LogRecord, Session
 from ..parsing.spell import (
     MatchResult,
@@ -65,17 +60,17 @@ from ..parsing.spell import (
 from .report import Anomaly, AnomalyKind, JobReport, SessionReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..graph.subroutine import Subroutine
     from ..obs import Counter, MetricsRegistry, Tracer
 
 #: A group must have appeared in at least this fraction of training
 #: sessions for its absence to be reported (guards against optional groups).
 _GROUP_PRESENCE_THRESHOLD = 0.999
 
-#: Entry cap of each per-detector memo (the two subroutine memos and the
-#: unexpected-message extraction memo); a full memo is reset wholesale
-#: (as the chunk memo is at ``_CHUNK_MEMO_CAP``).  Only memory moves,
-#: never a report: all three memoize pure functions.
+#: Entry cap of each per-detector memo (the subroutine verdict memo, the
+#: hierarchy-pair memo and the unexpected-message extraction memo); a
+#: full memo is reset wholesale (as the chunk memo is at
+#: ``_CHUNK_MEMO_CAP``).  Only memory moves, never a report: all three
+#: memoize pure functions.
 _MEMO_CAP = 4096
 
 
@@ -108,6 +103,9 @@ def match_captures(
 
 
 _timestamp = itemgetter(0)
+
+#: One subroutine problem as an anomaly's kind, description and key id.
+_Problem = tuple[AnomalyKind, str, str | None]
 
 
 @dataclass(slots=True)
@@ -160,25 +158,38 @@ class AnomalyDetector:
             for key_id, intel_key in graph.intel_keys.items()
             if key_id not in graph.ignored_keys
         }
-        # Lazily resolved PARENT/BEFORE verdicts for _check_hierarchy —
-        # pure over the frozen training graph, so computed once per
-        # detector instead of once per session pair.
-        self._hierarchy_pairs: dict[tuple[str, str], str] | None = None
+        # Missing-group candidates, in graph order: the critical groups
+        # present in (almost) all training sessions, each with its
+        # anomaly's description.
+        total = max(graph.training_sessions, 1)
+        self._missing_groups: tuple[tuple[str, str], ...] = tuple(
+            (
+                label,
+                f"entity group '{label}' (present in "
+                f"{node.session_count}/{total} training "
+                f"sessions) emitted no messages",
+            )
+            for label, node in graph.groups.items()
+            if node.critical
+            and node.session_count / total >= _GROUP_PRESENCE_THRESHOLD
+        )
         # Per log key: may match-time captures stand in for the Intel
         # Key template alignment?  (:func:`match_captures`.)
         self._captures_ok: dict[str, bool] = {}
-        # Subroutine checks are pure over the frozen model and instance
-        # key sequences repeat heavily across sessions, so both the
-        # signature->subroutine resolution and the per-sequence problem
-        # list (already classified into anomaly fields) are memoized,
-        # each reset wholesale at _MEMO_CAP entries (a stream or serve
-        # detector lives as long as its process).
-        self._best_match_memo: dict[
-            tuple[str, tuple[str, ...]], "Subroutine | None"
+        # The session-close checks are pure over the frozen model, and
+        # subroutine instances and sets of present groups repeat heavily
+        # across sessions, so both are memoized, each reset wholesale at
+        # _MEMO_CAP entries (a stream or serve detector lives as long as
+        # its process): (group, identifier types, key ids) -> the
+        # instance's problems, classified into anomaly fields ...
+        self._verdicts: dict[
+            tuple[str, frozenset[str], tuple[str, ...]],
+            tuple[_Problem, ...],
         ] = {}
-        self._check_memo: dict[
-            tuple[int, tuple[str, ...]],
-            tuple[tuple[AnomalyKind, str, str | None], ...],
+        # ... and sorted present groups -> their (a, b, relation) pairs
+        # whose trained relation is PARENT or BEFORE.
+        self._hierarchy: dict[
+            tuple[str, ...], tuple[tuple[str, str, str], ...]
         ] = {}
         # Unexpected-message extraction, memoised on (masked tokens,
         # message) and reset wholesale at _MEMO_CAP entries.
@@ -253,22 +264,18 @@ class AnomalyDetector:
         # distinct message), then each matched record's captures are
         # scattered into one row per record; when the caller already
         # matched the records (:meth:`detect_batch` across sessions, or
-        # a stream's live pass), its results are reused verbatim.
-        # Match/scatter phase times are accumulated across the loop and
-        # reported as two pre-measured spans rather than thousands of
-        # micro-spans.
-        timed = tracer is not None
+        # a stream's live pass), its results are reused verbatim and no
+        # match span is recorded here.  The row loop is timed as a
+        # whole, as one pre-measured span.
         records = list(session)
-        match_s = 0.0
-        extract_s = 0.0
         if matches is None:
-            if timed:
-                t0 = time.perf_counter()
+            t0 = time.perf_counter()
             matches = self.spell.match_batch(
                 [record.message for record in records]
             )
-            if timed:
-                match_s = time.perf_counter() - t0
+            if tracer is not None:
+                tracer.record("detect.match", time.perf_counter() - t0)
+        t0 = time.perf_counter() if tracer is not None else 0.0
         plans = self._plans
         captures_ok = self._captures_ok
         group_rows: dict[str, list[Row]] = {}
@@ -284,15 +291,18 @@ class AnomalyDetector:
             plan = plans.get(match.key.key_id)
             if plan is None:
                 continue
-            if timed:
-                t0 = time.perf_counter()
             captures = match_captures(match, plan.template, captures_ok)
             if captures is None:
                 raw_tokens = match.raw_tokens
                 if raw_tokens is None:
                     raw_tokens = mask_message(record.message)[1]
                 captures = extract_parameters(plan.template, raw_tokens)
-            if captures is not None and plan.groups:
+                if captures is None:
+                    report.anomalies.append(
+                        self._unexpected_message(record)
+                    )
+                    continue
+            if plan.groups:
                 row = plan.row(record.timestamp, captures)
                 for label in plan.groups:
                     rows = group_rows.get(label)
@@ -300,26 +310,15 @@ class AnomalyDetector:
                         group_rows[label] = [row]
                     else:
                         rows.append(row)
-            if timed:
-                extract_s += time.perf_counter() - t0
-            if captures is None:
-                report.anomalies.append(self._unexpected_message(record))
 
-        instances: dict[str, list[SubroutineInstance]] = {}
-        spans: dict[str, Lifespan] = {}
-        for label, rows in group_rows.items():
-            rows.sort(key=_timestamp)
-            instances[label] = assign_instances(rows)
-            spans[label] = Lifespan(rows[0][0], rows[-1][0])
         span: Callable[[str], ContextManager[Any]] = nullcontext
         if tracer is not None:
-            tracer.record("detect.match", match_s)
-            tracer.record("detect.extract", extract_s)
+            tracer.record("detect.extract", time.perf_counter() - t0)
             span = tracer.span
         with span("detect.subroutines"):
-            self._check_subroutines(instances, report)
+            spans = self._check_subroutines(group_rows, report)
         if self.config.report_missing_groups:
-            self._check_missing_groups(group_rows.keys(), report)
+            self._check_missing_groups(group_rows, report)
         if self.config.check_hierarchy:
             with span("detect.hierarchy"):
                 self._check_hierarchy(spans, report)
@@ -417,52 +416,29 @@ class AnomalyDetector:
                 yield self.graph.groups[label]
 
     def _check_subroutines(
-        self,
-        instances: dict[str, list[SubroutineInstance]],
-        report: SessionReport,
-    ) -> None:
-        for label, group_instances in instances.items():
-            node = self.graph.groups.get(label)
-            if node is None:
-                continue
-            for sub_instance in group_instances:
-                signature = sub_instance.signature
-                sig_key = (label, signature)
-                if sig_key in self._best_match_memo:
-                    model = self._best_match_memo[sig_key]
-                else:
-                    if len(self._best_match_memo) >= _MEMO_CAP:
-                        self._best_match_memo.clear()
-                    model = self._best_match_memo[sig_key] = (
-                        node.model.best_match(signature)
-                    )
-                if model is None:
-                    report.anomalies.append(
-                        Anomaly(
-                            kind=AnomalyKind.INCOMPLETE_SUBROUTINE,
-                            description=(
-                                f"no trained subroutine for signature "
-                                f"{signature or ('NONE',)} in group "
-                                f"'{label}'"
-                            ),
-                            group=label,
-                        )
-                    )
-                    continue
-                sequence = tuple(sub_instance.key_sequence)
-                memo_key = (id(model), sequence)
-                problems = self._check_memo.get(memo_key)
+        self, group_rows: dict[str, list[Row]], report: SessionReport
+    ) -> dict[str, tuple[float, float]]:
+        """One pass per group: sort its rows by time, split them into
+        subroutine instances and report each instance's problems.
+        Returns each group's lifespan, as its first and last row's
+        timestamps."""
+        anomalies = report.anomalies
+        verdicts = self._verdicts
+        spans: dict[str, tuple[float, float]] = {}
+        for label, rows in group_rows.items():
+            rows.sort(key=_timestamp)
+            spans[label] = (rows[0][0], rows[-1][0])
+            for keys, types in split_instances(rows):
+                memo_key = (label, types, keys)
+                problems = verdicts.get(memo_key)
                 if problems is None:
-                    if len(self._check_memo) >= _MEMO_CAP:
-                        self._check_memo.clear()
-                    problems = self._check_memo[memo_key] = tuple(
-                        _parse_problem(problem)
-                        for problem in model.check_instance(
-                            sequence, complete=True
-                        )
+                    if len(verdicts) >= _MEMO_CAP:
+                        verdicts.clear()
+                    problems = verdicts[memo_key] = self._verdict(
+                        label, types, keys
                     )
                 for kind, description, key_id in problems:
-                    report.anomalies.append(
+                    anomalies.append(
                         Anomaly(
                             kind=kind,
                             description=description,
@@ -470,65 +446,91 @@ class AnomalyDetector:
                             key_id=key_id,
                         )
                     )
+        return spans
+
+    def _verdict(
+        self, label: str, types: frozenset[str], keys: tuple[str, ...]
+    ) -> tuple[_Problem, ...]:
+        """The problems of one subroutine instance of group ``label``:
+        the checks of the trained subroutine whose signature best
+        matches its identifier types, or the lack of one."""
+        node = self.graph.groups.get(label)
+        if node is None:
+            return ()
+        signature = tuple(sorted(types))
+        model = node.model.best_match(signature)
+        if model is None:
+            return ((
+                AnomalyKind.INCOMPLETE_SUBROUTINE,
+                f"no trained subroutine for signature "
+                f"{signature or ('NONE',)} in group '{label}'",
+                None,
+            ),)
+        return tuple(
+            _parse_problem(problem)
+            for problem in model.check_instance(keys, complete=True)
+        )
 
     def _check_missing_groups(
-        self, present: Collection[str], report: SessionReport
+        self, present: Container[str], report: SessionReport
     ) -> None:
         if (
             report.message_count
             < self.config.min_session_length_for_missing
         ):
             return
-        total = max(self.graph.training_sessions, 1)
-        for label, node in self.graph.groups.items():
-            if label in present:
-                continue
-            if not node.critical:
-                continue
-            if node.session_count / total >= _GROUP_PRESENCE_THRESHOLD:
+        for label, description in self._missing_groups:
+            if label not in present:
                 report.anomalies.append(
                     Anomaly(
                         kind=AnomalyKind.MISSING_GROUP,
-                        description=(
-                            f"entity group '{label}' (present in "
-                            f"{node.session_count}/{total} training "
-                            f"sessions) emitted no messages"
-                        ),
+                        description=description,
                         group=label,
                     )
                 )
 
-    def _constrained_pairs(self) -> dict[tuple[str, str], str]:
-        """Sorted group pairs whose trained relation constrains detection.
+    def _constrained_pairs(
+        self, labels: tuple[str, ...]
+    ) -> tuple[tuple[str, str, str], ...]:
+        """The pairs ``(a, b)``, ``a < b``, of sorted ``labels`` whose
+        trained relation constrains detection.
 
         Only PARENT/BEFORE verdicts impose a lifespan check; every other
-        relation (and every pair involving an unobserved label) resolves
-        to no-op, so omitting it from the map is equivalent to the old
-        per-pair ``relations.relation`` call returning PARALLEL.
+        relation, and every pair involving a label the relation matrix
+        never observed, is a no-op.
         """
         relations = self.graph.relations
-        names = sorted(relations.groups)
-        pairs: dict[tuple[str, str], str] = {}
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                rel = relations.relation(a, b)
-                if rel in (PARENT, BEFORE):
-                    pairs[(a, b)] = rel
-        return pairs
+        observed = relations.groups
+        pairs: list[tuple[str, str, str]] = []
+        for i, a in enumerate(labels):
+            if a not in observed:
+                continue
+            for b in labels[i + 1:]:
+                if b not in observed:
+                    continue
+                relation = relations.relation(a, b)
+                if relation in (PARENT, BEFORE):
+                    pairs.append((a, b, relation))
+        return tuple(pairs)
 
     def _check_hierarchy(
-        self, spans: dict[str, Lifespan], report: SessionReport
+        self, spans: dict[str, tuple[float, float]], report: SessionReport
     ) -> None:
-        pairs = self._hierarchy_pairs
+        labels = tuple(sorted(spans))
+        pairs = self._hierarchy.get(labels)
         if pairs is None:
-            pairs = self._hierarchy_pairs = self._constrained_pairs()
-        labels = sorted(spans)
-        for i, a in enumerate(labels):
-            for b in labels[i + 1:]:
-                relation = pairs.get((a, b))
-                if relation is None:
-                    continue
-                if relation == PARENT and not spans[a].contains(spans[b]):
+            if len(self._hierarchy) >= _MEMO_CAP:
+                self._hierarchy.clear()
+            pairs = self._hierarchy[labels] = self._constrained_pairs(
+                labels
+            )
+        for a, b, relation in pairs:
+            a_start, a_end = spans[a]
+            b_start, b_end = spans[b]
+            # Lifespan.contains and Lifespan.precedes, inlined: closed
+            # intervals, and touching spans still precede.
+            if relation == PARENT:
+                if not (a_start <= b_start and b_end <= a_end):
                     report.anomalies.append(
                         Anomaly(
                             kind=AnomalyKind.HIERARCHY_VIOLATION,
@@ -539,17 +541,17 @@ class AnomalyDetector:
                             group=b,
                         )
                     )
-                elif relation == BEFORE and not spans[a].precedes(spans[b]):
-                    report.anomalies.append(
-                        Anomaly(
-                            kind=AnomalyKind.HIERARCHY_VIOLATION,
-                            description=(
-                                f"group '{a}' expected BEFORE group "
-                                f"'{b}' but lifespans overlap"
-                            ),
-                            group=a,
-                        )
+            elif not a_end <= b_start:
+                report.anomalies.append(
+                    Anomaly(
+                        kind=AnomalyKind.HIERARCHY_VIOLATION,
+                        description=(
+                            f"group '{a}' expected BEFORE group "
+                            f"'{b}' but lifespans overlap"
+                        ),
+                        group=a,
                     )
+                )
 
 
 def _extraction_summary(
@@ -587,7 +589,7 @@ def _extraction_summary(
     return summary
 
 
-def _parse_problem(problem: str) -> tuple[AnomalyKind, str, str | None]:
+def _parse_problem(problem: str) -> _Problem:
     """A :meth:`Subroutine.check_instance` problem string as the kind,
     description and key id of its anomaly."""
     kind = AnomalyKind.INCOMPLETE_SUBROUTINE

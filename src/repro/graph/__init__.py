@@ -27,9 +27,8 @@ from .lifespan import (
 from .render import dump_json, render_summary, render_tree, to_json
 from .subroutine import (
     Subroutine,
-    SubroutineInstance,
     SubroutineModel,
-    assign_instances,
+    split_instances,
 )
 
 __all__ = [
@@ -48,9 +47,7 @@ __all__ = [
     "PARENT",
     "RelationMatrix",
     "Subroutine",
-    "SubroutineInstance",
     "SubroutineModel",
-    "assign_instances",
     "dump_json",
     "group_entities",
     "longest_common_phrase",
@@ -58,5 +55,6 @@ __all__ = [
     "render_summary",
     "render_tree",
     "session_lifespans",
+    "split_instances",
     "to_json",
 ]

@@ -29,8 +29,9 @@ class Lifespan:
     first and last log message in the session, and both messages belong
     to the group.  Boundary semantics (shared by training-side
     :meth:`RelationMatrix.observe_session` and detection-side
-    ``_check_hierarchy`` — they must agree, or relations learned in
-    training are unenforceable at detection time):
+    ``_check_hierarchy``, which both inline them as float comparisons —
+    they must agree, or relations learned in training are unenforceable
+    at detection time):
 
     * :meth:`contains` is closed on both ends — a group whose first/last
       messages coincide with its parent's is still contained;

@@ -100,55 +100,52 @@ class KeyPlan:
         return (timestamp, self.key_id, frozenset(values), tuple(types))
 
 
-@dataclass(slots=True)
-class SubroutineInstance:
-    """One runtime instance: accumulated identifier values + rows."""
-
-    values: frozenset[str]
-    rows: list[Row] = field(default_factory=list)
-
-    @property
-    def key_sequence(self) -> list[str]:
-        return [row[1] for row in self.rows]
-
-    @property
-    def signature(self) -> tuple[str, ...]:
-        types: set[str] = set()
-        for row in self.rows:
-            types.update(row[3])
-        return tuple(sorted(types))
-
-    def __len__(self) -> int:
-        return len(self.rows)
+#: One subroutine instance as :func:`split_instances` returns it: the
+#: Intel Key ids of its rows in row order, and the identifier types
+#: they carry.
+Instance = tuple[tuple[str, ...], frozenset[str]]
 
 
-def assign_instances(rows: Iterable[Row]) -> list[SubroutineInstance]:
+def split_instances(rows: Iterable[Row]) -> list[Instance]:
     """Algorithm 2's main loop: split one session's group rows into
     subroutine instances by identifier-value overlap.
 
-    The ``NONE`` instance (no identifiers) is returned first when present.
+    A row joins the first instance, in creation order, whose values are
+    a subset or a superset of the row's (a superset row grows the
+    instance's values); a row that fits none starts a new instance.
+    Rows without identifier values form the ``NONE`` instance, which is
+    returned first when present.  Each instance's key ids and types are
+    gathered as its rows are assigned.
     """
-    none_instance = SubroutineInstance(values=frozenset())
-    instances: list[SubroutineInstance] = []
-    for row in rows:
-        value_set = row[2]
+    none: tuple[list[str], list[str]] | None = None
+    # Per instance, in creation order: [values, key ids, types].
+    instances: list[list] = []
+    for _timestamp, key_id, value_set, types in rows:
         if not value_set:
-            none_instance.rows.append(row)
+            if none is None:
+                none = [key_id], list(types)
+            else:
+                none[0].append(key_id)
+                none[1].extend(types)
             continue
         for instance in instances:
-            if value_set <= instance.values:
-                instance.rows.append(row)
+            values = instance[0]
+            if value_set <= values:
                 break
-            if instance.values <= value_set:
-                instance.values = value_set
-                instance.rows.append(row)
+            if values <= value_set:
+                instance[0] = value_set
                 break
         else:
-            instances.append(SubroutineInstance(values=value_set, rows=[row]))
-    result: list[SubroutineInstance] = []
-    if none_instance.rows:
-        result.append(none_instance)
-    result.extend(instances)
+            instances.append([value_set, [key_id], list(types)])
+            continue
+        # ``instance`` is the one the loop broke at.
+        instance[1].append(key_id)
+        instance[2].extend(types)
+    result: list[Instance] = []
+    if none is not None:
+        result.append((tuple(none[0]), frozenset(none[1])))
+    for _values, keys, type_list in instances:
+        result.append((tuple(keys), frozenset(type_list)))
     return result
 
 
@@ -340,12 +337,12 @@ class SubroutineModel:
     def train_session(self, rows: Iterable[Row]) -> None:
         """Consume one session's rows for this group (Algorithm 2)."""
         subroutines = self.subroutines
-        for instance in assign_instances(rows):
-            signature = instance.signature
+        for keys, types in split_instances(rows):
+            signature = tuple(sorted(types))
             sub = subroutines.get(signature)
             if sub is None:
                 sub = subroutines[signature] = Subroutine(signature=signature)
-            sub.update(instance.key_sequence)
+            sub.update(keys)
 
     def merge(self, other: "SubroutineModel") -> None:
         """Fold in ``other``, trained on the sessions after this one's.
@@ -360,9 +357,6 @@ class SubroutineModel:
                 self.subroutines[signature] = sub
             else:
                 mine.merge(sub)
-
-    def get(self, signature: tuple[str, ...]) -> Subroutine | None:
-        return self.subroutines.get(signature)
 
     def best_match(self, signature: tuple[str, ...]) -> Subroutine | None:
         """The trained subroutine whose signature best matches ``signature``.

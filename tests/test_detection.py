@@ -7,6 +7,7 @@ from repro.obs import MetricsRegistry
 from repro.parsing.records import LogRecord, Session, split_sessions
 from repro.query.store import ModelStore
 from repro.simulators import FaultSpec, MapReduceConfig, WorkloadGenerator
+from repro.stream import IterableSource, StreamRuntime, TrackerConfig
 
 
 def run_detection(model, job):
@@ -179,3 +180,56 @@ class TestRegistryReplayParity:
             == len(records)
         assert total("spell_index_hits_total") == len(records)
         assert total("spell_match_attempts_total") == len(records)
+
+
+class TestMatchSpan:
+    """``detect.match`` times a match the detector ran itself: one span
+    per ``detect_batch`` call (its cross-session batch) and one per
+    session matched at close, none for a session whose matches were
+    passed in."""
+
+    @staticmethod
+    def span_counts(registry) -> dict[str, int]:
+        spans = registry.get("trace_span_seconds")
+        return {
+            name: spans.labels(span=name).count
+            for name in ("detect.session", "detect.match", "detect.extract",
+                         "detect.subroutines", "detect.hierarchy")
+        }
+
+    @pytest.fixture
+    def records(self):
+        jobs = WorkloadGenerator(seed=77).run_batch("mapreduce", 2)
+        return sorted(
+            (r for job in jobs for r in job.records),
+            key=lambda r: r.timestamp,
+        )
+
+    def test_detect_batch_records_one_match_span(self, mr_model, records):
+        # A reloaded copy, so the shared fixture model stays
+        # uninstrumented.
+        detector = ModelStore.from_intellog(mr_model).to_intellog().detector()
+        registry = MetricsRegistry()
+        detector.instrument(registry)
+        sessions = list(split_sessions(records))
+        detector.detect_job(sessions)
+        n = len(sessions)
+        assert self.span_counts(registry) == {
+            "detect.session": n, "detect.match": 1, "detect.extract": n,
+            "detect.subroutines": n, "detect.hierarchy": n,
+        }
+        detector.detect_session(sessions[0])
+        assert self.span_counts(registry)["detect.match"] == 2
+
+    def test_stream_records_no_match_span(self, mr_model, records):
+        detector = ModelStore.from_intellog(mr_model).to_intellog().detector()
+        runtime = StreamRuntime(
+            detector, IterableSource(records),
+            tracker=TrackerConfig(idle_timeout=1e12),
+        )
+        stats = runtime.run(once=True)
+        n = stats.reports
+        assert n == len(list(split_sessions(records)))
+        counts = self.span_counts(runtime.registry)
+        assert counts["detect.match"] == 0
+        assert counts["detect.session"] == counts["detect.extract"] == n

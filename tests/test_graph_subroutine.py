@@ -5,8 +5,8 @@ from repro.extraction.intelkey import IntelMessage
 from repro.graph.subroutine import (
     Subroutine,
     SubroutineModel,
-    assign_instances,
     message_row,
+    split_instances,
 )
 
 
@@ -26,46 +26,51 @@ def row(key_id, identifiers=None, t=0.0):
 
 
 class TestAssignInstances:
+    """Algorithm 2's assignment of rows to subroutine instances
+    (:func:`split_instances`)."""
+
     def test_no_identifier_goes_to_none_instance(self):
         # Algorithm 2 line 7-8: identifier-less messages share the NONE
         # sequence.
-        instances = assign_instances(
+        instances = split_instances(
             [row("A"), row("B", {"T": ["1"]}), row("C")]
         )
-        none_instance = instances[0]
-        assert none_instance.values == frozenset()
-        assert none_instance.key_sequence == ["A", "C"]
+        assert instances[0] == (("A", "C"), frozenset())
 
     def test_subset_joins_existing_instance(self):
         # Algorithm 2 line 9-12: subset/superset identifier sets merge.
-        instances = assign_instances([
+        instances = split_instances([
             row("A", {"T": ["1"], "S": ["x"]}),
             row("B", {"T": ["1"]}),
         ])
         assert len(instances) == 1
-        assert instances[0].key_sequence == ["A", "B"]
+        assert instances[0][0] == ("A", "B")
 
     def test_superset_extends_values(self):
-        instances = assign_instances([
+        # The grown values {1, x} take in a later row of {x} alone.
+        instances = split_instances([
             row("A", {"T": ["1"]}),
             row("B", {"T": ["1"], "S": ["x"]}),
+            row("C", {"S": ["x"]}),
         ])
-        assert len(instances) == 1
-        assert instances[0].values == {"1", "x"}
+        assert instances == [(("A", "B", "C"), frozenset({"S", "T"}))]
 
     def test_disjoint_values_new_instance(self):
         # Algorithm 2 line 14.
-        instances = assign_instances([
+        instances = split_instances([
             row("A", {"T": ["1"]}),
             row("A", {"T": ["2"]}),
         ])
         assert len(instances) == 2
 
     def test_signature_is_sorted_types(self):
-        instances = assign_instances([
+        instances = split_instances([
             row("A", {"T": ["1"], "F": ["9"]}),
         ])
-        assert instances[0].signature == ("F", "T")
+        assert instances[0][1] == frozenset({"F", "T"})
+        model = SubroutineModel()
+        model.train_session([row("A", {"T": ["1"], "F": ["9"]})])
+        assert list(model.subroutines) == [("F", "T")]
 
 
 class TestFigure5:

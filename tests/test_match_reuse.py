@@ -6,9 +6,9 @@
 * ``IntelLog.intel_messages`` (the §6.4 query path) matches each
   session in one batch and reuses the match's tokens and captures; the
   record-at-a-time implementation it replaced is kept as the oracle.
-* ``AnomalyDetector``'s subroutine memos and its unexpected-message
-  extraction memo are reset wholesale at ``_MEMO_CAP``: a lowered cap
-  bounds them and moves no report.
+* ``AnomalyDetector``'s subroutine verdict memo, its hierarchy-pair
+  memo and its unexpected-message extraction memo are reset wholesale
+  at ``_MEMO_CAP``: a lowered cap bounds them and moves no report.
 """
 
 from __future__ import annotations
@@ -167,8 +167,8 @@ def _foreign_session() -> Session:
 
 
 def _probe_memos(detector, monkeypatch) -> None:
-    monkeypatch.setattr(detector, "_best_match_memo", SizeProbe())
-    monkeypatch.setattr(detector, "_check_memo", SizeProbe())
+    monkeypatch.setattr(detector, "_verdicts", SizeProbe())
+    monkeypatch.setattr(detector, "_hierarchy", SizeProbe())
     monkeypatch.setattr(detector._extraction_cache, "_memo", SizeProbe())
 
 
@@ -182,14 +182,14 @@ def test_lowered_memo_cap_bounds_memos_and_keeps_reports(
     want = _reports(intellog, detect)
     cap = 2
     assert min(
-        detector._best_match_memo.peak,
-        detector._check_memo.peak,
+        detector._verdicts.peak,
+        detector._hierarchy.peak,
         detector._extraction_cache._memo.peak,
     ) > cap, "corpus too small to overflow the lowered cap"
 
     monkeypatch.setattr(detector_mod, "_MEMO_CAP", cap)
     _probe_memos(detector, monkeypatch)
     assert _reports(intellog, detect) == want
-    assert detector._best_match_memo.peak == cap
-    assert detector._check_memo.peak == cap
+    assert detector._verdicts.peak == cap
+    assert detector._hierarchy.peak == cap
     assert detector._extraction_cache._memo.peak == cap

@@ -11,9 +11,9 @@ The trainer must build exactly the same partial — the statistics
 simulator sessions of all four genres, inline and with a process pool.
 
 A hypothesis test pins :meth:`RelationMatrix.observe_session`'s pair
-classification to the ``Lifespan`` methods that detection's
-``_check_hierarchy`` reads, on touching, nested, identical and
-zero-width intervals.
+classification to the ``Lifespan`` methods, whose boundary semantics
+detection's ``_check_hierarchy`` inlines too, on touching, nested,
+identical and zero-width intervals.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from repro.graph.lifespan import (
     Lifespan,
     RelationMatrix,
 )
-from repro.graph.subroutine import Subroutine, assign_instances, message_row
+from repro.graph.subroutine import Subroutine, message_row
 from repro.parallel import merge_shards
 from repro.parallel.shard import make_shards
 from repro.parallel.worker import BatchParseTask, ParseSlice, parse_batch
@@ -52,6 +52,7 @@ from repro.simulators import (
     TezSimulator,
     sessions_of,
 )
+from test_session_pass_diff import frozen_assign_instances
 
 GOLDEN_CORPUS = Path(__file__).parent / "golden" / "corpus.jsonl"
 
@@ -95,7 +96,7 @@ class OracleFold:
         for label, group_msgs in per_group.items():
             group = self.groups.setdefault(label, [0, 0, {}])
             group[0] += 1
-            for instance in assign_instances(map(message_row, group_msgs)):
+            for instance in frozen_assign_instances(map(message_row, group_msgs)):
                 signature = instance.signature
                 if signature not in group[2]:
                     group[2][signature] = Subroutine(signature=signature)

@@ -25,6 +25,9 @@ Two hypothesis tests hold the live code to it:
   session by session.
 
 ``REPRO_CHAOS_SEED`` seeds the examples, as in the chaos suite.
+The training-fold oracles of ``tests/test_row_fold.py`` and
+``tests/test_train_fold.py`` split instances with
+:func:`frozen_assign_instances` too.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from repro import IntelLog
 from repro.detection.detector import AnomalyDetector, match_captures
 from repro.detection.report import Anomaly, AnomalyKind, SessionReport
 from repro.graph.lifespan import BEFORE, PARENT, Lifespan
-from repro.graph.subroutine import assign_instances
+from repro.graph.subroutine import split_instances
 from repro.obs import MetricsRegistry
 from repro.parsing.records import Session
 from repro.parsing.spell import extract_parameters, mask_message
@@ -334,8 +337,7 @@ class FrozenSessionPassDetector(AnomalyDetector):
 def live_split(rows) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
     """The live split as (key sequence, sorted identifier types)."""
     return [
-        (tuple(instance.key_sequence), instance.signature)
-        for instance in assign_instances(rows)
+        (keys, tuple(sorted(types))) for keys, types in split_instances(rows)
     ]
 
 

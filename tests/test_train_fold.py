@@ -33,8 +33,9 @@ import repro.parsing.spell
 from repro import IntelLog
 from repro.extraction.intelkey import IntelKey, IntelMessage
 from repro.graph.hwgraph import GraphPartial, HWGraphBuilder
-from repro.graph.subroutine import Subroutine, assign_instances, message_row
+from repro.graph.subroutine import Subroutine, message_row
 from repro.parsing.records import Session
+from test_session_pass_diff import frozen_assign_instances
 
 GOLDEN_CORPUS = Path(__file__).parent / "golden" / "corpus.jsonl"
 
@@ -294,7 +295,7 @@ class FrozenFold:
         for label, group_rows in per_group.items():
             group = self.groups.setdefault(label, [0, 0, {}])
             group[0] += 1
-            for instance in assign_instances(group_rows):
+            for instance in frozen_assign_instances(group_rows):
                 signature = instance.signature
                 sub = group[2].get(signature)
                 if sub is None:
