@@ -15,9 +15,10 @@ Three gates, each with a fixed bound; the module writes no file.
   recorded pre-index linear-scan baseline, in records/s, best of
   ``REPEATS`` timed runs after one warm-up.
 
-The training gates come first, before the detect gate's session-scoped
-models exist: with those three models alive, the modeled speedup read
-1.6-1.8x instead of 2.0-2.2x on a 2-vCPU host.
+The training gates come first in the file, but their order no longer
+matters: the stage timings leave out full garbage collections, whose
+length follows the process's whole heap, so the modeled speedup reads
+the same with the detect gate's session-scoped models alive.
 
 Run with ``python -m pytest benchmarks/test_speed_gates.py -rs``.
 Correctness of the same paths (registry counts, stream parity, session

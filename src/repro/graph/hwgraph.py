@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Any, Iterable, Mapping, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from ..extraction.intelkey import IntelKey, IntelMessage
 from .grouping import GroupingResult, group_entities
@@ -26,6 +24,9 @@ from .lifespan import (
     RelationMatrix,
 )
 from .subroutine import Row, Subroutine, SubroutineModel, message_row
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 _timestamp = itemgetter(0)
 
@@ -184,8 +185,11 @@ class HWGraph:
         """Export hierarchy + ordering as a networkx DiGraph.
 
         PARENT edges carry ``relation='PARENT'``; sibling ordering edges
-        carry ``relation='BEFORE'``.
+        carry ``relation='BEFORE'``.  networkx is imported here, not at
+        module load: no detection or training path needs it.
         """
+        import networkx as nx
+
         graph = nx.DiGraph()
         for label, node in self.groups.items():
             graph.add_node(label, critical=node.critical,

@@ -347,9 +347,8 @@ class SubroutineModel:
     def merge(self, other: "SubroutineModel") -> None:
         """Fold in ``other``, trained on the sessions after this one's.
 
-        Signatures keep their first-insertion order across both sides
-        (:meth:`best_match` breaks ties by it).  ``other`` is consumed:
-        its subroutines are adopted, not copied.
+        Signatures keep their first-insertion order across both sides.
+        ``other`` is consumed: its subroutines are adopted, not copied.
         """
         for signature, sub in other.subroutines.items():
             mine = self.subroutines.get(signature)
@@ -363,20 +362,24 @@ class SubroutineModel:
 
         Exact match preferred; otherwise the largest-overlap signature whose
         types are a superset or subset (an instance may terminate before all
-        identifier types appear).
+        identifier types appear).  Ties go to the candidate with fewer
+        types outside ``signature``, then to the smallest sorted signature,
+        so the choice never depends on the order subroutines were filed in
+        (training order, or sorted order after a reload).
         """
         exact = self.subroutines.get(signature)
         if exact is not None:
             return exact
         sig_set = set(signature)
         best: Subroutine | None = None
-        best_overlap = -1
+        best_rank: tuple[int, int, tuple[str, ...]] | None = None
         for key, sub in self.subroutines.items():
             other = set(key)
             if sig_set <= other or other <= sig_set:
                 overlap = len(sig_set & other)
-                if overlap > best_overlap:
-                    best, best_overlap = sub, overlap
+                rank = (-overlap, len(other) - overlap, tuple(sorted(key)))
+                if best_rank is None or rank < best_rank:
+                    best, best_rank = sub, rank
         return best
 
     def stats(self) -> Mapping[str, float]:

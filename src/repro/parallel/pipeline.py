@@ -82,6 +82,7 @@ from .worker import (
     ShardParse,
     StatsSlice,
     compute_batch_stats,
+    full_collection_seconds,
     parse_batch,
 )
 
@@ -137,11 +138,17 @@ class ParallelReport:
     stats_wall: float = 0.0
     apply_wall: float = 0.0
     total_wall: float = 0.0
+    #: Seconds of full garbage collections inside the serial stages
+    #: (merge, extract, apply).  Their length follows the whole
+    #: process's heap, not the pipeline, so ``serial_overhead`` leaves
+    #: them out, as the batch CPU seconds do.
+    serial_gc_wall: float = 0.0
     #: CPU seconds each shard spent in phase 1 / phase 2 (corpus order).
     parse_shard_seconds: list[float] = field(default_factory=list)
     stats_shard_seconds: list[float] = field(default_factory=list)
-    #: CPU seconds each *batch* spent per phase (corpus order) — the
-    #: schedulable units the modeled speedup is computed from.
+    #: CPU seconds each *batch* spent per phase (corpus order), full
+    #: collections left out — the schedulable units the modeled speedup
+    #: is computed from.
     parse_batch_seconds: list[float] = field(default_factory=list)
     stats_batch_seconds: list[float] = field(default_factory=list)
     #: Pickled bytes shipped per batch, parent -> worker (empty when the
@@ -158,7 +165,10 @@ class ParallelReport:
     @property
     def serial_overhead(self) -> float:
         """Parent-side work that cannot be parallelised (critical path)."""
-        return self.merge_wall + self.extract_wall + self.apply_wall
+        return (
+            self.merge_wall + self.extract_wall + self.apply_wall
+            - self.serial_gc_wall
+        )
 
     @property
     def cache_lookups(self) -> int:
@@ -220,6 +230,7 @@ class ParallelReport:
             "stats_wall": self.stats_wall,
             "apply_wall": self.apply_wall,
             "total_wall": self.total_wall,
+            "serial_gc_wall": self.serial_gc_wall,
             "serial_overhead": self.serial_overhead,
             "parse_shard_seconds": list(self.parse_shard_seconds),
             "stats_shard_seconds": list(self.stats_shard_seconds),
@@ -255,6 +266,7 @@ class ParallelReport:
             stats_wall=float(data["stats_wall"]),
             apply_wall=float(data["apply_wall"]),
             total_wall=float(data["total_wall"]),
+            serial_gc_wall=float(data.get("serial_gc_wall", 0.0)),
             parse_shard_seconds=[
                 float(x) for x in data.get("parse_shard_seconds", ())
             ],
@@ -501,6 +513,7 @@ def train_parallel(
                 parse_by_index = {parse.index: parse for parse in parses}
 
             # Merge: replay distinct forms to the canonical Spell table.
+            gc_mark = full_collection_seconds()
             with tracer.span("train.merge") as merge_span:
                 merged: MergeResult = merge_shards(
                     shards, parses, tau=config.spell_tau
@@ -523,6 +536,7 @@ def train_parallel(
                     for key_id, labels in builder.sorted_key_groups.items()
                     if labels
                 }
+            serial_gc = full_collection_seconds() - gc_mark
 
             # Phase 2: per-batch plan rows + session statistics, with
             # one batch-deduplicated plan table per task.
@@ -569,6 +583,7 @@ def train_parallel(
         # Merge the per-batch partials strictly in corpus order (batches
         # are consecutive shard runs), verifying each batch still echoes
         # the shards it was sent.
+        gc_mark = full_collection_seconds()
         with tracer.span("train.apply") as apply_span:
             for batch, result in zip(batches, batch_stats):
                 sent = [
@@ -582,6 +597,7 @@ def train_parallel(
                     )
                 builder.partial.merge(result.partial)
             graph = builder.build()
+        serial_gc += full_collection_seconds() - gc_mark
 
         # Install the trained model on the façade.
         intellog.spell = merged.spell
@@ -612,6 +628,7 @@ def train_parallel(
         stats_wall=stats_span.duration_s,
         apply_wall=apply_span.duration_s,
         total_wall=total_span.duration_s,
+        serial_gc_wall=serial_gc,
         parse_shard_seconds=[
             parse_by_index[shard.index].duration for shard in shards
         ],

@@ -32,9 +32,10 @@ from __future__ import annotations
 import os
 import re
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from numpy.random import Generator, default_rng
+if TYPE_CHECKING:
+    from numpy.random import Generator
 
 __all__ = [
     "ChaosLogWriter",
@@ -52,6 +53,18 @@ _BINARY_GARBAGE = b"\x00\x01\x07\x7f\x00BINARYGARBAGE\x00\n"
 #: Bytes for an injected invalid-UTF-8 line (no NUL — decodes with
 #: replacement characters, quarantined as ``decode_error``).
 _ENCODING_GARBAGE = b"\xff\xfe mojibake \xc3\x28 tail\n"
+
+
+def _as_generator(rng: Generator | int) -> Generator:
+    """``rng`` itself when it is a generator, else one seeded with it.
+
+    numpy is imported here rather than at module load because
+    ``repro.stream`` re-exports this module and no production path
+    injects faults.
+    """
+    from numpy.random import Generator, default_rng
+
+    return rng if isinstance(rng, Generator) else default_rng(rng)
 
 
 def _session_of(line: str) -> str:
@@ -93,7 +106,7 @@ class ChaosLogWriter:
         encoding_rate: float = 0.01,
     ) -> None:
         self.path = os.fspath(path)
-        self._rng = rng if isinstance(rng, Generator) else default_rng(rng)
+        self._rng = _as_generator(rng)
         self.torn_rate = torn_rate
         self.duplicate_rate = duplicate_rate
         self.binary_rate = binary_rate
@@ -196,12 +209,9 @@ class FlakySource:
         fail_first: int = 0,
     ) -> None:
         self.inner = inner
-        if isinstance(rng, Generator):
-            self._rng: Generator | None = rng
-        elif rng is not None:
-            self._rng = default_rng(rng)
-        else:
-            self._rng = None
+        self._rng: Generator | None = (
+            None if rng is None else _as_generator(rng)
+        )
         self.fail_rate = fail_rate
         self._fail_first = fail_first
         self.failures = 0
@@ -238,12 +248,9 @@ class FlakySink:
         fail_first: int = 0,
     ) -> None:
         self.inner = inner
-        if isinstance(rng, Generator):
-            self._rng: Generator | None = rng
-        elif rng is not None:
-            self._rng = default_rng(rng)
-        else:
-            self._rng = None
+        self._rng: Generator | None = (
+            None if rng is None else _as_generator(rng)
+        )
         self.fail_rate = fail_rate
         self._fail_first = fail_first
         self.failures = 0
@@ -284,7 +291,7 @@ def corrupt_checkpoint(
       exercises the field-shape validation path.
     """
     path = Path(path)
-    gen = rng if isinstance(rng, Generator) else default_rng(rng)
+    gen = _as_generator(rng)
     if mode == "truncate":
         data = path.read_bytes()
         path.write_bytes(data[: max(1, len(data) // 2)])

@@ -27,12 +27,13 @@ import hashlib
 import json
 import threading
 from pathlib import Path
-from typing import IO, Any, Callable, Protocol, runtime_checkable
-
-from numpy.random import default_rng
+from typing import IO, TYPE_CHECKING, Any, Callable, Protocol, runtime_checkable
 
 from ..core.config import ResilienceConfig
 from ..parsing.records import Session
+
+if TYPE_CHECKING:
+    from numpy.random import Generator
 
 __all__ = [
     "HEALTHY",
@@ -95,7 +96,12 @@ class RetryPolicy:
 
     def __init__(self, config: ResilienceConfig | None = None) -> None:
         self.config = config or ResilienceConfig()
-        self._rng = default_rng(self.config.retry_seed)
+        # The generator is built by the first jittered delay(), from the
+        # seed as it stands now, so the draws match an eager one: a
+        # policy that never retries with jitter never imports numpy.
+        self._seed = self.config.retry_seed
+        self._rng: Generator | None = None
+        self._rng_lock = threading.Lock()
 
     @classmethod
     def for_backoff(
@@ -131,7 +137,15 @@ class RetryPolicy:
         jitter = self.config.retry_jitter
         if jitter <= 0.0:
             return base
-        return base * (1.0 + jitter * float(self._rng.uniform(-1.0, 1.0)))
+        # The runtime loop and the serve supervisor both reach a policy;
+        # one lock keeps the build single and the draws in order.
+        with self._rng_lock:
+            if self._rng is None:
+                from numpy.random import default_rng
+
+                self._rng = default_rng(self._seed)
+            draw = float(self._rng.uniform(-1.0, 1.0))
+        return base * (1.0 + jitter * draw)
 
 
 class CircuitBreaker:

@@ -1,6 +1,9 @@
 """Tests for subroutine construction (paper §4.1, Algorithm 2 +
 UpdateSubroutine, Figure 5)."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.extraction.intelkey import IntelMessage
 from repro.graph.subroutine import (
     Subroutine,
@@ -23,6 +26,21 @@ def msg(key_id, identifiers=None, t=0.0):
 
 def row(key_id, identifiers=None, t=0.0):
     return message_row(msg(key_id, identifiers, t))
+
+
+#: Sorted identifier-type signatures over a small alphabet, so that
+#: overlap ties are common.
+_signatures = st.sets(st.sampled_from("ABCD"), max_size=4).map(
+    lambda types: tuple(sorted(types))
+)
+
+
+def _model_filed_in(signatures):
+    """A model whose subroutines are filed in the given order."""
+    model = SubroutineModel()
+    for signature in signatures:
+        model.subroutines[signature] = Subroutine(signature=signature)
+    return model
 
 
 class TestAssignInstances:
@@ -165,6 +183,27 @@ class TestSubroutineModel:
         model = SubroutineModel()
         model.train_session([row("A", {"T": ["1"]})])
         assert model.best_match(("X",)) is None
+
+    def test_best_match_prefers_fewer_extra_types(self):
+        model = _model_filed_in([("A", "B", "C"), ("A", "B")])
+        assert model.best_match(("A",)).signature == ("A", "B")
+
+    def test_best_match_breaks_subset_ties_by_signature(self):
+        model = _model_filed_in([("A", "C"), ("A", "B")])
+        assert model.best_match(("A", "B", "C")).signature == ("A", "B")
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(_signatures, min_size=1, max_size=8, unique=True).flatmap(
+            lambda sigs: st.tuples(st.just(sigs), st.permutations(sigs))
+        ),
+        _signatures,
+    )
+    def test_best_match_ignores_filing_order(self, filings, query):
+        filed, permuted = filings
+        want = _model_filed_in(filed).best_match(query)
+        got = _model_filed_in(permuted).best_match(query)
+        assert (got and got.signature) == (want and want.signature)
 
     def test_stats(self):
         model = SubroutineModel()

@@ -10,6 +10,7 @@ original fused serial loop, kept below as :func:`fused_train`.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import multiprocessing
@@ -52,6 +53,7 @@ from repro.parallel import (
 )
 from repro.parallel import pipeline
 from repro.parallel.pipeline import _run_tasks
+from repro.parallel.worker import cpu_seconds
 from repro.parsing.records import LogRecord, Session
 from repro.query.store import ModelStore
 from repro.simulators import WorkloadGenerator, sessions_of
@@ -932,6 +934,38 @@ class TestReportRoundTrip:
         assert len(data["stats_shard_seconds"]) == report.shards
         assert data["payload_bytes_total"] == report.payload_bytes_total
         assert data["cache_lookups"] == report.cache_lookups
+
+
+class TestFullCollections:
+    """Stage timings leave out full collections, whose length follows
+    the whole process's heap rather than the pipeline."""
+
+    def test_batch_clock_leaves_out_full_collections(self):
+        heap = [[i] for i in range(300_000)]
+        spent_from, counted_from = time.process_time(), cpu_seconds()
+        for _ in range(5):
+            gc.collect()
+        spent = time.process_time() - spent_from
+        counted = cpu_seconds() - counted_from
+        assert len(heap) and spent > 0.01
+        assert counted < spent / 2
+
+    def test_serial_overhead_leaves_out_full_collections(
+        self, monkeypatch
+    ):
+        def collecting_merge(*args, **kwargs):
+            gc.collect()
+            return merge_shards(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "merge_shards", collecting_merge)
+        intellog = IntelLog()
+        intellog.train(TestTrainParallel()._sessions())
+        report = intellog.last_parallel_report
+        assert 0 < report.serial_gc_wall <= report.merge_wall
+        assert report.serial_overhead == pytest.approx(
+            report.merge_wall + report.extract_wall + report.apply_wall
+            - report.serial_gc_wall
+        )
 
 
 # -- payload ------------------------------------------------------------------
