@@ -134,7 +134,11 @@ def cmd_detect(args: argparse.Namespace) -> int:
     intellog = _load(args)
     registry = _metrics_registry(args)
     if registry is not None:
-        intellog.detector().instrument(registry)
+        from .obs import Tracer
+
+        intellog.detector().instrument(
+            registry, Tracer(registry=registry)
+        )
     report = intellog.detect_lines(_read_lines(args.logs), job_id="cli")
     print(json.dumps(report.to_dict(), indent=2))
     _write_metrics(registry, args)

@@ -205,13 +205,14 @@ class AnomalyDetector:
         registry: "MetricsRegistry",
         tracer: "Tracer | None" = None,
     ) -> "AnomalyDetector":
-        """Attach metrics + tracing; also instruments the Spell parser.
+        """Attach the ``detect_*`` counters; also instruments the Spell
+        parser.  ``detect.*`` spans are recorded only when a ``tracer``
+        is passed: the stream and serve runtimes pass none and time
+        their stages per poll batch instead.
 
         Idempotent; returns ``self`` for chaining.
         """
-        from ..obs import Tracer as _Tracer
-
-        self._tracer = tracer or _Tracer(registry=registry)
+        self._tracer = tracer
         self.spell.instrument(registry)
         self._m_sessions = registry.counter(
             "detect_sessions_total", "Sessions run through detect_session."
@@ -240,12 +241,15 @@ class AnomalyDetector:
 
         ``matches``, one per record in session order, are reused instead
         of matching the session here."""
+        if self._m_sessions is None:
+            return self._detect_session_inner(session, None, matches)
         tracer = self._tracer
         if tracer is None:
-            return self._detect_session_inner(session, None, matches)
-        with tracer.span("detect.session"):
-            report = self._detect_session_inner(session, tracer, matches)
-        assert self._m_sessions and self._m_records and self._m_anomalies
+            report = self._detect_session_inner(session, None, matches)
+        else:
+            with tracer.span("detect.session"):
+                report = self._detect_session_inner(session, tracer, matches)
+        assert self._m_records and self._m_anomalies
         self._m_sessions.inc()
         self._m_records.inc(report.message_count)
         for anomaly in report.anomalies:

@@ -5,6 +5,14 @@ Metric primitives (:mod:`repro.obs.registry`), hierarchical timing
 Subsystems accept a :class:`MetricsRegistry` at construction or via an
 ``instrument()`` hook; nothing in the package imports the rest of
 ``repro``, so every layer can depend on it without cycles.
+
+Spans cost a few microseconds each, so hot loops do not open them per
+item: the stream runtime times its stages with ``perf_counter`` deltas
+into one histogram observation per stage per poll batch
+(``stream_stage_seconds``), and an instrumented detector records its
+per-session ``detect.*`` spans only when it is handed a :class:`Tracer`
+(``repro detect --metrics-out`` does; the stream and serve runtimes do
+not).
 """
 
 from .export import (

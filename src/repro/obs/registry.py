@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import re
 import threading
+from bisect import bisect_left
 from typing import Any, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -86,11 +87,23 @@ class _Metric:
         self.help = help
         self._lock = lock
         self._children: dict[_LabelKey, "_Metric"] = {}
+        # Children by the caller's raw ``labelvalues.items()``, so a
+        # repeated label set skips validation and sorting.  Only
+        # all-``str`` label sets are entered: ``1``, ``1.0`` and
+        # ``True`` compare equal but name different children.
+        self._by_raw: dict[tuple[tuple[str, Any], ...], "_Metric"] = {}
         self._labels: _LabelKey = ()
         self._touched = False
 
     def labels(self, **labelvalues: str) -> Any:
         """The child metric for one label set (created on first use)."""
+        raw = tuple(labelvalues.items())
+        try:
+            child = self._by_raw.get(raw)
+        except TypeError:  # an unhashable label value
+            child = None
+        if child is not None:
+            return child
         key = _label_key(labelvalues)
         if not key:
             return self
@@ -101,6 +114,8 @@ class _Metric:
                 self._copy_config(child)
                 child._labels = key
                 self._children[key] = child
+            if all(type(value) is str for _, value in raw):
+                self._by_raw[raw] = child
             return child
 
     def _copy_config(self, child: "_Metric") -> None:
@@ -236,16 +251,21 @@ class Histogram(_Metric):
         assert isinstance(child, Histogram)
         child._configure(self._bounds)
 
+    def _bucket(self, value: float) -> int:
+        """Index into ``_counts`` of the first bound >= ``value``; the
+        ``+Inf`` slot for values above every bound and for NaN (which
+        compares false against every bound, so ``bisect_left`` alone
+        would file it under the first)."""
+        if value != value:
+            return len(self._bounds)
+        return bisect_left(self._bounds, value)
+
     def observe(self, value: float) -> None:
         with self._lock:
             self._sum += value
             self._count += 1
             self._touched = True
-            for i, bound in enumerate(self._bounds):
-                if value <= bound:
-                    self._counts[i] += 1
-                    return
-            self._counts[-1] += 1
+            self._counts[self._bucket(value)] += 1
 
     def observe_many(self, value: float, count: int) -> None:
         """Record ``count`` observations of ``value`` in one update.
@@ -261,11 +281,7 @@ class Histogram(_Metric):
             self._sum += value * count
             self._count += count
             self._touched = True
-            for i, bound in enumerate(self._bounds):
-                if value <= bound:
-                    self._counts[i] += count
-                    return
-            self._counts[-1] += count
+            self._counts[self._bucket(value)] += count
 
     @property
     def count(self) -> int:

@@ -48,7 +48,14 @@ Memory stays bounded by the tracker's session cap; wall-clock pacing
 Counters live in a :class:`~repro.obs.MetricsRegistry` (``stream_*``
 series, see the README metric table) shared with the instrumented
 detector/parser, so ``--metrics-out`` snapshots and the
-``--metrics-port`` exposition endpoint see one consistent store.
+``--metrics-port`` exposition endpoint see one consistent store.  The
+runtime times its own stages: ``stream_stage_seconds{stage}`` gets one
+observation per stage per batch (a poll batch that delivered records,
+a close-out, a forced eviction) from plain ``perf_counter`` deltas, and
+``stream_report_delay_seconds`` one per delivered report, from the
+poll that handed over its closing record to its sink emit.  The
+detector it instruments keeps its ``detect_*`` counters but records no
+``detect.*`` spans, which cost more per session than the counters.
 :class:`RuntimeStats` remains the stable operator surface: it is now a
 point-in-time *view* assembled from the registry (``runtime.stats``
 builds a fresh snapshot; the periodic ``stats_callback`` receives one
@@ -63,6 +70,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
+from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from ..core.config import DurabilityConfig, ResilienceConfig
@@ -93,9 +101,18 @@ from .tracker import ClosedSession, SessionTracker, TrackerConfig
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.intellog import IntelLog
 
-__all__ = ["RuntimeStats", "StreamRuntime"]
+__all__ = ["STAGES", "RuntimeStats", "StreamRuntime"]
 
 log = logging.getLogger(__name__)
+
+#: ``stream_stage_seconds`` label values, in pipeline order: the source
+#: poll, the live match of the batch, the tracker, close-time detection
+#: (``finalization_id`` and ``StreamingDetector.finalize``), delivery to
+#: the sink, and the journal append or snapshot that commits the batch.
+STAGES = ("poll", "match", "track", "finalize", "sink", "checkpoint")
+_POLL, _MATCH, _TRACK, _FINALIZE, _SINK, _CHECKPOINT = range(len(STAGES))
+#: A batch's stage seconds before any stage ran (None: did not run).
+_NO_STAGES: tuple[None, ...] = (None,) * len(STAGES)
 
 @dataclass(slots=True)
 class RuntimeStats:
@@ -242,6 +259,13 @@ class StreamRuntime:
                 source, "quarantine", None
             ) or ListQuarantine()
         self._init_metrics()
+        #: Seconds each stage spent in the current batch, observed into
+        #: ``stream_stage_seconds`` when the batch ends.
+        self._stage_s: list[float | None] = list(_NO_STAGES)
+        #: ``perf_counter`` at which the records (or the flush or
+        #: eviction) closing the sessions now being finalized were
+        #: handed over: the start of ``stream_report_delay_seconds``.
+        self._handover = 0.0
         self._run_consumed = 0
         self._last_checkpoint_at = 0
         # True while checkpoint saves or journal appends are being
@@ -365,6 +389,17 @@ class StreamRuntime:
         self._m_journal_bytes = reg.counter(
             "stream_journal_bytes_total",
             "Bytes appended to the delivery journal.",
+        )
+        stages = reg.histogram(
+            "stream_stage_seconds",
+            "Seconds one batch spent in each pipeline stage, observed "
+            "once per batch that ran the stage.",
+        )
+        self._h_stages = [stages.labels(stage=stage) for stage in STAGES]
+        self._h_delay = reg.histogram(
+            "stream_report_delay_seconds",
+            "Seconds from the poll that handed over a session's closing "
+            "record to the sink emit of its report.",
         )
 
     # -- stats view -------------------------------------------------------
@@ -660,17 +695,22 @@ class StreamRuntime:
     def _commit(self) -> None:
         """End of a poll batch: journal what it delivered, and take a
         snapshot when the record budget is spent, a report was parked or
-        the journal append failed."""
+        the journal append failed.  Timed as the batch's ``checkpoint``
+        stage when it wrote (or tried to write) anything."""
         if self._journal is None:
             return
+        t0 = perf_counter()
         overdue = (
             int(self._m_records.value) - self._last_checkpoint_at
             >= self.checkpoint_every
         )
         if overdue or self._outbox_dirty:
             self.checkpoint()
+        elif not self._journal_due:
+            return
         elif not self._append_journal():
             self._save_snapshot()
+        self._stage_s[_CHECKPOINT] = perf_counter() - t0
 
     # -- guarded IO -------------------------------------------------------
 
@@ -847,10 +887,13 @@ class StreamRuntime:
         ledger, metrics, sink/outbox — exactly as a cap eviction would.
         Returns how many sessions were actually closed.
         """
+        self._handover = perf_counter()
         closed = self.tracker.evict_lru(count)
+        self._stage_s[_TRACK] = perf_counter() - self._handover
         for item in closed:
             self._finalize(item)
         self._commit()
+        self._observe_stages()
         return len(closed)
 
     # -- internals --------------------------------------------------------
@@ -869,10 +912,23 @@ class StreamRuntime:
         committed: journaled, and snapshotted when due.  Returns the
         records consumed, or ``None`` when nothing was polled: the
         outbox drain or the poll failed (check :attr:`failed`), or
-        ``want`` is not positive."""
+        ``want`` is not positive.  Only a cycle that polled records
+        observes its stages."""
         got = self._poll_batch(want, start)
         self._commit()
+        if got:
+            self._observe_stages()
+        else:
+            self._stage_s[:] = _NO_STAGES
         return got
+
+    def _observe_stages(self) -> None:
+        """End of a batch: observe each stage it ran, once, and clear."""
+        stage_s = self._stage_s
+        for histogram, seconds in zip(self._h_stages, stage_s):
+            if seconds is not None:
+                histogram.observe(seconds)
+        stage_s[:] = _NO_STAGES
 
     def _poll_batch(self, want: int, start: float) -> int | None:
         if self._outbox:
@@ -881,6 +937,7 @@ class StreamRuntime:
                 return None
         if want <= 0:
             return None
+        t0 = perf_counter()
         ok, batch = self._attempt(
             "source.poll", lambda: self.source.poll(want)
         )
@@ -892,23 +949,39 @@ class StreamRuntime:
                 batch = flush_pending()
         if not batch:
             return 0
+        self._handover = perf_counter()
+        self._stage_s[_POLL] = self._handover - t0
         self._ingest(batch, start)
         return len(batch)
 
     def _close_out(self, start: float, drain_tail: bool) -> RuntimeStats:
         """End of :meth:`run` / :meth:`finish`: unless paused or failed,
-        drain the source's tail and flush the tracker; then checkpoint."""
+        drain the source's tail and flush the tracker; then checkpoint.
+        Its stages are observed as one more batch."""
+        stage_s = self._stage_s
         if drain_tail and not self.failed:
             finalize = getattr(self.source, "finalize", None)
             if finalize is not None:
+                t0 = perf_counter()
                 ok, tail = self._attempt("source.finalize", finalize)
                 if tail:
+                    self._handover = perf_counter()
+                    stage_s[_POLL] = self._handover - t0
                     self._ingest(tail, start)
-            for closed in self.tracker.flush():
+            self._handover = perf_counter()
+            flushed = self.tracker.flush()
+            stage_s[_TRACK] = (stage_s[_TRACK] or 0.0) + (
+                perf_counter() - self._handover
+            )
+            for closed in flushed:
                 self._finalize(closed)
             if self._outbox:
                 self._drain_outbox()
-        self.checkpoint()
+        if self.checkpoint_path is not None:
+            t0 = perf_counter()
+            self.checkpoint()
+            stage_s[_CHECKPOINT] = perf_counter() - t0
+        self._observe_stages()
         self._emit_stats(start)
         if self.failed:
             log.error(
@@ -935,21 +1008,25 @@ class StreamRuntime:
         """
         assert self._next_stats_at is not None
         observe_batch = self.tracker.observe_batch
+        t0 = perf_counter()
         live = self.detector.observe_batch(records)
         matches = [match for _, match in live]
         alerts = [
             (n, alert) for n, (alert, _) in enumerate(live)
             if alert is not None
         ]
+        self._stage_s[_MATCH] = perf_counter() - t0
+        track_s = 0.0
         next_alert = 0
         base = int(self._m_records.value)
         total = len(records)
         done = 0  # records of this batch fed, replayed and counted
         while done < total:
             end = min(total, max(done + 1, self._next_stats_at - base))
-            for i, closed in observe_batch(
-                records[done:end], matches[done:end]
-            ):
+            t0 = perf_counter()
+            closures = observe_batch(records[done:end], matches[done:end])
+            track_s += perf_counter() - t0
+            for i, closed in closures:
                 next_alert = self._raise_alerts(alerts, next_alert, done + i)
                 self._finalize(closed)
             next_alert = self._raise_alerts(alerts, next_alert, end - 1)
@@ -958,6 +1035,7 @@ class StreamRuntime:
             if base + end >= self._next_stats_at:
                 self._next_stats_at += self.stats_every
                 self._emit_stats(start)
+        self._stage_s[_TRACK] = track_s
 
     def _raise_alerts(
         self, alerts: list[tuple[int, LiveAlert]], next_alert: int, upto: int
@@ -976,15 +1054,32 @@ class StreamRuntime:
         self._run_consumed += count
 
     def _finalize(self, closed: ClosedSession) -> None:
+        """Detect a closed session and deliver its report, timed as the
+        batch's ``finalize`` and ``sink`` stages."""
+        stage_s = self._stage_s
+        t0 = perf_counter()
+        report = self._detect_closed(closed)
+        t1 = perf_counter()
+        stage_s[_FINALIZE] = (stage_s[_FINALIZE] or 0.0) + (t1 - t0)
+        if report is None:
+            return
+        kinds = [anomaly.kind.value for anomaly in report.anomalies]
+        self._count_report(closed.reason, report.anomalous, kinds)
+        self._deliver(report, closed, kinds)
+        stage_s[_SINK] = (stage_s[_SINK] or 0.0) + (perf_counter() - t1)
+
+    def _detect_closed(self, closed: ClosedSession) -> SessionReport | None:
+        """The closed session's report; None when the exactly-once
+        ledger suppresses it or detection failed (quarantined)."""
         fid = finalization_id(closed.session)
         closed.finalization_id = fid
         if fid in self._finalized_ids or fid in self._parked_fids:
             # Replayed closure already emitted (or parked) — the
             # exactly-once ledger suppresses the duplicate.
             self._m_deduped.inc()
-            return
+            return None
         try:
-            report = self.detector.finalize(closed)
+            return self.detector.finalize(closed)
         except Exception as exc:
             # One corrupt session must never take down the runtime:
             # dead-letter it with a reason and keep streaming.
@@ -998,10 +1093,7 @@ class StreamRuntime:
                 f"{closed.session.session_id}: {exc}",
                 source="detector",
             )
-            return
-        kinds = [anomaly.kind.value for anomaly in report.anomalies]
-        self._count_report(closed.reason, report.anomalous, kinds)
-        self._deliver(report, closed, kinds)
+            return None
 
     def _count_report(
         self, reason: str, anomalous: bool, kinds: Iterable[str]
@@ -1021,6 +1113,7 @@ class StreamRuntime:
             "sink.emit", lambda: self.sink.emit(report, closed)
         )
         if ok:
+            self._h_delay.observe(perf_counter() - self._handover)
             # The window between a durable sink emit and the journal
             # append of its id is exactly where a crash could
             # double-emit; the harness kills here to prove the sink's
@@ -1047,6 +1140,10 @@ class StreamRuntime:
             self._g_outbox.set(len(self._outbox))
 
     def _drain_outbox(self) -> None:
+        """Redeliver parked reports, timed as the ``sink`` stage.  They
+        are not observed in ``stream_report_delay_seconds``: a report
+        parked before a restart has no closing poll in this process."""
+        t0 = perf_counter()
         while self._outbox and not self.failed:
             entry = self._outbox[0]
             report = SessionReport.from_dict(entry["report"])
@@ -1072,6 +1169,8 @@ class StreamRuntime:
                 )
                 self._journal_due = True
         self._g_outbox.set(len(self._outbox))
+        stage_s = self._stage_s
+        stage_s[_SINK] = (stage_s[_SINK] or 0.0) + (perf_counter() - t0)
 
     def _remember_finalized(self, fid: str) -> None:
         if not fid or fid in self._finalized_ids:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import threading
 
 import pytest
@@ -88,6 +89,35 @@ class TestMetricsRegistry:
             labels["shard"]: value for labels, value in counter.samples()
         }
         assert totals == {str(s): 2 * N for s in range(4)}
+
+    def test_labels_lookup_racing_child_creation(self):
+        # Every increment looks its child up again, in both keyword
+        # orders, while other threads create the same children: the
+        # unlocked raw-key lookup must never hand out a second child
+        # for one label set or lose an increment.
+        registry = MetricsRegistry()
+        counter = registry.counter("stress_lookup_total", "")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def work(i: int) -> None:
+                for k in range(N):
+                    a, b = str(k % 16), str(i % 2)
+                    if (i + k) % 2:
+                        counter.labels(a=a, b=b).inc()
+                    else:
+                        counter.labels(b=b, a=a).inc()
+
+            hammer(work)
+        finally:
+            sys.setswitchinterval(interval)
+        samples = counter.samples()
+        assert len(samples) == len(counter._children) == 32
+        assert sum(value for _, value in samples) == THREADS * N
+        for labels, _ in samples:
+            child = counter._children[tuple(sorted(labels.items()))]
+            assert counter.labels(**labels) is child
+            assert counter.labels(**dict(reversed(labels.items()))) is child
 
     def test_histogram_totals_conserved(self):
         registry = MetricsRegistry()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.detection.report import Anomaly, AnomalyKind, SessionReport
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, Tracer
 from repro.parsing.records import LogRecord, Session, split_sessions
 from repro.query.store import ModelStore
 from repro.simulators import FaultSpec, MapReduceConfig, WorkloadGenerator
@@ -183,16 +183,17 @@ class TestRegistryReplayParity:
 
 
 class TestMatchSpan:
-    """``detect.match`` times a match the detector ran itself: one span
+    """A detector given a tracer records ``detect.*`` spans;
+    ``detect.match`` times a match the detector ran itself: one span
     per ``detect_batch`` call (its cross-session batch) and one per
-    session matched at close, none for a session whose matches were
-    passed in."""
+    session matched at close.  A stream runtime passes no tracer, so it
+    records none of them and keeps only the ``detect_*`` counters."""
 
     @staticmethod
     def span_counts(registry) -> dict[str, int]:
         spans = registry.get("trace_span_seconds")
         return {
-            name: spans.labels(span=name).count
+            name: spans.labels(span=name).count if spans is not None else 0
             for name in ("detect.session", "detect.match", "detect.extract",
                          "detect.subroutines", "detect.hierarchy")
         }
@@ -210,7 +211,7 @@ class TestMatchSpan:
         # uninstrumented.
         detector = ModelStore.from_intellog(mr_model).to_intellog().detector()
         registry = MetricsRegistry()
-        detector.instrument(registry)
+        detector.instrument(registry, Tracer(registry=registry))
         sessions = list(split_sessions(records))
         detector.detect_job(sessions)
         n = len(sessions)
@@ -230,6 +231,11 @@ class TestMatchSpan:
         stats = runtime.run(once=True)
         n = stats.reports
         assert n == len(list(split_sessions(records)))
-        counts = self.span_counts(runtime.registry)
-        assert counts["detect.match"] == 0
-        assert counts["detect.session"] == counts["detect.extract"] == n
+        assert self.span_counts(runtime.registry) == dict.fromkeys(
+            ("detect.session", "detect.match", "detect.extract",
+             "detect.subroutines", "detect.hierarchy"), 0,
+        )
+        assert runtime.registry.get("trace_span_seconds") is None
+        assert runtime.registry.get("detect_sessions_total").value == n
+        assert runtime.registry.get("detect_records_total").value \
+            == len(records)

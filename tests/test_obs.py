@@ -1,10 +1,13 @@
 """Tests for the observability layer (``repro.obs``)."""
 
 import json
+import math
 import threading
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
@@ -54,6 +57,35 @@ class TestCounter:
             ({"reason": "eviction"}, 3.0),
             ({"reason": "flush"}, 1.0),
         ]
+
+    def test_label_order_and_repeats_share_one_child(self):
+        c = MetricsRegistry().counter("pair_total")
+        first = c.labels(a="1", b="2")
+        assert c.labels(b="2", a="1") is first
+        assert c.labels(a="1", b="2") is first
+        first.inc()
+        c.labels(b="2", a="1").inc()
+        assert c.samples() == [({"a": "1", "b": "2"}, 2.0)]
+
+    def test_non_str_values_keep_their_own_children(self):
+        # 1, 1.0 and True compare equal but stringify differently: each
+        # must reach the child of its own str(), before and after the
+        # "1" child was cached.
+        c = MetricsRegistry().counter("typed_total")
+        c.labels(n="1").inc()
+        c.labels(n=1).inc()
+        c.labels(n=True).inc(5)
+        c.labels(n=1.0).inc(7)
+        assert c.labels(n="1") is c.labels(n=1)
+        assert c.samples() == [
+            ({"n": "1"}, 2.0), ({"n": "1.0"}, 7.0), ({"n": "True"}, 5.0),
+        ]
+
+    def test_invalid_label_name_raises_every_time(self):
+        c = MetricsRegistry().counter("bad_label_total")
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                c.labels(**{"bad-name": "x"})
 
     def test_unlabeled_sample_appears_when_touched(self):
         c = MetricsRegistry().counter("mixed_total")
@@ -117,11 +149,85 @@ class TestHistogram:
         with pytest.raises(ValueError):
             registry.histogram("bad_seconds", buckets=[1.0, 1.0])
 
+    def test_nan_lands_in_the_inf_bucket(self):
+        h = MetricsRegistry().histogram("nan_seconds", buckets=[1.0, 2.0])
+        h.observe(float("nan"))
+        h.observe_many(float("nan"), 2)
+        assert [n for _, n in h.bucket_counts()] == [0, 0, 3]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        bounds=st.lists(
+            st.floats(allow_nan=False, allow_infinity=False,
+                      min_value=-1e6, max_value=1e6),
+            min_size=1, max_size=24, unique=True,
+        ).map(sorted),
+        values=st.lists(
+            st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e-6]),
+            ),
+            max_size=60,
+        ),
+        repeat=st.integers(min_value=1, max_value=5),
+    )
+    def test_bucket_search_matches_linear_scan(self, bounds, values,
+                                               repeat):
+        # Exact bounds are among the values, to hit the ``le`` edge.
+        values = values + bounds[: len(bounds) // 2]
+        h = MetricsRegistry().histogram("bisect_seconds", buckets=bounds)
+        ref = _FrozenLinearHistogram(bounds)
+        for i, value in enumerate(values):
+            if i % 2:
+                h.observe_many(value, repeat)
+                ref.observe_many(value, repeat)
+            else:
+                h.observe(value)
+                ref.observe(value)
+        assert h.count == ref.count
+        assert _same_float(h.sum, ref.sum)
+        assert [n for _, n in h.bucket_counts()] == ref.cumulative()
+
     def test_labeled_children_inherit_buckets(self):
         h = MetricsRegistry().histogram("lab_seconds", buckets=[0.5])
         child = h.labels(stage="parse")
         child.observe(0.1)
         assert child.bucket_counts()[0] == (0.5, 1)
+
+
+def _same_float(a: float, b: float) -> bool:
+    return (math.isnan(a) and math.isnan(b)) or a == b
+
+
+class _FrozenLinearHistogram:
+    """The bucket search ``Histogram`` used before it bisected: a scan
+    of the bounds for the first one at or above the value; no match (a
+    value above every bound, or NaN) goes to ``+Inf``."""
+
+    def __init__(self, bounds):
+        self.bounds = tuple(bounds)
+        self.counts = [0] * (len(self.bounds) + 1)
+        self.sum = 0.0
+        self.count = 0
+
+    def observe(self, value):
+        self.observe_many(value, 1)
+
+    def observe_many(self, value, count):
+        self.sum += value * count
+        self.count += count
+        for i, bound in enumerate(self.bounds):
+            if value <= bound:
+                self.counts[i] += count
+                return
+        self.counts[-1] += count
+
+    def cumulative(self):
+        out, running = [], 0
+        for n in self.counts[:-1]:
+            running += n
+            out.append(running)
+        return out + [self.count]
 
 
 class TestRegistry:
