@@ -163,9 +163,12 @@ class ServeConfig:
     rather than blocking the poller.  ``global_session_budget`` caps
     open sessions summed over all tenants — the fleet scheduler evicts
     LRU sessions from the largest tenants first until back under it.
-    The scheduler pumps every tenant on one thread, in tenant-id order.
-    ``poll_interval`` is the longest idle wait: after an empty sweep the
-    scheduler sweeps again as soon as a tenant's source reports a
+    The scheduler pumps tenants on one thread, in tenant-id order, and
+    a sweep pumps only the tenants with work: a non-zero or unknowable
+    source backlog, a failing backlog probe, or a parked model swap.
+    ``poll_interval`` is the longest idle wait, and the longest a
+    tenant without work goes unpumped: after an empty sweep the
+    scheduler sweeps again as soon as a tenant's source reports a new
     backlog, and only sources that cannot tell (plus tenants-file
     reloads and supervised restarts) wait the whole interval.
     """

@@ -150,10 +150,12 @@ class AnomalyDetector:
         # One plan per Intel Key that detection checks: every key but
         # the ignored key-value dumps (paper §5).  Compiled against the
         # graph as it is now, so a detector must not outlive a change
-        # to its graph (a model swap builds a new detector).
+        # to its graph (a model swap builds a new detector).  A key's
+        # groups are a set; sorted, they give report order that does
+        # not follow the interpreter's hash seed.
         self._plans = {
             key_id: KeyPlan.compile(
-                intel_key, tuple(graph.key_groups.get(key_id, ()))
+                intel_key, tuple(sorted(graph.key_groups.get(key_id, ())))
             )
             for key_id, intel_key in graph.intel_keys.items()
             if key_id not in graph.ignored_keys

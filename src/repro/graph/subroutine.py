@@ -61,10 +61,8 @@ class KeyPlan:
 
     key_id: str
     template: tuple[str, ...]
-    #: Labels of the groups the key feeds.  Detection keeps the
-    #: iteration order of ``graph.key_groups[key_id]`` (the order that
-    #: decides the order of a report's subroutine anomalies); training
-    #: sorts them.
+    #: Labels of the groups the key feeds, sorted (in detection, the
+    #: order of a report's subroutine anomalies).
     groups: tuple[str, ...]
     slots: tuple[tuple[str, bool] | None, ...]
 

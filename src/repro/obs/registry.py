@@ -31,7 +31,7 @@ import math
 import re
 import threading
 from bisect import bisect_left
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 __all__ = [
     "Counter",
@@ -354,11 +354,16 @@ class MetricsRegistry:
     when the name is already registered (so independent call sites can
     share one series) and raise :class:`TypeError` when the name is
     registered under a different kind.
+
+    Collectors (:meth:`add_collector`) set metrics whose value is cheap
+    to compute on read but costly to keep current: :meth:`metrics`, the
+    walk behind every export, runs them first.
     """
 
     def __init__(self) -> None:
         self._lock = threading.RLock()
         self._metrics: dict[str, _Metric] = {}
+        self._collectors: list[Callable[[], None]] = []
 
     def _get_or_create(
         self, cls: type[_Metric], name: str, help: str
@@ -402,8 +407,22 @@ class MetricsRegistry:
                 metric._configure(buckets)
             return metric
 
+    def add_collector(self, collect: Callable[[], None]) -> None:
+        """Run ``collect`` whenever the registry is read as a whole."""
+        with self._lock:
+            self._collectors.append(collect)
+
+    def collect(self) -> None:
+        """Run every collector, in the order they were added."""
+        with self._lock:
+            collectors = tuple(self._collectors)
+        for collect in collectors:
+            collect()
+
     def metrics(self) -> Iterator[_Metric]:
-        """Registered metrics in sorted name order."""
+        """Registered metrics in sorted name order, after
+        :meth:`collect`."""
+        self.collect()
         with self._lock:
             items = sorted(self._metrics.items())
         for _, metric in items:

@@ -3,23 +3,26 @@
 :class:`DetectionService` multiplexes any number of tenants
 (:class:`~repro.serve.tenant.Tenant`) over a shared
 :class:`~repro.serve.registry.ModelRegistry`.  Scheduling is
-sweep-based: each sweep pumps every healthy tenant for one bounded
-quantum (``ServeConfig.quantum`` records), in sorted tenant-id order on
-the calling thread, then enforces the global session budget
-(:func:`~repro.serve.budget.plan_evictions`) and, when the sweep changed
-something, mirrors per-tenant stats into the fleet metrics registry.
-One thread pumps every tenant, which is what lets tenant internals stay
-lock-free (pumps are CPU-bound Python, so a thread pool bought no
-throughput).
+sweep-based: each sweep pumps every healthy tenant that has work for
+one bounded quantum (``ServeConfig.quantum`` records), in sorted
+tenant-id order on the calling thread, then enforces the global
+session budget (:func:`~repro.serve.budget.plan_evictions`).  A tenant
+has work when its source's ``backlog()`` is non-zero or unknowable
+(``None``), when that probe raises ``OSError`` (the pump's
+retry/breaker path must see the fault), or when a model swap is parked
+on it; a tenant without work is still pumped once per
+``ServeConfig.poll_interval``, which paces its idle closes and outbox
+redelivery.  One thread pumps every tenant, which is what lets tenant
+internals stay lock-free (pumps are CPU-bound Python, so a thread pool
+bought no throughput).
 
 Between sweeps the loop waits for work rather than for a fixed pause:
 after an empty sweep it probes every healthy tenant's ``backlog()``
-every few milliseconds and sweeps again as soon as one reports records
-(or a probe raises ``OSError``, which the pump's retry/breaker path must
-see), :meth:`DetectionService.stop` is called, or
-``ServeConfig.poll_interval`` — the longest idle wait — has passed.
-Sources whose backlog is unknowable (``None``), tenants-file reloads
-and supervised restarts are paced by that ceiling.
+every millisecond (:data:`_WAIT_SLICE`) and sweeps again as soon as one
+reports new records (or a probe raises ``OSError``),
+:meth:`DetectionService.stop` is called, or ``poll_interval`` — the
+longest idle wait — has passed.  Sources whose backlog is unknowable,
+tenants-file reloads and supervised restarts are paced by that ceiling.
 
 Health isolation is now *self-healing*: a pump that raises (or a
 breaker that opens) marks that tenant failed — with the exception type
@@ -33,9 +36,15 @@ window is **quarantined** permanently with the reason and traceback on
 startup the service runs :class:`~repro.serve.fsck.RegistryFsck` in
 repair mode over the registry (and checkpoint directory), so a crashed
 publish or swap is rolled forward/back before any tenant attaches.
-Fleet state is exposed as labeled ``serve_*`` gauges on the fleet
+
+Fleet state is exposed as labeled ``serve_*`` metrics on the fleet
 registry (``/metrics``) and as a JSON document
-(:meth:`DetectionService.tenants_status`, the ``/tenants`` route).
+(:meth:`DetectionService.tenants_status`, the ``/tenants`` route).  The
+per-tenant progress gauges (records, reports, open sessions, queue
+depth, shed records) and the fleet and model-registry gauges are
+computed by a collector when the registry is read, so a sweep pays
+nothing for them; the failed and quarantined gauges and the swap and
+restart counters also move on the sweep that caused them.
 """
 
 from __future__ import annotations
@@ -69,7 +78,7 @@ log = logging.getLogger(__name__)
 
 #: Longest single sleep of the idle wait: how late the loop notices a
 #: record that became visible, a ``stop()`` or a newly attached tenant.
-_WAIT_SLICE = 0.005
+_WAIT_SLICE = 0.001
 
 
 class DetectionService:
@@ -105,11 +114,19 @@ class DetectionService:
         )
         self._clock = clock
         self._sleep = sleep
-        # _lock guards the tenant map; pumps never run under it (the
-        # sweep snapshots the map first), so a slow tenant cannot block
+        # _lock guards the tenant map and the two sorted views of it
+        # below; pumps never run under it, so a slow tenant cannot block
         # attach/detach/status calls.
         self._lock = threading.Lock()
         self._tenants: dict[str, Tenant] = {}
+        # Rebuilt by _refresh() on attach, detach, failure, restart and
+        # quarantine, and read without the lock: every attached tenant,
+        # and the healthy ones that sweeps pump and the idle wait probes.
+        self._fleet: tuple[Tenant, ...] = ()
+        self._ready: tuple[Tenant, ...] = ()
+        # Sweep side only: the clock reading by which each tenant is
+        # pumped even if it has no work.
+        self._pump_by: dict[str, float] = {}
         self._stop = threading.Event()
         self._init_metrics()
         self.budget_evictions = 0
@@ -197,6 +214,7 @@ class DetectionService:
             "serve_registry_warm_hits",
             "Attaches served from the warm cache.",
         )
+        reg.add_collector(self._collect)
 
     # -- control plane -----------------------------------------------------
 
@@ -253,6 +271,7 @@ class DetectionService:
                     f"tenant {spec.tenant_id!r} already attached"
                 )
             self._tenants[spec.tenant_id] = tenant
+        self._refresh()
         # A fresh attach is an operator action: start with a clean
         # supervision slate (re-attaching is how a quarantine is lifted).
         self.supervisor.forget(spec.tenant_id)
@@ -268,6 +287,7 @@ class DetectionService:
             tenant = self._tenants.pop(tenant_id, None)
         if tenant is None:
             raise KeyError(f"tenant {tenant_id!r} is not attached")
+        self._refresh()
         if flush and tenant.failure is None:
             tenant.finish()
         else:
@@ -310,20 +330,36 @@ class DetectionService:
 
     # -- scheduling --------------------------------------------------------
 
-    def _snapshot(self) -> list[Tenant]:
-        with self._lock:
-            return [
-                self._tenants[tid] for tid in sorted(self._tenants)
-            ]
+    def _refresh(self) -> None:
+        """Rebuild :attr:`_fleet` and :attr:`_ready` from the tenant map.
 
-    def _healthy(self) -> list[Tenant]:
-        """Tenants the sweep pumps: not failed, parked or quarantined."""
-        return [
-            t for t in self._snapshot()
-            if t.quarantined is None
-            and t.failure is None
-            and not t.runtime.failed
-        ]
+        Healthy means not failed, parked or quarantined.  Run under the
+        lock so that concurrent rebuilds cannot publish a stale view.
+        """
+        with self._lock:
+            fleet = tuple(
+                self._tenants[tid] for tid in sorted(self._tenants)
+            )
+            self._fleet = fleet
+            self._ready = tuple(
+                t for t in fleet
+                if t.quarantined is None
+                and t.failure is None
+                and not t.runtime.failed
+            )
+
+    @staticmethod
+    def _has_work(tenant: Tenant) -> bool:
+        """Whether ``tenant`` is pumped before its paced turn: its
+        backlog is non-zero or unknowable, the probe raises ``OSError``
+        (a fault for the pump's retry/breaker path), or a swap is
+        parked on it."""
+        try:
+            if tenant.queue.backlog() != 0:
+                return True
+        except OSError:
+            return True
+        return tenant.swap_pending
 
     @staticmethod
     def _trace_tail(limit: int = 12) -> str:
@@ -366,11 +402,11 @@ class DetectionService:
                 "tenant %s failed (%s); restart in %ss",
                 tenant.tenant_id, reason, status["next_restart_in"],
             )
+        self._refresh()
+        self._set_health_gauges()
 
-    def _revive_due(self) -> int:
-        """Restart every tenant whose backoff has elapsed; return how
-        many restarts were attempted (successful or not)."""
-        attempted = 0
+    def _revive_due(self) -> None:
+        """Restart every tenant whose backoff has elapsed."""
         for tenant_id in self.supervisor.due():
             with self._lock:
                 tenant = self._tenants.get(tenant_id)
@@ -379,7 +415,6 @@ class DetectionService:
                 continue
             if tenant.quarantined is not None:
                 continue
-            attempted += 1
             try:
                 tenant.restart()
             except Exception as exc:  # noqa: BLE001 - isolation boundary
@@ -393,39 +428,51 @@ class DetectionService:
                 continue
             self.supervisor.record_restart(tenant_id)
             self._c_restarts.labels(tenant=tenant_id).inc()
+            self._pump_by.pop(tenant_id, None)
+            self._refresh()
+            self._set_health_gauges()
             log.info(
                 "restarted tenant %s (restart #%d)",
                 tenant_id, tenant.restarts,
             )
-        return attempted
 
     def cycle(self) -> int:
-        """One sweep: pump every healthy tenant once, enforce budget.
+        """One sweep: pump every healthy tenant that has work, enforce
+        the budget.
 
         Returns total records consumed.  Tenants run in sorted-id order
         on the calling thread, so a sweep is fully deterministic and no
-        tenant is ever pumped twice at once.  Supervision happens at the
-        sweep edges: due restarts first, then pump failures and newly
-        opened breakers are fed to the supervisor.  Fleet metrics are
-        mirrored only when the sweep changed something — consumed
-        records, a failure, a restart, a swap, a detach or a budget
-        eviction — so idle sweeps cost no status pass.
+        tenant is ever pumped twice at once.  A tenant without work
+        (:meth:`_has_work`) is skipped until ``poll_interval`` has
+        passed since its last pump; a new or restarted tenant is pumped
+        at once.  Supervision happens at the sweep edges: due restarts
+        first, then pump failures and newly opened breakers are fed to
+        the supervisor.
         """
-        changed = self._revive_due()
+        self._revive_due()
+        now = self._clock()
+        pump_by = self._pump_by
         consumed = 0
-        for tenant in self._healthy():
+        for tenant in self._ready:
+            tenant_id = tenant.tenant_id
+            if now < pump_by.get(tenant_id, now) and not self._has_work(
+                tenant
+            ):
+                continue
+            pump_by[tenant_id] = now + self.config.poll_interval
             swaps = tenant.swaps
             n, failure = self._pump_one(tenant)
             consumed += n
-            changed += tenant.swaps - swaps
+            if tenant.swaps != swaps:
+                self._c_swaps.labels(tenant=tenant_id).restore(
+                    tenant.swaps
+                )
             if failure is not None:
-                changed += 1
                 self._register_failure(tenant, *failure)
             elif tenant.runtime.failed:
                 # The pump returned but left the breaker open (e.g. a
                 # run of source errors): same supervision path as a
                 # raised exception, minus the traceback.
-                changed += 1
                 note = (
                     "breaker: "
                     f"{tenant.runtime.stats.failure or 'circuit open'}"
@@ -433,15 +480,13 @@ class DetectionService:
                 tenant.mark_failed(note)
                 self._register_failure(tenant, note, None)
             else:
-                self.supervisor.record_success(tenant.tenant_id)
-        changed += self.enforce_budget()
-        if consumed or changed:
-            self._mirror_metrics()
+                self.supervisor.record_success(tenant_id)
+        self.enforce_budget()
         return consumed
 
     def enforce_budget(self) -> int:
         """Evict LRU sessions until the fleet fits the global budget."""
-        tenants = self._snapshot()
+        tenants = self._fleet
         plan = plan_evictions(
             {t.tenant_id: t.open_sessions for t in tenants},
             self.config.global_session_budget,
@@ -478,7 +523,7 @@ class DetectionService:
             # so the drain must too, until the tenant recovers or its
             # breaker opens).
             retrying = [
-                t for t in self._snapshot()
+                t for t in self._fleet
                 if t.failure is None and not t.runtime.failed
                 and t.runtime.stats.health == "degraded"
             ]
@@ -486,7 +531,7 @@ class DetectionService:
             # *healing*, not done — sleep through the backoff so its
             # restart (and replay) happens inside the drain.
             healing = [
-                t for t in self._snapshot()
+                t for t in self._fleet
                 if t.quarantined is None
                 and self.supervisor.state(t.tenant_id) == BACKOFF
             ]
@@ -495,10 +540,13 @@ class DetectionService:
                 continue
             if not retrying:
                 break
-        for tenant in self._snapshot():
+            # The next sweep pumps them whatever their backlog reads.
+            for tenant in retrying:
+                self._pump_by.pop(tenant.tenant_id, None)
+        for tenant in self._fleet:
             if tenant.failure is None and not tenant.runtime.failed:
                 tenant.finish()
-        self._mirror_metrics()
+        self.metrics.collect()
         return self.tenants_status()
 
     def run(
@@ -530,10 +578,10 @@ class DetectionService:
                 last_mtime = path.stat().st_mtime
             except OSError:
                 last_mtime = None
-        # Backlog readings the last wait returned.  A tenant whose
-        # backlog stays at the same non-zero reading after an empty sweep
-        # (e.g. a file's unterminated last line) does not end the next
-        # wait again; it is reset after any sweep that consumed records.
+        # Non-zero backlog readings of the idle waits since the last
+        # sweep that consumed records.  A tenant whose backlog stays at
+        # the same non-zero reading after an empty sweep (e.g. a file's
+        # unterminated last line) does not end the next wait again.
         seen: dict[str, int] = {}
         while not self._stop.is_set():
             if self._clock() >= stop_at:
@@ -562,7 +610,7 @@ class DetectionService:
                         )
             consumed = self.cycle()
             cycles += 1
-            tenants = self._snapshot()
+            tenants = self._fleet
             if tenants and all(
                 t.quarantined is not None for t in tenants
             ):
@@ -575,46 +623,47 @@ class DetectionService:
                 )
                 break
             if consumed:
-                seen = {}
+                seen.clear()
             else:
-                seen = self._wait_for_work(
+                self._wait_for_work(
                     min(self._clock() + self.config.poll_interval,
                         stop_at),
                     seen,
                 )
-        self._mirror_metrics()
+        self.metrics.collect()
         return self.tenants_status()
 
     def _wait_for_work(
         self, deadline: float, seen: dict[str, int]
-    ) -> dict[str, int]:
+    ) -> None:
         """Sleep in :data:`_WAIT_SLICE` steps until a healthy tenant has
-        work, :meth:`stop` is called, or ``deadline`` passes.
+        new work, :meth:`stop` is called, or ``deadline`` passes.
 
-        A tenant has work when its ``backlog()`` reading is non-zero and
-        differs from its reading in ``seen``.  A probe that raises
-        ``OSError`` reads ``-1``: the fault is work for the pump's
-        retry/breaker path.  The tenant map is re-read on every probe,
-        so a tenant attached mid-wait is seen too.  Returns the last
-        probe's non-zero readings.
+        A tenant has new work when its ``backlog()`` reading is non-zero
+        and differs from its reading in ``seen``, which each probe
+        updates.  A probe that raises ``OSError`` reads ``-1``: the
+        fault is work for the pump's retry/breaker path.  Each probe
+        re-reads :attr:`_ready`, so a tenant attached mid-wait is seen
+        too.
         """
-        readings: dict[str, int] = {}
         while not self._stop.is_set():
-            readings = {}
-            for tenant in self._healthy():
+            woke = False
+            for tenant in self._ready:
                 try:
                     backlog = tenant.queue.backlog()
                 except OSError:
                     backlog = -1
-                if backlog:
-                    readings[tenant.tenant_id] = backlog
-            if any(seen.get(tid) != n for tid, n in readings.items()):
-                break
+                if not backlog:
+                    seen.pop(tenant.tenant_id, None)
+                elif seen.get(tenant.tenant_id) != backlog:
+                    seen[tenant.tenant_id] = backlog
+                    woke = True
+            if woke:
+                return
             left = deadline - self._clock()
             if left <= 0:
-                break
+                return
             self._sleep(min(_WAIT_SLICE, left))
-        return readings
 
     def stop(self) -> None:
         self._stop.set()
@@ -630,16 +679,12 @@ class DetectionService:
 
     # -- fleet state -------------------------------------------------------
 
-    def _mirror_metrics(self) -> None:
-        tenants = self._snapshot()
-        failed = 0
-        fleet_open = 0
-        for tenant in tenants:
-            status = tenant.status()
-            if status["failure"] or status["health"] == "failed":
-                failed += 1
-            fleet_open += status["open_sessions"]
-            labels = {"tenant": tenant.tenant_id}
+    def _collect(self) -> None:
+        """Set the fleet gauges from live state; runs on registry reads
+        (``/metrics``, snapshots), on whichever thread reads."""
+        statuses = [tenant.status() for tenant in self._fleet]
+        for status in statuses:
+            labels = {"tenant": status["tenant"]}
             self._g_t_records.labels(**labels).set(status["records"])
             self._g_t_reports.labels(**labels).set(status["reports"])
             self._g_t_open.labels(**labels).set(
@@ -648,20 +693,34 @@ class DetectionService:
             self._g_t_queue.labels(**labels).set(status["queue_depth"])
             self._g_t_shed.labels(**labels).set(status["shed_records"])
             self._c_swaps.labels(**labels).restore(status["swaps"])
-        self._g_active.set(len(tenants))
-        self._g_failed.set(failed)
-        self._g_quarantined.set(len(self.supervisor.quarantined()))
-        self._g_fleet_open.set(fleet_open)
+        self._g_active.set(len(statuses))
+        self._g_fleet_open.set(
+            sum(status["open_sessions"] for status in statuses)
+        )
+        self._set_health_gauges(statuses)
         reg = self.registry.stats()
         self._g_reg_live.set(reg["live_models"])
         self._g_reg_warm.set(reg["warm_models"])
         self._g_reg_cold.set(reg["cold_loads"])
         self._g_reg_warm_hits.set(reg["warm_hits"])
 
+    def _set_health_gauges(
+        self, statuses: list[dict[str, Any]] | None = None
+    ) -> None:
+        """Failed and quarantined tenant counts: set by the collector,
+        and by the sweep that failed, restarted or quarantined one."""
+        if statuses is None:
+            statuses = [tenant.status() for tenant in self._fleet]
+        self._g_failed.set(sum(
+            1 for status in statuses
+            if status["failure"] or status["health"] == "failed"
+        ))
+        self._g_quarantined.set(len(self.supervisor.quarantined()))
+
     def tenants_status(self) -> dict[str, Any]:
         """JSON document for the ``/tenants`` route."""
         tenants = []
-        for tenant in self._snapshot():
+        for tenant in self._fleet:
             status = tenant.status()
             status["supervisor"] = self.supervisor.status(
                 tenant.tenant_id

@@ -352,7 +352,7 @@ class FileFollowSource:
             size = os.path.getsize(self.path)
         except FileNotFoundError:
             # Not created yet, or mid-rotation: nothing pending, as in
-            # poll().  The serve loop probes this every few milliseconds
+            # poll().  The serve loop probes this every millisecond
             # while idle, so a missing file must not log each time.
             return 0
         except OSError as exc:

@@ -255,6 +255,27 @@ class TestRegistry:
         assert len(registry) == 2
         assert [m.name for m in registry.metrics()] == ["aa_total", "zz"]
 
+    def test_collectors_run_in_order_on_every_export(self):
+        registry = MetricsRegistry()
+        depth = registry.gauge("depth")
+        calls: list[str] = []
+        source = iter(range(1, 100))
+
+        def first() -> None:
+            calls.append("first")
+            depth.set(next(source))
+
+        registry.add_collector(first)
+        registry.add_collector(lambda: calls.append("second"))
+        assert depth.value == 0  # nothing runs until a read
+        assert "depth 1" in prometheus_text(registry)
+        snapshot = json_snapshot(registry, stamp=False)
+        assert snapshot["metrics"]["depth"]["samples"][0]["value"] == 2
+        assert calls == ["first", "second"] * 2
+        # A single metric fetched by name is not a whole-registry read.
+        registry.get("depth")
+        assert len(calls) == 4
+
 
 class TestTracing:
     def test_span_nesting_records_parent_and_depth(self):

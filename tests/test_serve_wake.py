@@ -1,43 +1,50 @@
-"""The serve loop's idle wait, and serve == batch under random pacing.
+"""The serve loop's idle wait and pump pacing, and serve == batch under
+random pacing.
 
 After an empty sweep :meth:`DetectionService.run` waits for work: it
 probes every healthy tenant's ``backlog()`` in short slices and sweeps
 again as soon as one has records (or its probe raises ``OSError``),
-``stop()`` is called, or ``ServeConfig.poll_interval`` has passed.  The
-wake tests drive it with a fake clock and a fake ``sleep`` that advances
-it, so every timing below is exact.
+``stop()`` is called, or ``ServeConfig.poll_interval`` has passed.  A
+sweep pumps only the tenants with work, and every other tenant once per
+``poll_interval``.  The wake tests drive the loop with a fake clock and
+a fake ``sleep`` that advances it, so every timing below is exact.
 
 The differential test releases each tenant's records in random-size
 bursts on that fake clock, runs the service for a random number of
 sweeps at a random quantum, drains it, and requires every tenant's
 reports to be byte-equal to batch ``detect_job`` on the model loaded
-from the very artifact the registry served.
+from the very artifact the registry served.  ``REPRO_CHAOS_SEED`` seeds
+its examples, as in the chaos suite.
 """
 
 from __future__ import annotations
 
 import bisect
 import json
+import os
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro.core import ServeConfig
 from repro.parsing.records import LogRecord, split_sessions
 from repro.query.store import ModelStore
 from repro.serve import DetectionService, ModelRegistry, TenantSpec
+from repro.serve.service import _WAIT_SLICE
 from repro.simulators import WorkloadGenerator
 from repro.stream import FileFollowSource, ListSink
 
 #: Close only on end markers / final flush, so parity has no timing.
 UNBOUNDED = dict(idle_timeout=1e12, max_open_sessions=10**9)
 
+CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "1"))
+
 #: Longest idle wait under test.
 POLL = 0.2
-#: The service's wait slice (``repro.serve.service._WAIT_SLICE``).
-SLICE = 0.005
+#: The service's wait slice.
+SLICE = _WAIT_SLICE
 #: Slack for float sums of slices.
 EPS = 1e-9
 
@@ -82,6 +89,36 @@ class TimedSource:
 
     def backlog(self) -> int | None:
         return self._visible() - self._next
+
+    def position(self) -> dict:
+        return {"index": self._next}
+
+    def seek(self, position: dict) -> None:
+        self._next = int(position.get("index", 0))
+
+
+class BusySource:
+    """Always has records; each poll advances the clock by ``cost``, as
+    a pump that does work takes time."""
+
+    def __init__(self, clock: FakeClock, cost: float, batch: int = 4):
+        self._clock = clock
+        self._cost = cost
+        self._batch = batch
+        self._next = 0
+
+    def poll(self, max_records: int) -> list[LogRecord]:
+        self._clock.advance(self._cost)
+        n = min(max_records, self._batch)
+        out = [record(self._next + k, "busy") for k in range(n)]
+        self._next += n
+        return out
+
+    def exhausted(self) -> bool:
+        return False
+
+    def backlog(self) -> int | None:
+        return self._batch
 
     def position(self) -> dict:
         return {"index": self._next}
@@ -256,10 +293,28 @@ class TestIdleWait:
 
     def test_followed_file_not_created_yet_probes_quietly(self, tmp_path):
         # The wait probes every slice; a missing file is "nothing yet",
-        # as in poll(), not an IO error logged 200 times a second.
+        # as in poll(), not an IO error logged 1,000 times a second.
         source = FileFollowSource(tmp_path / "later.log", formatter="hadoop")
         assert source.backlog() == 0
         assert source.io_errors == 0
+
+    def test_burst_after_a_long_quiet_period_is_polled_within_one_slice(
+        self, registry
+    ):
+        clock = FakeClock()
+        svc, sleeps = make_service(registry, clock)
+        due = 50 * POLL + 0.0123  # mid-wait, long after the last record
+        source = TimedSource(
+            clock,
+            [(0.0, record(0))] + [(due, record(i)) for i in range(1, 40)],
+        )
+        attach(svc, "t", source)
+        svc.run(duration=due + POLL)
+        assert svc.tenant("t").runtime.stats.records == 40
+        assert source.polled_at[0] == 0.0
+        assert due <= source.polled_at[1] <= due + SLICE + EPS
+        assert max(sleeps) <= SLICE + EPS
+        svc.close()
 
     def test_wait_ends_with_the_run_duration(self, registry):
         clock = FakeClock()
@@ -267,6 +322,42 @@ class TestIdleWait:
         attach(svc, "t", IdleSource(clock))
         svc.run(duration=0.05)
         assert clock.t == pytest.approx(0.05)
+        svc.close()
+
+
+class TestPumpPacing:
+    def test_busy_tenant_starves_neither_due_records_nor_paced_pumps(
+        self, registry
+    ):
+        # The busy tenant's backlog never reads zero, so the loop never
+        # waits; every sweep costs COST of fake time.
+        clock = FakeClock()
+        svc, sleeps = make_service(registry, clock)
+        cost = 0.003
+        due = (0.1234, 0.4567)
+        quiet = TimedSource(clock, [(at, record(i, "quiet"))
+                                    for i, at in enumerate(due)])
+        idle = IdleSource(clock)
+        attach(svc, "a-busy", BusySource(clock, cost))
+        attach(svc, "b-idle", idle)
+        attach(svc, "c-quiet", quiet)
+        sweeps = 0
+        while clock.t < 1.0:
+            svc.cycle()
+            sweeps += 1
+        assert not sleeps
+        # A record that falls due mid-sweep is polled by the next sweep
+        # at the latest.
+        assert len(quiet.polled_at) == len(due)
+        for polled, at in zip(quiet.polled_at, due):
+            assert at <= polled <= at + cost + SLICE + EPS
+        assert svc.tenant("c-quiet").runtime.stats.records == len(due)
+        # The tenant without work is pumped once per poll interval, not
+        # once per sweep, and never less often.
+        gaps = [b - a for a, b in zip(idle.polls, idle.polls[1:])]
+        assert idle.polls[0] <= cost + EPS
+        assert gaps and max(gaps) <= POLL + cost + EPS
+        assert len(idle.polls) <= 1.0 / POLL + 2 < sweeps / 10
         svc.close()
 
 
@@ -343,6 +434,7 @@ def timed(records, bursts) -> list[tuple[float, LogRecord]]:
     return out
 
 
+@seed(CHAOS_SEED)
 @settings(max_examples=60, deadline=None)
 @given(fleet=fleets())
 def test_served_reports_equal_batch_under_random_pacing(
