@@ -9,12 +9,12 @@ tenant-id order on the calling thread, then enforces the global
 session budget (:func:`~repro.serve.budget.plan_evictions`).  A tenant
 has work when its source's ``backlog()`` is non-zero or unknowable
 (``None``), when that probe raises ``OSError`` (the pump's
-retry/breaker path must see the fault), or when a model swap is parked
+retry/breaker path must see the fault), when its runtime holds reports
+to redeliver or a failed poll to retry, or when a model swap is parked
 on it; a tenant without work is still pumped once per
-``ServeConfig.poll_interval``, which paces its idle closes and outbox
-redelivery.  One thread pumps every tenant, which is what lets tenant
-internals stay lock-free (pumps are CPU-bound Python, so a thread pool
-bought no throughput).
+``ServeConfig.poll_interval``.  One thread pumps every tenant, which is
+what lets tenant internals stay lock-free (pumps are CPU-bound Python,
+so a thread pool bought no throughput).
 
 Between sweeps the loop waits for work rather than for a fixed pause:
 after an empty sweep it probes every healthy tenant's ``backlog()``
@@ -43,8 +43,9 @@ registry (``/metrics``) and as a JSON document
 per-tenant progress gauges (records, reports, open sessions, queue
 depth, shed records) and the fleet and model-registry gauges are
 computed by a collector when the registry is read, so a sweep pays
-nothing for them; the failed and quarantined gauges and the swap and
-restart counters also move on the sweep that caused them.
+nothing for them.  The failed and quarantined gauges also move on the
+sweep that caused them, and the swap and restart counters count each
+swap and restart as it is applied.
 """
 
 from __future__ import annotations
@@ -124,10 +125,11 @@ class DetectionService:
         # and the healthy ones that sweeps pump and the idle wait probes.
         self._fleet: tuple[Tenant, ...] = ()
         self._ready: tuple[Tenant, ...] = ()
-        # Sweep side only: the clock reading by which each tenant is
-        # pumped even if it has no work.
-        self._pump_by: dict[str, float] = {}
         self._stop = threading.Event()
+        # Serializes collector runs; close() clears _collecting so the
+        # gauges keep their end-of-run values once the fleet is gone.
+        self._collect_lock = threading.Lock()
+        self._collecting = True
         self._init_metrics()
         self.budget_evictions = 0
         self.fleet_dead = False
@@ -262,6 +264,7 @@ class DetectionService:
             resilience=self.resilience,
             durability=self.durability,
             fs=self._fs,
+            swap_counter=self._c_swaps.labels(tenant=spec.tenant_id),
         )
         with self._lock:
             if spec.tenant_id in self._tenants:
@@ -352,14 +355,17 @@ class DetectionService:
     def _has_work(tenant: Tenant) -> bool:
         """Whether ``tenant`` is pumped before its paced turn: its
         backlog is non-zero or unknowable, the probe raises ``OSError``
-        (a fault for the pump's retry/breaker path), or a swap is
-        parked on it."""
+        (a fault for the pump's retry/breaker path), its runtime has
+        parked reports or a failed poll to retry, or a swap is parked
+        on it.  Idle-timeout closes need no turn of their own: they
+        run in event time, on the records that advance the
+        watermark."""
         try:
             if tenant.queue.backlog() != 0:
                 return True
         except OSError:
             return True
-        return tenant.swap_pending
+        return tenant.runtime.owes_step or tenant.swap_pending
 
     @staticmethod
     def _trace_tail(limit: int = 12) -> str:
@@ -403,7 +409,8 @@ class DetectionService:
                 tenant.tenant_id, reason, status["next_restart_in"],
             )
         self._refresh()
-        self._set_health_gauges()
+        # The failed and quarantined gauges move on this sweep.
+        self._collect()
 
     def _revive_due(self) -> None:
         """Restart every tenant whose backoff has elapsed."""
@@ -428,9 +435,9 @@ class DetectionService:
                 continue
             self.supervisor.record_restart(tenant_id)
             self._c_restarts.labels(tenant=tenant_id).inc()
-            self._pump_by.pop(tenant_id, None)
+            tenant.pump_by = float("-inf")
             self._refresh()
-            self._set_health_gauges()
+            self._collect()
             log.info(
                 "restarted tenant %s (restart #%d)",
                 tenant_id, tenant.restarts,
@@ -444,29 +451,20 @@ class DetectionService:
         on the calling thread, so a sweep is fully deterministic and no
         tenant is ever pumped twice at once.  A tenant without work
         (:meth:`_has_work`) is skipped until ``poll_interval`` has
-        passed since its last pump; a new or restarted tenant is pumped
-        at once.  Supervision happens at the sweep edges: due restarts
-        first, then pump failures and newly opened breakers are fed to
-        the supervisor.
+        passed since its last pump; a new, re-attached or restarted
+        tenant is pumped at once.  Supervision happens at the sweep
+        edges: due restarts first, then pump failures and newly opened
+        breakers are fed to the supervisor.
         """
         self._revive_due()
         now = self._clock()
-        pump_by = self._pump_by
         consumed = 0
         for tenant in self._ready:
-            tenant_id = tenant.tenant_id
-            if now < pump_by.get(tenant_id, now) and not self._has_work(
-                tenant
-            ):
+            if now < tenant.pump_by and not self._has_work(tenant):
                 continue
-            pump_by[tenant_id] = now + self.config.poll_interval
-            swaps = tenant.swaps
+            tenant.pump_by = now + self.config.poll_interval
             n, failure = self._pump_one(tenant)
             consumed += n
-            if tenant.swaps != swaps:
-                self._c_swaps.labels(tenant=tenant_id).restore(
-                    tenant.swaps
-                )
             if failure is not None:
                 self._register_failure(tenant, *failure)
             elif tenant.runtime.failed:
@@ -480,7 +478,7 @@ class DetectionService:
                 tenant.mark_failed(note)
                 self._register_failure(tenant, note, None)
             else:
-                self.supervisor.record_success(tenant_id)
+                self.supervisor.record_success(tenant.tenant_id)
         self.enforce_budget()
         return consumed
 
@@ -540,9 +538,6 @@ class DetectionService:
                 continue
             if not retrying:
                 break
-            # The next sweep pumps them whatever their backlog reads.
-            for tenant in retrying:
-                self._pump_by.pop(tenant.tenant_id, None)
         for tenant in self._fleet:
             if tenant.failure is None and not tenant.runtime.failed:
                 tenant.finish()
@@ -669,8 +664,17 @@ class DetectionService:
         self._stop.set()
 
     def close(self, flush: bool = True) -> None:
-        """Detach every tenant and release every lease."""
+        """Detach every tenant and release every lease.
+
+        The fleet gauges are collected one last time first and then
+        stop moving, so a snapshot taken after ``close`` (``repro serve
+        --metrics-out``) reads the fleet as the run left it, not the
+        empty fleet that detaching leaves.
+        """
         self.stop()
+        self.metrics.collect()
+        with self._collect_lock:
+            self._collecting = False
         for tenant_id in list(self.tenant_ids):
             try:
                 self.detach(tenant_id, flush=flush)
@@ -680,42 +684,38 @@ class DetectionService:
     # -- fleet state -------------------------------------------------------
 
     def _collect(self) -> None:
-        """Set the fleet gauges from live state; runs on registry reads
-        (``/metrics``, snapshots), on whichever thread reads."""
-        statuses = [tenant.status() for tenant in self._fleet]
-        for status in statuses:
-            labels = {"tenant": status["tenant"]}
-            self._g_t_records.labels(**labels).set(status["records"])
-            self._g_t_reports.labels(**labels).set(status["reports"])
-            self._g_t_open.labels(**labels).set(
-                status["open_sessions"]
-            )
-            self._g_t_queue.labels(**labels).set(status["queue_depth"])
-            self._g_t_shed.labels(**labels).set(status["shed_records"])
-            self._c_swaps.labels(**labels).restore(status["swaps"])
-        self._g_active.set(len(statuses))
-        self._g_fleet_open.set(
-            sum(status["open_sessions"] for status in statuses)
-        )
-        self._set_health_gauges(statuses)
-        reg = self.registry.stats()
-        self._g_reg_live.set(reg["live_models"])
-        self._g_reg_warm.set(reg["warm_models"])
-        self._g_reg_cold.set(reg["cold_loads"])
-        self._g_reg_warm_hits.set(reg["warm_hits"])
+        """Set the fleet gauges from live state, until :meth:`close`.
 
-    def _set_health_gauges(
-        self, statuses: list[dict[str, Any]] | None = None
-    ) -> None:
-        """Failed and quarantined tenant counts: set by the collector,
-        and by the sweep that failed, restarted or quarantined one."""
-        if statuses is None:
+        Runs on registry reads (``/metrics``, snapshots), on whichever
+        thread reads, and on the sweep that fails, restarts or
+        quarantines a tenant."""
+        with self._collect_lock:
+            if not self._collecting:
+                return
             statuses = [tenant.status() for tenant in self._fleet]
-        self._g_failed.set(sum(
-            1 for status in statuses
-            if status["failure"] or status["health"] == "failed"
-        ))
-        self._g_quarantined.set(len(self.supervisor.quarantined()))
+            for status in statuses:
+                labels = {"tenant": status["tenant"]}
+                self._g_t_records.labels(**labels).set(status["records"])
+                self._g_t_reports.labels(**labels).set(status["reports"])
+                self._g_t_open.labels(**labels).set(
+                    status["open_sessions"]
+                )
+                self._g_t_queue.labels(**labels).set(status["queue_depth"])
+                self._g_t_shed.labels(**labels).set(status["shed_records"])
+            self._g_active.set(len(statuses))
+            self._g_fleet_open.set(
+                sum(status["open_sessions"] for status in statuses)
+            )
+            self._g_failed.set(sum(
+                1 for status in statuses
+                if status["failure"] or status["health"] == "failed"
+            ))
+            self._g_quarantined.set(len(self.supervisor.quarantined()))
+            reg = self.registry.stats()
+            self._g_reg_live.set(reg["live_models"])
+            self._g_reg_warm.set(reg["warm_models"])
+            self._g_reg_cold.set(reg["cold_loads"])
+            self._g_reg_warm_hits.set(reg["warm_hits"])
 
     def tenants_status(self) -> dict[str, Any]:
         """JSON document for the ``/tenants`` route."""

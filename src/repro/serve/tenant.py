@@ -55,6 +55,7 @@ from ..stream.tracker import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..obs import Counter
     from ..core.config import DurabilityConfig, ResilienceConfig
     from .registry import LeasedModel
 
@@ -257,6 +258,7 @@ class Tenant:
         resilience: "ResilienceConfig | None" = None,
         durability: "DurabilityConfig | None" = None,
         fs: FileSystem | None = None,
+        swap_counter: "Counter | None" = None,
     ) -> None:
         self.spec = spec
         self.tenant_id = spec.tenant_id
@@ -284,8 +286,14 @@ class Tenant:
         self._shared = _Shared()
         #: Model swaps applied (pump-side only).
         self.swaps = 0
+        #: Counts each swap as it is applied (the fleet's per-tenant
+        #: ``serve_model_swaps_total`` child).
+        self._swap_counter = swap_counter
         #: Supervisor restarts applied to this tenant handle.
         self.restarts = 0
+        #: Scheduler-owned (sweep thread only): the clock reading by
+        #: which a sweep pumps this tenant even if it has no work.
+        self.pump_by = float("-inf")
 
     def _build_runtime(self) -> StreamRuntime:
         """A fresh runtime over the current lease, queue and sink.
@@ -454,6 +462,8 @@ class Tenant:
         self.runtime.tracker.forget_matches()
         self.lease = lease
         self.swaps += 1
+        if self._swap_counter is not None:
+            self._swap_counter.inc()
         old.release()
         if self._checkpoint_path is not None:
             # Make the swap durable: the checkpoint written under the

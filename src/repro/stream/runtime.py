@@ -85,6 +85,7 @@ from .checkpoint import StreamCheckpoint
 from .detector import LiveAlert, StreamingDetector
 from .journal import DeliveryJournal, journal_line, snapshot_line
 from .resilience import (
+    DEGRADED,
     FAILED,
     HEALTHY,
     REASON_FINALIZE,
@@ -758,6 +759,12 @@ class StreamRuntime:
     @property
     def failed(self) -> bool:
         return self._health == FAILED
+
+    @property
+    def owes_step(self) -> bool:
+        """Whether a step has work that no new record brings: parked
+        reports to redeliver, or a failed poll to retry (degraded)."""
+        return bool(self._outbox) or self._health == DEGRADED
 
     def reset_health(self) -> None:
         """Supervisor restart without a rebuild: clear the breaker and

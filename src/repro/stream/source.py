@@ -361,7 +361,11 @@ class FileFollowSource:
             # — not this probe — owns failure policy.
             self._io_error("backlog", exc)
             return None
-        return max(0, size - self._offset)
+        if size < self._offset:
+            # Truncated or rotated: the next poll reads the file from
+            # its start.
+            return size
+        return size - self._offset
 
     # -- checkpointing ----------------------------------------------------
 

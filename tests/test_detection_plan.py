@@ -128,7 +128,8 @@ class ObjectPathDetector(AnomalyDetector):
             if message is None:
                 report.anomalies.append(self._unexpected_message(record))
                 continue
-            for label in self.graph.key_groups.get(key_id, set()):
+            # A key's groups in their canonical (sorted) order.
+            for label in sorted(self.graph.key_groups.get(key_id, ())):
                 groups.setdefault(label, []).append(message)
         instances: dict[str, list[_RefInstance]] = {}
         spans: dict[str, Lifespan] = {}

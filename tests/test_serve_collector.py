@@ -295,3 +295,28 @@ def test_concurrent_attach_and_detach_keep_the_fleet_view_whole(
     text = prometheus_text(svc.metrics)
     assert f"serve_active_tenants {len(expected)}" in text
     svc.close()
+
+
+def test_swap_counter_only_counts_up(registry, streams):
+    """Each applied swap adds one, and nothing lowers the count: not a
+    scrape, and not re-attaching the tenant with a fresh handle."""
+    clock = FakeClock()
+    svc, _ = make_service(registry, clock)
+    records = streams[STREAM_SEEDS[0]][:20]
+    attach(svc, "t", IterableSource(list(records)))
+    swaps = svc.metrics.get("serve_model_swaps_total").labels(tenant="t")
+    svc.swap("t")
+    svc.cycle()
+    assert svc.tenant("t").swaps == 1
+    assert swaps.value == 1
+    svc.detach("t", flush=False)
+    attach(svc, "t", IterableSource(list(records)))
+    prometheus_text(svc.metrics)
+    assert swaps.value == 1
+    svc.swap("t")
+    svc.drain()
+    assert swaps.value == 2
+    assert 'serve_model_swaps_total{tenant="t"} 2' in prometheus_text(
+        svc.metrics
+    )
+    svc.close()

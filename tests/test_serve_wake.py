@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from repro.core import ServeConfig
+from repro.core import ResilienceConfig, ServeConfig
 from repro.parsing.records import LogRecord, split_sessions
 from repro.query.store import ModelStore
 from repro.serve import DetectionService, ModelRegistry, TenantSpec
@@ -125,6 +125,56 @@ class BusySource:
 
     def seek(self, position: dict) -> None:
         self._next = int(position.get("index", 0))
+
+
+class FailingOnceSource:
+    """Never has records and its backlog reads 0; the first poll at or
+    after ``fail_at`` raises ``OSError``."""
+
+    def __init__(self, clock: FakeClock, fail_at: float) -> None:
+        self._clock = clock
+        self._fail_at = fail_at
+        #: Clock reading of every poll, and of the one that raised.
+        self.polls: list[float] = []
+        self.failed_at: float | None = None
+
+    def poll(self, max_records: int) -> list:
+        now = self._clock()
+        self.polls.append(now)
+        if self.failed_at is None and now >= self._fail_at:
+            self.failed_at = now
+            raise OSError("source hiccup")
+        return []
+
+    def exhausted(self) -> bool:
+        return False
+
+    def backlog(self) -> int | None:
+        return 0
+
+    def position(self) -> dict:
+        return {}
+
+    def seek(self, position: dict) -> None:
+        pass
+
+
+class FlakySink(ListSink):
+    """A list sink whose first ``failures`` emits raise ``OSError``;
+    notes the clock reading of each emit that succeeds."""
+
+    def __init__(self, clock: FakeClock, failures: int) -> None:
+        super().__init__()
+        self._clock = clock
+        self._failures = failures
+        self.emitted_at: list[float] = []
+
+    def emit(self, report, closed) -> None:
+        if self._failures:
+            self._failures -= 1
+            raise OSError("sink refused")
+        super().emit(report, closed)
+        self.emitted_at.append(self._clock())
 
 
 class IdleSource:
@@ -298,6 +348,23 @@ class TestIdleWait:
         assert source.backlog() == 0
         assert source.io_errors == 0
 
+    def test_truncated_followed_file_reads_its_new_bytes_as_backlog(
+        self, tmp_path
+    ):
+        # A sweep pumps a tenant early only if its backlog says so, so a
+        # rotated or truncated file must not read 0 until its paced turn.
+        path = tmp_path / "app.log"
+        line = "2018-06-04 10:00:00,000 INFO [main] org.Foo: tick {}\n"
+        path.write_text("".join(line.format(i) for i in range(8)))
+        source = FileFollowSource(path, formatter="hadoop")
+        assert len(source.poll(100) + source.flush_pending()) == 8
+        assert source.backlog() == 0
+        fresh = line.format("after")
+        path.write_text(fresh)
+        assert source.backlog() == len(fresh)
+        assert len(source.poll(100) + source.flush_pending()) == 1
+        assert source.backlog() == 0
+
     def test_burst_after_a_long_quiet_period_is_polled_within_one_slice(
         self, registry
     ):
@@ -358,6 +425,56 @@ class TestPumpPacing:
         assert idle.polls[0] <= cost + EPS
         assert gaps and max(gaps) <= POLL + cost + EPS
         assert len(idle.polls) <= 1.0 / POLL + 2 < sweeps / 10
+        svc.close()
+
+    def test_parked_reports_and_failed_polls_are_retried_every_sweep(
+        self, registry
+    ):
+        # Neither tenant's backlog says so, but each owes its runtime a
+        # step: one has a report parked by a failed sink emit, the other
+        # a poll to retry.  Both are pumped on the next sweep, not at
+        # their paced turn.
+        clock = FakeClock()
+        cost = 0.003
+        svc = DetectionService(
+            registry, ServeConfig(poll_interval=POLL),
+            resilience=ResilienceConfig(retry_attempts=1),
+            clock=clock, sleep=clock.advance,
+        )
+        due = 0.1234
+        parked = TimedSource(clock, [
+            (due, record(0, "p")),
+            (due, LogRecord(timestamp=1.0, level="INFO", source="T",
+                            message="Deleting directory /tmp/spark",
+                            session_id="p")),
+        ])
+        sink = FlakySink(clock, failures=1)
+        retried = FailingOnceSource(clock, fail_at=due)
+        attach(svc, "a-busy", BusySource(clock, cost))
+        attach(svc, "b-parked", parked, sink=sink)
+        attach(svc, "c-retried", retried)
+        while clock.t < 2 * POLL:
+            svc.cycle()
+        assert len(parked.polled_at) == 1
+        assert len(sink.reports) == 1
+        assert sink.emitted_at[0] <= parked.polled_at[0] + cost + EPS
+        failed_at = retried.polls.index(retried.failed_at)
+        assert retried.polls[failed_at + 1] <= retried.failed_at + cost + EPS
+        svc.close()
+
+    def test_reattached_tenant_is_pumped_at_once(self, registry):
+        clock = FakeClock()
+        svc, _ = make_service(registry, clock)
+        first = IdleSource(clock)
+        attach(svc, "t", first)
+        svc.cycle()
+        assert first.polls == [0.0]
+        clock.advance(POLL / 4)
+        svc.detach("t", flush=False)
+        again = IdleSource(clock)
+        attach(svc, "t", again)
+        svc.cycle()
+        assert again.polls == [POLL / 4]
         svc.close()
 
 

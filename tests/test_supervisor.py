@@ -417,3 +417,53 @@ class TestServeExitCodes:
         err = capsys.readouterr().err
         assert "FLEET dead" in err
         assert "error: tenant t1 is parked" in err
+
+    def test_metrics_out_holds_the_fleet_as_the_run_left_it(
+        self, tmp_path, spark_model, monkeypatch
+    ):
+        """The snapshot is written after the tenants are detached, and
+        still reads the drained fleet: both tenants, one quarantined."""
+        from repro.cli import main
+        from repro.serve.tenant import Tenant
+
+        reg = ModelRegistry(tmp_path / "registry")
+        reg.publish(ModelStore.from_intellog(spark_model), "prod")
+        entries = []
+        for tid in ("bad", "good"):
+            log_path = tmp_path / f"{tid}.log"
+            log_path.write_text("")
+            entries.append({
+                "id": tid, "model": "prod", "log": str(log_path),
+                "reports": str(tmp_path / f"{tid}.jsonl"),
+            })
+        tenants = tmp_path / "tenants.json"
+        tenants.write_text(json.dumps({"tenants": entries}))
+        pump = Tenant.pump
+
+        def explode_bad(self, quantum):
+            if self.tenant_id == "bad":
+                raise RuntimeError("wedged")
+            return pump(self, quantum)
+
+        monkeypatch.setattr(Tenant, "pump", explode_bad)
+        metrics_out = tmp_path / "metrics.json"
+        code = main([
+            "serve",
+            "--tenants", str(tenants),
+            "--registry", str(tmp_path / "registry"),
+            "--drain",
+            "--restart-budget", "1",
+            "--poll-interval", "0.01",
+            "--metrics-out", str(metrics_out),
+        ])
+        assert code == 3
+        metrics = json.loads(metrics_out.read_text())["metrics"]
+
+        def value(name):
+            [sample] = metrics[name]["samples"]
+            return sample["value"]
+
+        assert value("serve_active_tenants") == 2
+        assert value("serve_quarantined_tenants") == 1
+        assert value("serve_failed_tenants") == 1
+        assert value("serve_registry_live_models") == 1
