@@ -182,7 +182,6 @@ class IntelLog:
                     record.message,
                     timestamp=record.timestamp,
                     session_id=session.session_id,
-                    raw_tokens=match.raw_tokens,
                     captures=match_captures(
                         match, intel_key.template, verdicts
                     ),

@@ -2,7 +2,11 @@
 
 For each incoming session the detector
 
-1. matches every log message against the learned log keys — a message with
+1. matches every log message against the learned log keys, one Spell
+   form-memo lookup per distinct message: the message's chunk-level
+   masked form gives the key and a capture recipe resolved once per
+   model (:mod:`repro.parsing.spell`), so the captures are slices and
+   joins of the message's chunks — a message with
    no matching key is an **unexpected log message**; IntelLog still runs
    the full §3 extraction on it so the report carries entities,
    identifiers, values, localities and operations for diagnosis.  That
@@ -18,7 +22,8 @@ For each incoming session the detector
    which capture is an identifier or a value of which name) is compiled
    into one :class:`~repro.graph.subroutine.KeyPlan` per Intel Key when
    the detector is built, so the per-record step only scatters the match
-   captures.  Once the
+   captures (re-aligned on the raw tokens only when the Intel Key's
+   template differs from the matched log key's).  Once the
    session is complete, each group's rows are split into subroutine
    instances and checked against the trained HW-graph: missing critical
    Intel Keys in subroutine instances, order violations, unexpected keys
@@ -82,8 +87,8 @@ def match_captures(
     """The match-time captures when they may stand in for the
     alignment against an Intel Key's ``template``, else ``None``.
 
-    They are exactly what ``extract_parameters(template,
-    match.raw_tokens)`` would recompute (the alignment detection and
+    They are exactly what ``extract_parameters(template, raw tokens)``
+    would recompute (the alignment detection and
     :meth:`InformationExtractor.to_intel_message` fall back to) when
     the matched log key's template IS the Intel Key's template, the key
     has a constant (the reserved all-star key's match parameters use a
@@ -299,10 +304,9 @@ class AnomalyDetector:
                 continue
             captures = match_captures(match, plan.template, captures_ok)
             if captures is None:
-                raw_tokens = match.raw_tokens
-                if raw_tokens is None:
-                    raw_tokens = mask_message(record.message)[1]
-                captures = extract_parameters(plan.template, raw_tokens)
+                captures = extract_parameters(
+                    plan.template, mask_message(record.message)[1]
+                )
                 if captures is None:
                     report.anomalies.append(
                         self._unexpected_message(record)

@@ -226,27 +226,22 @@ class InformationExtractor:
         message: str,
         timestamp: float = 0.0,
         session_id: str = "",
-        raw_tokens: list[str] | None = None,
         captures: list[str] | None = None,
     ) -> IntelMessage | None:
         """Instantiate an Intel Message for a message matching the key.
 
-        ``raw_tokens`` is the surface-token list of ``message``.  Left
-        out, it is read from the chunk memo behind
+        The captures come from aligning the key's template against the
+        message's surface tokens, read from the chunk memo behind
         :func:`~repro.parsing.spell.mask_message`, which already holds
         every chunk of a message that was masked or matched before (all
         of them, in training), so the regex tokenizer runs at most once
-        per distinct chunk.  Callers holding a :class:`MatchResult` pass
-        its ``raw_tokens``.  ``captures`` skips the alignment too — pass
-        it only when it is exactly what
-        ``extract_parameters(intel_key.template, raw_tokens)`` would
-        return (see :func:`repro.detection.detector.match_captures`).
+        per distinct chunk.  ``captures`` skips the alignment — pass it
+        only when it is exactly what that alignment would return (see
+        :func:`repro.detection.detector.match_captures`).
         """
         if captures is None:
-            if raw_tokens is None:
-                raw_tokens = mask_message(message)[1]
             captures = extract_parameters(
-                list(intel_key.template), raw_tokens
+                list(intel_key.template), mask_message(message)[1]
             )
         if captures is None:
             return None

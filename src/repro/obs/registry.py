@@ -118,6 +118,18 @@ class _Metric:
                 self._by_raw[raw] = child
             return child
 
+    def remove(self, **labelvalues: str) -> None:
+        """Drop the child for one label set, so its series leaves every
+        later read; a no-op when there is none.  A later
+        :meth:`labels` call for the set creates a fresh child."""
+        key = _label_key(labelvalues)
+        with self._lock:
+            child = self._children.pop(key, None)
+            if child is None:
+                return
+            for raw in [r for r, c in self._by_raw.items() if c is child]:
+                del self._by_raw[raw]
+
     def _copy_config(self, child: "_Metric") -> None:
         """Propagate construction parameters to a new child."""
 

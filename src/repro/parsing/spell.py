@@ -30,14 +30,20 @@ harness (``tests/test_match_parity.py``) proves the tiered matcher
 returns results identical to the original full scan.
 
 Distinct messages collapse onto few masked forms (the variable fields
-are exactly what varies), so each parser keeps one *form memo*: masked
-form -> resolved key index, path, and whether the form is all-variable
-(reserved key, raw tokens as parameters).  It lives as long as the
-model, not a batch:
+are exactly what varies), so each parser keeps one *form memo*, keyed
+by the *chunk-level* masked form: the masked text of each whitespace
+chunk, read from the chunk memo (``_CHUNK_MEMO``), so a form lookup
+costs one ``split()`` and one chunk-memo hit per chunk.  An entry holds
+the resolved key index, the match path and a *capture recipe*: where
+each ``*`` of the key's template captures, as the index of a one-token
+chunk (the capture is that chunk) or as token pieces of chunks joined
+by a space.  A matched record then costs the form lookup plus the
+recipe's slices and joins; no per-record token list and no alignment
+walk.  The memo lives as long as the model, not a batch:
 
 * :meth:`SpellParser.match` and :meth:`SpellParser.match_batch` both
   resolve through it, so a form is walked (trie, LCS fallback or miss)
-  once per model;
+  and aligned once per model;
 * it is cleared wherever a resolution could change — a new key or a
   merged template in :meth:`SpellParser.consume`, and
   :meth:`SpellParser._reindex` (model load);
@@ -46,12 +52,26 @@ model, not a batch:
   version gets a new parser and a fresh memo;
 * it is reset wholesale at ``_FORM_MEMO_CAP`` entries.
 
-Matching never mutates keys, so an entry stays valid until one of the
-clears above; under concurrent matchers the worst case is a duplicate
-resolution, never a wrong one.  Parameter extraction, misalignment
-notes and per-record path counters still run per message.  Memo use is
-counted by ``spell_form_memo_total{result="hit"|"miss"}``
-(``tests/test_form_memo.py`` pins hits, invalidation and the cap).
+The recipe comes from aligning the template against the form's masked
+tokens (:func:`_form_spans`), not a record's raw ones, and gives the
+captures :func:`extract_parameters` gives on the raw tokens of every
+message of the form.  The two alignments differ only where a raw token
+masked to ``*`` equals a template constant.  A token's kind is a
+function of its text (``tests/test_form_recipe_diff.py`` checks it),
+and a learned template's constants are texts of unmasked tokens, so
+none of them is the text of a masked one.  A constant that is (only a
+hand-built or foreign model has one) is the guard: where the alignment
+compares a ``*`` with such a constant, the entry's recipe is
+``_PER_RECORD`` and each record of the form keeps the per-record
+:func:`extract_parameters` on its raw tokens.
+
+Matching never mutates keys and entries are immutable tuples, so an
+entry stays valid until one of the clears above; under concurrent
+matchers the worst case is a duplicate resolution, never a wrong one.
+Misalignment notes and per-record path counters still run per message.
+Memo use is counted by ``spell_form_memo_total{result="hit"|"miss"}``,
+one per chunk-level form looked up (``tests/test_form_memo.py`` pins
+hits, invalidation and the cap).
 """
 
 from __future__ import annotations
@@ -76,34 +96,71 @@ STAR = "*"
 #: identifiers, numerals and localities can never be template constants).
 _VARIABLE_KINDS = frozenset({"ident", "number", "hostport", "path"})
 
-#: Whitespace-delimited chunk -> (masked tokens, raw tokens) memo.  No
-#: token pattern can span whitespace, so tokenizing chunk-by-chunk is
-#: exactly equivalent to tokenizing the whole message (proven by
-#: ``tests/test_match_parity.py``); log streams draw their chunks from a
-#: small working vocabulary, so the memo turns the regex tokenizer —
-#: the dominant cost of a match — into a few dict hits per message.
-#: Bounded by wholesale reset; worst case under races is a duplicate
-#: tokenize, never a wrong one.
-_CHUNK_MEMO: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
+#: Whitespace-delimited chunk -> (masked text, masked tokens, raw
+#: tokens) memo; the masked text is the masked tokens joined by a space
+#: (``*`` or the chunk itself for a one-token chunk), one element of a
+#: chunk-level form.  No token pattern can span whitespace, so
+#: tokenizing chunk-by-chunk is exactly equivalent to tokenizing the
+#: whole message (proven by ``tests/test_match_parity.py``); log streams
+#: draw their chunks from a small working vocabulary, so the memo turns
+#: the regex tokenizer — the dominant cost of a match — into a few dict
+#: hits per message.  Bounded by wholesale reset; worst case under races
+#: is a duplicate tokenize, never a wrong one.
+_CHUNK_MEMO: dict[str, tuple[str, tuple[str, ...], tuple[str, ...]]] = {}
 _CHUNK_MEMO_CAP = 65536
 
 #: Entries kept in one parser's form memo before it is reset wholesale
 #: (the detector's memos use the same cap, ``_MEMO_CAP``).
 _FORM_MEMO_CAP = 4096
 
-#: Form memo entry: (key index or None, match path, all-variable form).
-_FormEntry = tuple[int | None, str, bool]
+_STAR_ONLY = (STAR,)
+
+#: One capture of a recipe: the index of a one-token chunk (the capture
+#: is that chunk), or ``(chunk index, first token, end token)`` pieces
+#: whose raw tokens are joined by a space.
+_Capture = int | tuple[tuple[int, int, int], ...]
+
+#: Recipe marker leaving a form's captures to a per-record
+#: :func:`extract_parameters` on the raw tokens (see the module
+#: docstring: there the masked alignment could differ from the raw one).
+_PER_RECORD = "per-record"
+
+#: Form memo entry: (key index or None, match path, capture recipe,
+#: ``_PER_RECORD``, or None when the form does not align against the
+#: key's template).
+_FormEntry = tuple[int | None, str, tuple[_Capture, ...] | str | None]
 
 
-def _tokenize_chunk(chunk: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    masked: list[str] = []
-    raw: list[str] = []
-    for token in tokenize(chunk):
-        raw.append(token.text)
-        masked.append(
-            STAR if token.kind in _VARIABLE_KINDS else token.text
-        )
-    return tuple(masked), tuple(raw)
+def _tokenize_chunk(
+    chunk: str,
+) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
+    tokens = tokenize(chunk)
+    if len(tokens) == 1:
+        # A chunk's tokens tile it, so its only token is the chunk.
+        raw: tuple[str, ...] = (chunk,)
+        if tokens[0].kind in _VARIABLE_KINDS:
+            return STAR, _STAR_ONLY, raw
+        return chunk, raw, raw
+    raw = tuple([token.text for token in tokens])
+    masked = tuple([
+        STAR if token.kind in _VARIABLE_KINDS else token.text
+        for token in tokens
+    ])
+    if masked == raw:
+        masked = raw
+    return " ".join(masked), masked, raw
+
+
+def _chunk_entry(
+    chunk: str,
+) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
+    """Tokenize a chunk the memo does not hold, and memoise it."""
+    entry = _tokenize_chunk(chunk)
+    memo = _CHUNK_MEMO
+    if len(memo) >= _CHUNK_MEMO_CAP:
+        memo.clear()
+    memo[chunk] = entry
+    return entry
 
 
 def mask_message(message: str) -> tuple[list[str], list[str]]:
@@ -117,12 +174,9 @@ def mask_message(message: str) -> tuple[list[str], list[str]]:
     for chunk in message.split():
         entry = memo.get(chunk)
         if entry is None:
-            entry = _tokenize_chunk(chunk)
-            if len(memo) >= _CHUNK_MEMO_CAP:
-                memo.clear()
-            memo[chunk] = entry
-        masked.extend(entry[0])
-        raw.extend(entry[1])
+            entry = _chunk_entry(chunk)
+        masked.extend(entry[1])
+        raw.extend(entry[2])
     return masked, raw
 
 
@@ -229,9 +283,6 @@ class MatchResult:
     #: care about parameter-level checks should treat such matches as
     #: parameter-free rather than parameter-less-by-construction.
     misaligned: bool = False
-    #: Raw token texts of the matched message (tokenizer output), so
-    #: downstream extraction can reuse them instead of re-tokenizing.
-    raw_tokens: list[str] | None = None
 
 
 #: Match-path labels (``spell_index_hits_total{path=...}``).
@@ -500,60 +551,80 @@ class SpellParser:
 
         ``path`` labels how the match resolved: ``exact`` (trie walk,
         including the reserved all-variable key — a constant-time
-        branch), ``lcs`` (drift fallback scan) or ``miss``.  The masked
-        form is resolved through the parser's form memo; ``fresh`` is
-        True when this call had to resolve it (a memo miss).
+        branch), ``lcs`` (drift fallback scan) or ``miss``.  The
+        chunk-level masked form is resolved through the parser's form
+        memo; ``fresh`` is True when this call had to resolve it (a memo
+        miss).  The captures are the entry's recipe applied to the
+        message's chunks.
         """
-        masked, raw = mask_message(message)
-        form = tuple(masked)
+        chunks = message.split()
+        get = _CHUNK_MEMO.get
+        try:
+            form = tuple([get(chunk)[0] for chunk in chunks])
+        except TypeError:  # a chunk the memo does not hold
+            form = tuple([
+                (get(chunk) or _chunk_entry(chunk))[0] for chunk in chunks
+            ])
         memo = self._form_memo
-        entry = memo.get(form)
-        fresh = entry is None
-        if entry is None:
-            entry = self._resolve_form(masked)
+        resolved = memo.get(form)
+        fresh = resolved is None
+        if resolved is None:
+            resolved = self._resolve_form(form)
             if len(memo) >= _FORM_MEMO_CAP:
                 memo.clear()
-            memo[form] = entry
-        best_idx, path, all_variable = entry
+            memo[form] = resolved
+        best_idx, path, recipe = resolved
         if best_idx is None:
             return None, path, fresh
         key = self._keys[best_idx]
-        if all_variable:
-            result = MatchResult(
-                key=key, parameters=list(raw), raw_tokens=raw
-            )
-            return result, path, fresh
-        params = extract_parameters(key.tokens, raw)
+        if recipe is _PER_RECORD:
+            params = extract_parameters(key.tokens, mask_message(message)[1])
+        elif recipe is None:
+            params = None
+        else:
+            params = [
+                chunks[capture] if capture.__class__ is int
+                else _join_pieces(capture, chunks)
+                for capture in recipe
+            ]
         if params is None:
             # The similarity scan said the message belongs to this key,
-            # but the greedy aligner could not map its raw tokens onto
-            # the template (usually a template that drifted during
+            # but the greedy aligner could not map its tokens onto the
+            # template (usually a template that drifted during
             # training).  The parameters are unknowable, not absent —
             # flag it instead of silently pretending the message
-            # carried none.  (Exact-path matches align the *masked*
-            # sequence by construction, but the raw sequence can still
-            # disagree when a variable field tokenized differently.)
-            result = MatchResult(
-                key=key, parameters=[], misaligned=True, raw_tokens=raw
-            )
-        else:
-            result = MatchResult(key=key, parameters=params, raw_tokens=raw)
-        return result, path, fresh
+            # carried none.
+            return MatchResult(key, [], misaligned=True), path, fresh
+        return MatchResult(key, params), path, fresh
 
-    def _resolve_form(self, masked: list[str]) -> _FormEntry:
-        """Form memo entry for a masked sequence.
+    def _resolve_form(self, form: tuple[str, ...]) -> _FormEntry:
+        """Form memo entry for a chunk-level masked form.
 
         A form with no constant token resolves to the reserved
-        all-variable key (exact path; its parameters are the raw
-        tokens) or misses; any other form goes through
-        :meth:`_find_best_idx`.
+        all-variable key (exact path; each raw token is a parameter) or
+        misses; any other form goes through :meth:`_find_best_idx` and
+        gets its captures by aligning the matched template against the
+        masked tokens (:func:`_form_spans`).
         """
+        sizes: list[int] = []
+        masked: list[str] = []
+        for text in form:
+            tokens = text.split(" ")
+            sizes.append(len(tokens))
+            masked.extend(tokens)
         if any(t != STAR for t in masked):
             best_idx, path = self._find_best_idx(masked)
-            return best_idx, path, False
-        if self._reserved_key() is None:
-            return None, PATH_MISS, True
-        return self._reserved_idx, PATH_EXACT, True
+            if best_idx is None:
+                return None, path, None
+            spans = _form_spans(self._keys[best_idx].tokens, masked)
+            if spans is None or spans is _PER_RECORD:
+                return best_idx, path, spans
+        elif self._reserved_key() is None:
+            return None, PATH_MISS, None
+        else:
+            best_idx, path = self._reserved_idx, PATH_EXACT
+            spans = [(j, j + 1) for j in range(len(masked))]
+        return best_idx, path, _recipe(spans, sizes)
 
     def _note_misalignment(self, key: LogKey) -> None:
         if self._metrics is not None:
@@ -754,3 +825,108 @@ def extract_parameters(
     if j != m:
         return None
     return captures
+
+
+def _variable_text(text: str) -> bool:
+    """Whether ``text`` is the text a variable-kind token can have.
+
+    A token's kind is a function of its text, so a raw token masked to
+    ``*`` can equal a template constant only if this holds for it."""
+    tokens = tokenize(text)
+    return (
+        len(tokens) == 1
+        and tokens[0].text == text
+        and tokens[0].kind in _VARIABLE_KINDS
+    )
+
+
+def _form_spans(
+    template: Sequence[str], masked: Sequence[str]
+) -> list[tuple[int, int]] | str | None:
+    """The token spans :func:`extract_parameters` would capture, found
+    by aligning the *masked* tokens of a form, step for step as it does.
+
+    A masked ``*`` never equals a template constant; its raw token
+    differs from every constant too unless that constant is a
+    :func:`_variable_text` (only a hand-built or foreign model has
+    one).  So wherever the walk compares a ``*`` with no such constant,
+    the raw tokens of every message of the form take the same steps and
+    the spans hold for all of them; where it compares a ``*`` with one,
+    ``_PER_RECORD`` sends the form back to the raw alignment.  None when
+    the form does not align.
+    """
+    spans: list[tuple[int, int]] = []
+    i = 0  # template position
+    j = 0  # masked position
+    n, m = len(template), len(masked)
+    while i < n:
+        tok = template[i]
+        if tok != STAR:
+            if j < m and masked[j] == tok:
+                i += 1
+                j += 1
+                continue
+            if j < m and masked[j] == STAR and _variable_text(tok):
+                return _PER_RECORD
+            return None
+        nxt = i + 1
+        while nxt < n and template[nxt] == STAR:
+            nxt += 1
+        if nxt == n:
+            spans.append((j, m))
+            return spans
+        anchor = template[nxt]
+        k = j
+        while k < m and masked[k] != anchor:
+            k += 1
+        if STAR in masked[j:k] and _variable_text(anchor):
+            return _PER_RECORD
+        if k == m:
+            return None
+        spans.append((j, k))
+        i = nxt
+        j = k
+    if j != m:
+        return None
+    return spans
+
+
+def _join_pieces(
+    pieces: tuple[tuple[int, int, int], ...], chunks: list[str]
+) -> str:
+    """One capture of a recipe: its pieces' raw tokens joined by a space.
+
+    Reads the chunk memo again, so it may have been reset since the
+    form was looked up."""
+    get = _CHUNK_MEMO.get
+    return " ".join([
+        token
+        for c, lo, hi in pieces
+        for token in (get(chunks[c]) or _chunk_entry(chunks[c]))[2][lo:hi]
+    ])
+
+
+def _recipe(
+    spans: list[tuple[int, int]], sizes: list[int]
+) -> tuple[_Capture, ...]:
+    """Token spans of a form as captures over its chunks, whose token
+    counts are ``sizes``: a span that is exactly one one-token chunk is
+    that chunk's index, any other span its per-chunk token pieces."""
+    chunk_of: list[int] = []
+    first: list[int] = []
+    for c, size in enumerate(sizes):
+        first.append(len(chunk_of))
+        chunk_of.extend([c] * size)
+    recipe: list[_Capture] = []
+    for j, k in spans:
+        if k == j + 1 and sizes[chunk_of[j]] == 1:
+            recipe.append(chunk_of[j])
+            continue
+        pieces = []
+        while j < k:
+            c = chunk_of[j]
+            end = min(k, first[c] + sizes[c])
+            pieces.append((c, j - first[c], end - first[c]))
+            j = end
+        recipe.append(tuple(pieces))
+    return tuple(recipe)

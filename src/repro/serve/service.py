@@ -200,6 +200,10 @@ class DetectionService:
             "serve_tenant_shed_records",
             "Oldest-first records shed by the bounded queue, by tenant.",
         )
+        self._tenant_gauges = (
+            self._g_t_records, self._g_t_reports, self._g_t_open,
+            self._g_t_queue, self._g_t_shed,
+        )
         self._g_reg_live = reg.gauge(
             "serve_registry_live_models",
             "Distinct model digests currently leased.",
@@ -291,6 +295,14 @@ class DetectionService:
         if tenant is None:
             raise KeyError(f"tenant {tenant_id!r} is not attached")
         self._refresh()
+        with self._collect_lock:
+            # The collector no longer sees the tenant; drop its gauge
+            # series too (the swap counter stays: its count survives a
+            # re-attach).  After close() the gauges keep the fleet as
+            # the run left it.
+            if self._collecting:
+                for gauge in self._tenant_gauges:
+                    gauge.remove(tenant=tenant_id)
         if flush and tenant.failure is None:
             tenant.finish()
         else:

@@ -15,9 +15,14 @@ Regenerate deliberately with ``python tools/regen_golden.py
 from __future__ import annotations
 
 import json
+import random
+from functools import lru_cache
 from pathlib import Path
+from typing import Any
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import IntelLog
 from repro.parsing.records import Session
@@ -75,3 +80,46 @@ def test_detect_batch_equals_per_session(genre: str) -> None:
     batched = [r.to_dict() for r in detector.detect_batch(detect)]
     serial = [detector.detect_session(s).to_dict() for s in detect]
     assert batched == serial
+
+
+@lru_cache(maxsize=None)
+def _saved_model(genre: str) -> str:
+    """The genre's trained golden model as its saved JSON text."""
+    _, train, _ = _load(genre)
+    intellog = IntelLog()
+    intellog.train(train)
+    return json.dumps(ModelStore.from_intellog(intellog).to_dict())
+
+
+def _permuted(value: Any, rng: random.Random) -> Any:
+    """``value`` with the keys of every dict in it in a random order."""
+    if isinstance(value, dict):
+        items = list(value.items())
+        rng.shuffle(items)
+        return {key: _permuted(item, rng) for key, item in items}
+    if isinstance(value, list):
+        return [_permuted(item, rng) for item in value]
+    return value
+
+
+@settings(max_examples=6, deadline=None)
+@given(permutation=st.integers(0, 2**32 - 1))
+def test_reload_from_permuted_json_keeps_reports_byte_identical(
+    permutation: int,
+) -> None:
+    """Each golden model, loaded through ``ModelStore.from_dict`` from
+    its saved JSON with every dict's keys in a random order, gives the
+    byte-identical report: in its own key order, as the in-order load
+    gives it, and sorted, as pinned."""
+    rng = random.Random(permutation)
+    for genre in GENRES:
+        fixture, _, detect = _load(genre)
+        saved = json.loads(_saved_model(genre))
+        runs = []
+        for data in (saved, _permuted(saved, rng)):
+            intellog = ModelStore.from_dict(data).to_intellog()
+            report = intellog.detect_job(detect, job_id=f"golden-{genre}")
+            runs.append(json.dumps(report.to_dict()))
+        assert runs[0] == runs[1], genre
+        got = json.dumps(json.loads(runs[1]), indent=2, sort_keys=True)
+        assert got == json.dumps(fixture["report"], indent=2, sort_keys=True)

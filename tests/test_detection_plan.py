@@ -36,7 +36,11 @@ from repro.graph.lifespan import BEFORE, PARENT, Lifespan
 from repro.graph.subroutine import message_row
 from repro.obs import MetricsRegistry
 from repro.parsing.records import LogRecord, Session
-from repro.parsing.spell import SpellParser, extract_parameters
+from repro.parsing.spell import (
+    SpellParser,
+    extract_parameters,
+    mask_message,
+)
 from repro.simulators import FaultSpec, WorkloadGenerator, sessions_of
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "detect_reports"
@@ -122,7 +126,6 @@ class ObjectPathDetector(AnomalyDetector):
                 record.message,
                 timestamp=record.timestamp,
                 session_id=session.session_id,
-                raw_tokens=match.raw_tokens,
                 captures=match_captures(match, intel_key.template, {}),
             )
             if message is None:
@@ -317,12 +320,12 @@ def _assert_rows_agree(
             reused = match_captures(match, plan.template, {})
             message = extractor.to_intel_message(
                 intel_key, record.message, timestamp=record.timestamp,
-                raw_tokens=match.raw_tokens, captures=reused,
+                captures=reused,
             )
             captures = reused
             if captures is None:
                 captures = extract_parameters(
-                    plan.template, match.raw_tokens
+                    plan.template, mask_message(record.message)[1]
                 )
             assert (captures is None) == (message is None), record.message
             if message is None:

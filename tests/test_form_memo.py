@@ -10,7 +10,8 @@ is:
 * views of one registry lease share resolutions, and a swap to a new
   model version starts from a fresh memo whose reports equal batch
   ``detect_job`` on that version;
-* a lowered cap keeps results identical and bounds the memo;
+* lowered caps keep results identical and bound the form and chunk
+  memos, right after a wholesale reset too;
 * a pass over the golden detect corpora resolves each distinct masked
   form exactly once.
 """
@@ -256,6 +257,57 @@ def test_lowered_cap_keeps_results_and_bounds_the_memo(
         assert got_one == expected[messages.index(message)]
         assert len(parser._form_memo) <= cap
     assert got == expected
+
+
+def test_capped_memos_stay_bounded_and_change_no_result(
+    monkeypatch, spark_model
+) -> None:
+    """More distinct chunks and forms than both caps, fed through
+    ``match_batch`` and ``match``: neither memo ever holds more than its
+    cap, and every result, the ones right after a wholesale reset
+    included, equals a run with uncapped memos."""
+    messages = [r.message for r in spark_records(9, jobs=1)]
+    reference = ModelStore.from_intellog(spark_model).to_intellog().spell
+    expected = [_as_tuple(m) for m in reference.match_batch(messages)]
+    assert any(result and result[1] for result in expected)
+
+    chunk_cap, form_cap = 16, 3
+    monkeypatch.setattr(spell_module, "_CHUNK_MEMO", {})
+    monkeypatch.setattr(spell_module, "_CHUNK_MEMO_CAP", chunk_cap)
+    monkeypatch.setattr(spell_module, "_FORM_MEMO_CAP", form_cap)
+    parser = ModelStore.from_intellog(spark_model).to_intellog().spell
+    distinct_chunks = {c for m in messages for c in m.split()}
+    assert len(distinct_chunks) > 4 * chunk_cap
+
+    resets = {"chunk": 0, "form": 0}
+    sizes = {"chunk": 0, "form": 0}
+
+    def check_sizes() -> bool:
+        """Bounds hold; True when either memo was reset wholesale."""
+        now = {
+            "chunk": len(spell_module._CHUNK_MEMO),
+            "form": len(parser._form_memo),
+        }
+        assert now["chunk"] <= chunk_cap and now["form"] <= form_cap
+        reset = False
+        for memo in now:
+            if now[memo] < sizes[memo]:
+                resets[memo] += 1
+                reset = True
+        sizes.update(now)
+        return reset
+
+    after_reset = 0
+    for start in range(0, len(messages), 7):
+        got = parser.match_batch(messages[start:start + 7])
+        check_sizes()
+        assert [_as_tuple(m) for m in got] == expected[start:start + 7]
+    for i, message in enumerate(messages):
+        got_one = _as_tuple(parser.match(message))
+        if check_sizes():
+            after_reset += 1
+        assert got_one == expected[i], message
+    assert resets["chunk"] and resets["form"] and after_reset
 
 
 def test_views_matching_concurrently_under_a_tiny_cap(

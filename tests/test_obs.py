@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import threading
 import urllib.request
 
@@ -96,6 +97,76 @@ class TestCounter:
 
 
 class TestGauge:
+    def test_remove_drops_the_series_until_labels_recreates_it(self):
+        g = MetricsRegistry().gauge("tenant_records")
+        g.labels(tenant="a").set(3)
+        g.labels(tenant="b").set(5)
+        old = g.labels(tenant="b")
+        g.remove(tenant="b")
+        g.remove(tenant="b")  # already gone: a no-op
+        g.remove(tenant="never")
+        assert g.samples() == [({"tenant": "a"}, 3.0)]
+        fresh = g.labels(tenant="b")
+        assert fresh is not old and fresh.value == 0.0
+        fresh.set(1)
+        assert g.samples() == [
+            ({"tenant": "a"}, 3.0), ({"tenant": "b"}, 1.0),
+        ]
+
+    def test_remove_drops_every_alias_of_the_child(self):
+        g = MetricsRegistry().gauge("typed")
+        g.labels(n=1, m="x").set(2)
+        g.labels(m="x", n="1").set(4)  # the same child, another order
+        g.remove(m="x", n=1)
+        assert g.samples() == [({}, 0.0)]
+        assert not g._by_raw
+        g.labels(n="1", m="x").set(7)
+        assert g.samples() == [({"m": "x", "n": "1"}, 7.0)]
+
+    def test_labels_and_remove_race(self):
+        """Eight threads create, set and remove four label sets at
+        once; afterwards every cached alias points at a live child, so
+        the next write to any set shows in the samples."""
+        g = MetricsRegistry().gauge("churn")
+        barrier = threading.Barrier(8, timeout=30)
+        errors: list[BaseException] = []
+
+        def churn(k: int) -> None:
+            try:
+                barrier.wait()
+                for i in range(2000):
+                    tenant = f"t{(k + i) % 4}"
+                    if (k + i) % 3:
+                        g.labels(tenant=tenant).set(i)
+                    else:
+                        g.remove(tenant=tenant)
+            except BaseException as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=churn, args=(k,)) for k in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        live = list(g._children.values())
+        assert all(
+            any(child is c for c in live) for child in g._by_raw.values()
+        )
+        for k in range(4):
+            g.labels(tenant=f"t{k}").set(100 + k)
+        assert g.samples() == [
+            ({"tenant": f"t{k}"}, 100.0 + k) for k in range(4)
+        ]
+
     def test_set_inc_dec(self):
         g = MetricsRegistry().gauge("open_sessions")
         g.set(10)

@@ -320,3 +320,49 @@ def test_swap_counter_only_counts_up(registry, streams):
         svc.metrics
     )
     svc.close()
+
+
+def tenant_series(text: str, tenant: str) -> list[str]:
+    return [
+        line for line in text.splitlines()
+        if line.startswith("serve_tenant_") and f'tenant="{tenant}"' in line
+    ]
+
+
+def test_detach_drops_the_tenant_gauges(registry, streams):
+    """A scrape after a detach lists none of the gone tenant's gauges,
+    a re-attach brings them back, and the swap counter stays."""
+    clock = FakeClock()
+    svc, _ = make_service(registry, clock)
+    records = streams[STREAM_SEEDS[0]][:20]
+    attach(svc, "a", IterableSource(list(records)))
+    attach(svc, "b", IterableSource(list(records)))
+    svc.swap("b")
+    svc.drain()
+    text = prometheus_text(svc.metrics)
+    assert len(tenant_series(text, "b")) == 5
+
+    svc.detach("b", flush=False)
+    text = prometheus_text(svc.metrics)
+    assert tenant_series(text, "b") == []
+    assert len(tenant_series(text, "a")) == 5
+    assert "serve_active_tenants 1" in text
+    assert 'serve_model_swaps_total{tenant="b"} 1' in text
+    snapshot = json_snapshot(svc.metrics, stamp=False)["metrics"]
+    assert all(
+        sample["labels"].get("tenant") != "b"
+        for name, metric in snapshot.items()
+        if name.startswith("serve_tenant_")
+        for sample in metric["samples"]
+    )
+
+    attach(svc, "b", IterableSource(list(records)))
+    svc.drain()
+    text = prometheus_text(svc.metrics)
+    assert f'serve_tenant_records{{tenant="b"}} {len(records)}' in text
+    assert len(tenant_series(text, "b")) == 5
+    # close() detaches everyone but freezes the gauges as the run left
+    # them, for --metrics-out.
+    svc.close()
+    text = prometheus_text(svc.metrics)
+    assert len(tenant_series(text, "a")) == len(tenant_series(text, "b")) == 5

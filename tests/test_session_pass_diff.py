@@ -171,10 +171,9 @@ class FrozenSessionPassDetector(AnomalyDetector):
                 t0 = time.perf_counter()
             captures = match_captures(match, plan.template, captures_ok)
             if captures is None:
-                raw_tokens = match.raw_tokens
-                if raw_tokens is None:
-                    raw_tokens = mask_message(record.message)[1]
-                captures = extract_parameters(plan.template, raw_tokens)
+                captures = extract_parameters(
+                    plan.template, mask_message(record.message)[1]
+                )
             if captures is not None and plan.groups:
                 row = plan.row(record.timestamp, captures)
                 for label in plan.groups:
