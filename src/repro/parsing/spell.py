@@ -36,8 +36,8 @@ chunk, read from the chunk memo (``_CHUNK_MEMO``), so a form lookup
 costs one ``split()`` and one chunk-memo hit per chunk.  An entry holds
 the resolved key index, the match path and a *capture recipe*: where
 each ``*`` of the key's template captures, as the index of a one-token
-chunk (the capture is that chunk) or as token pieces of chunks joined
-by a space.  A matched record then costs the form lookup plus the
+chunk (the capture is that chunk), a slice of one-token chunks, or
+token pieces of chunks, joined by a space.  A matched record then costs the form lookup plus the
 recipe's slices and joins; no per-record token list and no alignment
 walk.  The memo lives as long as the model, not a batch:
 
@@ -116,9 +116,10 @@ _FORM_MEMO_CAP = 4096
 _STAR_ONLY = (STAR,)
 
 #: One capture of a recipe: the index of a one-token chunk (the capture
-#: is that chunk), or ``(chunk index, first token, end token)`` pieces
-#: whose raw tokens are joined by a space.
-_Capture = int | tuple[tuple[int, int, int], ...]
+#: is that chunk), a slice of one-token chunks joined by a space (empty
+#: for an empty capture), or ``(chunk index, first token, end token)``
+#: pieces whose raw tokens are joined by a space.
+_Capture = int | slice | tuple[tuple[int, int, int], ...]
 
 #: Recipe marker leaving a form's captures to a per-record
 #: :func:`extract_parameters` on the raw tokens (see the module
@@ -584,6 +585,7 @@ class SpellParser:
         else:
             params = [
                 chunks[capture] if capture.__class__ is int
+                else " ".join(chunks[capture]) if capture.__class__ is slice
                 else _join_pieces(capture, chunks)
                 for capture in recipe
             ]
@@ -910,8 +912,9 @@ def _recipe(
     spans: list[tuple[int, int]], sizes: list[int]
 ) -> tuple[_Capture, ...]:
     """Token spans of a form as captures over its chunks, whose token
-    counts are ``sizes``: a span that is exactly one one-token chunk is
-    that chunk's index, any other span its per-chunk token pieces."""
+    counts are ``sizes``: a span of whole one-token chunks is that
+    chunk's index, or the slice of them when it is not exactly one, and
+    any other span its per-chunk token pieces."""
     chunk_of: list[int] = []
     first: list[int] = []
     for c, size in enumerate(sizes):
@@ -919,14 +922,18 @@ def _recipe(
         chunk_of.extend([c] * size)
     recipe: list[_Capture] = []
     for j, k in spans:
-        if k == j + 1 and sizes[chunk_of[j]] == 1:
-            recipe.append(chunk_of[j])
-            continue
         pieces = []
         while j < k:
             c = chunk_of[j]
             end = min(k, first[c] + sizes[c])
             pieces.append((c, j - first[c], end - first[c]))
             j = end
-        recipe.append(tuple(pieces))
+        if all(sizes[c] == 1 for c, _, _ in pieces):
+            if len(pieces) == 1:
+                recipe.append(pieces[0][0])
+            else:
+                start = pieces[0][0] if pieces else 0
+                recipe.append(slice(start, start + len(pieces)))
+        else:
+            recipe.append(tuple(pieces))
     return tuple(recipe)
