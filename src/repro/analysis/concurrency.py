@@ -3,8 +3,9 @@
 The codebase is genuinely concurrent: ``repro.obs`` runs a threaded
 ``MetricsServer`` against a lock-guarded :class:`MetricsRegistry`,
 ``repro.stream`` mutates tracker/outbox/checkpoint state from a
-long-lived loop while other threads snapshot it, and ``repro.parallel``
-ships objects across ``ProcessPoolExecutor`` boundaries.  This module
+long-lived loop while other threads snapshot it, and ``repro.serve``
+guards its registry and tenants with locks that the sweep and the
+metrics scrapes both take.  This module
 applies the paper's own thesis — semantic models of execution catch
 errors that surface inspection misses — to our runtime: it builds a
 static model of locks, shared attributes and process-boundary captures

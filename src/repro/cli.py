@@ -73,33 +73,19 @@ def _write_metrics(registry, args: argparse.Namespace) -> None:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    if args.workers < 1:
-        raise SystemExit(
-            f"error: --workers must be a positive integer, "
-            f"got {args.workers}"
-        )
     config = IntelLogConfig(
         spell_tau=args.tau, formatter=args.formatter
     )
     intellog = IntelLog(config)
     registry = _metrics_registry(args)
     summary = intellog.train_lines(
-        _read_lines(args.logs), workers=args.workers, registry=registry,
+        _read_lines(args.logs), registry=registry
     )
     print(
         f"trained on {summary.sessions} sessions / {summary.messages} "
         f"messages -> {summary.log_keys} log keys, "
         f"{summary.entity_groups} entity groups "
         f"({summary.critical_groups} critical)"
-    )
-    report = intellog.last_parallel_report
-    print(
-        f"parallel: {report.workers} workers "
-        f"(pool {report.pool_workers}), {report.batches} batches / "
-        f"{report.shards} shards, {report.distinct_forms} distinct "
-        f"forms, extraction cache {report.cache_hits} hits / "
-        f"{report.cache_misses} misses, "
-        f"{report.payload_bytes_total} payload bytes"
     )
     ModelStore.from_intellog(intellog).save(args.model)
     print(f"model written to {args.model}")
@@ -547,10 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="hadoop | spark | tez | yarn | generic")
     train.add_argument("--tau", type=float, default=1.7,
                        help="Spell matching threshold t (paper: 1.7)")
-    train.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="worker processes for the sharded training "
-                            "pipeline (default 1: inline, no subprocesses; "
-                            "the model is byte-identical for every N)")
     train.add_argument("--metrics-out", default=None, metavar="PATH",
                        help="write a JSON metrics snapshot on exit")
     train.set_defaults(func=cmd_train)

@@ -19,7 +19,6 @@ Typical use::
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -44,19 +43,7 @@ from .errors import (
     ModelValidationWarning,
     NotTrainedError,
 )
-
-
-@dataclass(slots=True)
-class TrainingSummary:
-    """What the training phase produced."""
-
-    sessions: int
-    messages: int
-    log_keys: int
-    intel_keys: int
-    entity_groups: int
-    critical_groups: int
-    ignored_keys: int
+from .train import TrainingSummary, train
 
 
 class IntelLog:
@@ -70,9 +57,6 @@ class IntelLog:
         self.graph: HWGraph | None = None
         self.intel_keys: dict[str, IntelKey] = {}
         self._detector: AnomalyDetector | None = None
-        #: Timings/accounting of the last ``train()`` run
-        #: (:class:`repro.parallel.ParallelReport`), if any.
-        self.last_parallel_report = None
 
     # -- training -------------------------------------------------------------
 
@@ -80,18 +64,10 @@ class IntelLog:
         self,
         sessions: Iterable[Session],
         *,
-        workers: int = 1,
         registry: "MetricsRegistry | None" = None,
     ) -> TrainingSummary:
-        """Learn log keys, Intel Keys and the HW-graph from normal runs.
-
-        Runs the sharded pipeline (:func:`repro.parallel.train_parallel`):
-        per-session shards are grouped into size-targeted batches,
-        processed inline (``workers=1``, the default, or a single batch)
-        or by up to ``workers`` warm worker processes, and merged
-        deterministically — the model is byte-identical for every
-        ``workers``.  Timings and accounting land on
-        :attr:`last_parallel_report`.
+        """Learn log keys, Intel Keys and the HW-graph from normal runs
+        (:func:`repro.core.train.train`).
 
         Each call builds a fresh model from ``sessions`` alone: log keys,
         Intel Keys, HW-graph and detector from an earlier ``train`` are
@@ -102,27 +78,18 @@ class IntelLog:
         histogram, which is what ``repro train --metrics-out``
         snapshots.  Never changes the model.
         """
-        # Imported here: detection-only processes never pay for the
-        # pipeline's process-pool machinery.
-        from ..parallel import train_parallel
-
-        return train_parallel(
-            self, sessions, workers=workers, registry=registry
-        )
+        return train(self, sessions, registry=registry)
 
     def train_lines(
         self,
         lines: Iterable[str],
         formatter: str | None = None,
         *,
-        workers: int = 1,
         registry: "MetricsRegistry | None" = None,
     ) -> TrainingSummary:
         """Train from raw log lines (formatted + split into sessions)."""
         records = self._format(lines, formatter)
-        return self.train(
-            split_sessions(records), workers=workers, registry=registry
-        )
+        return self.train(split_sessions(records), registry=registry)
 
     # -- detection ----------------------------------------------------------------
 

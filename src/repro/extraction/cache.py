@@ -6,10 +6,8 @@ sample message)`` — everything else in the :class:`IntelKey` derives from
 those two.  :class:`ExtractionCache` memoises that function.  It has two
 owners:
 
-* each training run (:func:`repro.parallel.pipeline.train_parallel`)
-  extracts its canonical Intel Keys through a fresh instance on the
-  model's own extractor, which also counts the run's extraction
-  traffic;
+* each training run (:func:`repro.core.train.train`) extracts its
+  Intel Keys through a fresh instance on the model's own extractor;
 * every :class:`~repro.detection.detector.AnomalyDetector` owns one,
   built on its own extractor and bounded by the detector's memo cap, so
   an unexpected message that repeats (a retried fetch or connect line)

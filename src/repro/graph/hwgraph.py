@@ -47,12 +47,9 @@ class GraphPartial:
     """The HW-graph statistics of a run of consecutive training sessions.
 
     :meth:`add_session` is the mutable half of training (Algorithm 2
-    plus lifespans, §4.1).  Partials merge exactly: folding sessions
-    ``1..k`` and ``k+1..n`` into two partials and merging the second
-    into the first gives the partial of ``1..n`` — which lets
-    :mod:`repro.parallel` fold each shard batch in a worker and merge
-    the per-batch partials in corpus order.  Group labels are visited
-    in sorted order, so nothing depends on set iteration order
+    plus lifespans, §4.1); the trainer folds every session into the
+    builder's partial in corpus order.  Group labels are visited in
+    sorted order, so nothing depends on set iteration order
     (PYTHONHASHSEED).
     """
 
@@ -99,22 +96,6 @@ class GraphPartial:
             )
         self.relations.observe_session(lifespans)
         self.training_sessions += 1
-
-    def merge(self, other: "GraphPartial") -> None:
-        """Fold in ``other``, the partial of the sessions that follow
-        this one's.  ``other`` is consumed (its models are adopted)."""
-        for label, theirs in other.groups.items():
-            mine = self.groups.get(label)
-            if mine is None:
-                self.groups[label] = theirs
-                continue
-            mine.session_count += theirs.session_count
-            mine.max_key_repeat = max(
-                mine.max_key_repeat, theirs.max_key_repeat
-            )
-            mine.model.merge(theirs.model)
-        self.relations.merge(other.relations)
-        self.training_sessions += other.training_sessions
 
 
 @dataclass(slots=True)
@@ -334,7 +315,6 @@ class HWGraphBuilder:
             for key_id, labels in self.graph.key_groups.items()
         }
         #: Training statistics so far; :meth:`build` installs them.
-        #: ``repro.parallel`` merges per-batch partials into it.
         self.partial = GraphPartial()
 
     def _init_groups(self) -> None:

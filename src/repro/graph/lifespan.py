@@ -118,19 +118,6 @@ class RelationMatrix:
                 else:
                     counts[rel] = counts.get(rel, 0) + 1
 
-    def merge(self, other: "RelationMatrix") -> None:
-        """Add ``other``'s observations: per pair and relation, counts
-        sum, so merging matrices equals observing all their sessions."""
-        self._groups.update(other._groups)
-        observations = self._observations
-        for pair, counts in other._observations.items():
-            mine = observations.get(pair)
-            if mine is None:
-                observations[pair] = dict(counts)
-                continue
-            for rel, count in counts.items():
-                mine[rel] = mine.get(rel, 0) + count
-
     @property
     def groups(self) -> set[str]:
         return set(self._groups)

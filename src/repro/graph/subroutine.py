@@ -56,7 +56,7 @@ class KeyPlan:
     its capture is not a number, as
     :meth:`InformationExtractor.to_intel_message` files it — and
     ``None`` for a locality, which no row carries.  Nothing else of the
-    Intel Key is kept, so a plan ships lean to training's workers.
+    Intel Key is kept.
     """
 
     key_id: str
@@ -258,35 +258,6 @@ class Subroutine:
                     compared.add(pair)
                     before.add(pair)
 
-    def merge(self, other: "Subroutine") -> None:
-        """Fold in ``other``, trained on the instances that come after
-        this one's.
-
-        Exact: the result equals one :meth:`update` pass over both
-        instance runs in order.  ``compared`` keeps the orientation first
-        observed, so this side's wins; a ``before`` pair survives only if
-        neither side saw the opposite order.
-        """
-        for key in other.keys:
-            if key not in self.key_counts:
-                self.keys.append(key)
-                self.key_counts[key] = 0
-            self.key_counts[key] += other.key_counts[key]
-        for pair in other.compared:
-            reverse = (pair[1], pair[0])
-            if reverse in self.compared:
-                # ``other`` first saw the order this side never kept.
-                self.before.discard(reverse)
-            elif pair in self.compared:
-                if pair not in other.before:
-                    self.before.discard(pair)
-            else:
-                self.compared.add(pair)
-                if pair in other.before:
-                    self.before.add(pair)
-        self.instance_count += other.instance_count
-        self.instance_lengths.extend(other.instance_lengths)
-
     # -- detection -------------------------------------------------------------
 
     def check_instance(
@@ -341,19 +312,6 @@ class SubroutineModel:
             if sub is None:
                 sub = subroutines[signature] = Subroutine(signature=signature)
             sub.update(keys)
-
-    def merge(self, other: "SubroutineModel") -> None:
-        """Fold in ``other``, trained on the sessions after this one's.
-
-        Signatures keep their first-insertion order across both sides.
-        ``other`` is consumed: its subroutines are adopted, not copied.
-        """
-        for signature, sub in other.subroutines.items():
-            mine = self.subroutines.get(signature)
-            if mine is None:
-                self.subroutines[signature] = sub
-            else:
-                mine.merge(sub)
 
     def best_match(self, signature: tuple[str, ...]) -> Subroutine | None:
         """The trained subroutine whose signature best matches ``signature``.

@@ -9,7 +9,7 @@ produce the Prometheus text exposition or the canonical JSON snapshot
 Design constraints, in priority order:
 
 * **dependency-free** — stdlib only, so every subsystem (parsing,
-  detection, stream, parallel) can depend on it without import cycles;
+  detection, stream, serve) can depend on it without import cycles;
 * **cheap when idle** — an uninstrumented ``SpellParser.match`` pays one
   ``is None`` check and nothing else; an instrumented one pays a couple
   of lock-guarded float adds;

@@ -6,10 +6,10 @@ inside an open span) yields a parent/depth chain, so a recorded trace
 reads like a flame graph of the pipeline::
 
     tracer = Tracer(registry=registry)
-    with tracer.span("train.parallel"):
+    with tracer.span("train"):
         with tracer.span("train.parse"):
             ...
-    tracer.recorder.records()   # [train.parse (depth 1), train.parallel]
+    tracer.recorder.records()   # [train.parse (depth 1), train]
 
 Completed spans land in a bounded :class:`TraceRecorder` (a ring buffer
 — old spans are dropped, never the process) and, when the tracer is
@@ -102,7 +102,7 @@ class TraceRecorder:
 
 class Span:
     """Context manager timing one region; exposes ``duration_s`` after
-    exit (used e.g. by the parallel trainer to fill its stage report)."""
+    exit."""
 
     __slots__ = ("name", "attrs", "duration_s", "_tracer", "_start")
 

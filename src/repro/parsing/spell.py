@@ -645,19 +645,19 @@ class SpellParser:
     def __len__(self) -> int:
         return len(self._keys)
 
-    # -- replay support (parallel training) ----------------------------------
+    # -- bulk bookkeeping (training) -------------------------------------------
 
     def rebuild_bookkeeping(
         self, line_ids_by_key: dict[str, list[int]], total_lines: int
     ) -> None:
         """Overwrite per-key occurrence bookkeeping after a form replay.
 
-        The parallel trainer (:mod:`repro.parallel`) discovers log keys by
-        consuming each *distinct masked form* once, then accounts for the
-        duplicate occurrences in bulk: ``line_ids_by_key`` maps each key to
-        the 1-based global line numbers of every message it matched, in any
-        order (they are sorted here, matching the streaming parser's
-        consumption-order append).
+        The trainer (:mod:`repro.core.train`) discovers log keys by
+        consuming the first record of each *distinct masked form* only,
+        then accounts for every occurrence in bulk: ``line_ids_by_key``
+        maps each key to the 1-based global line numbers of every message
+        it matched, in any order (they are sorted here, matching the
+        streaming parser's consumption-order append).
         """
         for key in self._keys:
             ids = sorted(line_ids_by_key.get(key.key_id, ()))

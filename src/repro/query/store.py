@@ -266,8 +266,8 @@ class ModelStore:
         """Canonical serialized form: sorted keys, tight separators.
 
         Two models are *the same model* iff their canonical bytes are
-        equal; the golden-corpus regression suite and the parallel
-        trainer's equivalence tests compare models through
+        equal; the golden-corpus regression suite and the trainer's
+        equivalence tests compare models through
         :meth:`digest` rather than structurally.
         """
         return json.dumps(

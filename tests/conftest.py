@@ -1,19 +1,9 @@
 """Shared fixtures: simulated corpora and trained models.
 
 Expensive fixtures are session-scoped; tests must not mutate them.
-
-Setting ``REPRO_TRAIN_WORKERS=N`` trains every shared model with
-``IntelLog.train(..., workers=N)``, a process pool of ``N`` workers,
-instead of the default inline run (``workers=1``).  The pipeline's
-deterministic merge guarantees a byte-identical model, so the whole
-suite doubles as a pool-vs-inline equivalence check — CI runs one matrix
-leg with it set to 2.  A corpus small enough to fit one batch runs
-inline at any ``N``.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -29,14 +19,11 @@ from repro.simulators import (
     sessions_of,
 )
 
+
 def train_model(sessions) -> IntelLog:
-    """Train a shared fixture model, honouring ``REPRO_TRAIN_WORKERS``."""
-    workers_env = os.environ.get("REPRO_TRAIN_WORKERS", "").strip()
+    """Train a shared fixture model."""
     intellog = IntelLog()
-    if workers_env:
-        intellog.train(sessions, workers=int(workers_env))
-    else:
-        intellog.train(sessions)
+    intellog.train(sessions)
     return intellog
 
 

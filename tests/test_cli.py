@@ -157,35 +157,26 @@ def test_detect_has_no_workers_flag(tmp_path):
     assert exc.value.code == 2
 
 
-class TestTrainParallelCli:
+def test_train_has_no_workers_flag(tmp_path):
+    """Training runs in one process: ``train --workers`` is a usage
+    error, not a silently ignored knob."""
+    with pytest.raises(SystemExit) as exc:
+        main(["train", str(tmp_path / "train.log"),
+              "--model", str(tmp_path / "m.json"), "--workers", "2"])
+    assert exc.value.code == 2
+
+
+class TestTrainCli:
     def _canonical(self, path):
         from repro.query.store import ModelStore
 
         return ModelStore.load_path(path).digest()
 
-    def test_workers_flag_produces_identical_model(self, log_files,
-                                                   capsys):
-        train_file, _, tmp_path = log_files
-        inline_path = tmp_path / "inline.json"
-        parallel_path = tmp_path / "parallel.json"
-        assert main(["train", str(train_file),
-                     "--model", str(inline_path),
-                     "--formatter", "hadoop"]) == 0
-        assert main(["train", str(train_file),
-                     "--model", str(parallel_path),
-                     "--formatter", "hadoop", "--workers", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "parallel: 1 workers" in out
-        assert "parallel: 2 workers" in out
-        assert self._canonical(inline_path) == self._canonical(
-            parallel_path
-        )
-
-    def test_cache_accounting_reported_and_model_unchanged(self, log_files,
-                                                           capsys):
-        """The extraction memo starts empty on every run, so training
-        twice in one process reports the same cache traffic and writes
-        the same model."""
+    def test_retraining_in_one_process_writes_the_same_model(
+        self, log_files, capsys
+    ):
+        """Nothing of a run outlives it, so training twice in one
+        process prints the same summary and writes the same model."""
         train_file, _, tmp_path = log_files
         first = tmp_path / "first.json"
         second = tmp_path / "second.json"
@@ -193,29 +184,20 @@ class TestTrainParallelCli:
               "--formatter", "hadoop"])
         main(["train", str(train_file), "--model", str(second),
               "--formatter", "hadoop"])
-        reports = [
+        summaries = [
             line for line in capsys.readouterr().out.splitlines()
-            if "extraction cache" in line
+            if line.startswith("trained on ")
         ]
-        assert len(reports) == 2
-        assert reports[0] == reports[1]
+        assert len(summaries) == 2
+        assert summaries[0] == summaries[1]
         assert self._canonical(first) == self._canonical(second)
 
-    @pytest.mark.parametrize("bad", ["0", "-3"])
-    def test_rejects_non_positive_workers(self, log_files, bad):
-        train_file, _, tmp_path = log_files
-        with pytest.raises(SystemExit, match="positive integer"):
-            main(["train", str(train_file),
-                  "--model", str(tmp_path / "m.json"),
-                  "--formatter", "hadoop", "--workers", bad])
-
-    def test_parallel_model_round_trips_through_store(self, log_files,
-                                                      capsys):
-        """train --workers → save → load → detect works end to end."""
+    def test_model_round_trips_through_store(self, log_files, capsys):
+        """train → save → load → detect works end to end."""
         train_file, detect_file, tmp_path = log_files
         model_path = tmp_path / "model.json"
         main(["train", str(train_file), "--model", str(model_path),
-              "--formatter", "hadoop", "--workers", "2"])
+              "--formatter", "hadoop"])
         capsys.readouterr()
         code = main(["detect", str(detect_file),
                      "--model", str(model_path)])
@@ -335,8 +317,8 @@ class TestMetricsFlags:
             ]
         }
         assert {
-            "train.parallel", "train.parse", "train.merge",
-            "train.extract", "train.stats", "train.apply",
+            "train", "train.parse", "train.extract", "train.fold",
+            "train.build",
         } <= spans
 
     def test_detect_metrics_out_counts_every_record(self, log_files,

@@ -8,7 +8,7 @@ the original ``GraphPartial.add_session`` whose lifespan relations are
 classified through the :class:`~repro.graph.lifespan.Lifespan` methods.
 The trainer must build exactly the same partial — the statistics
 :meth:`HWGraphBuilder.build` installs — over the golden corpus and fresh
-simulator sessions of all four genres, inline and with a process pool.
+simulator sessions of all four genres.
 
 A hypothesis test pins :meth:`RelationMatrix.observe_session`'s pair
 classification to the ``Lifespan`` methods, whose boundary semantics
@@ -37,10 +37,8 @@ from repro.graph.lifespan import (
     RelationMatrix,
 )
 from repro.graph.subroutine import Subroutine, message_row
-from repro.parallel import merge_shards
-from repro.parallel.shard import make_shards
-from repro.parallel.worker import BatchParseTask, ParseSlice, parse_batch
 from repro.parsing.records import Session
+from repro.parsing.spell import SpellParser
 from repro.simulators import (
     MapReduceConfig,
     MapReduceSimulator,
@@ -173,31 +171,15 @@ def serialize_partial(partial: GraphPartial) -> str:
 
 def oracle_partial(intellog: IntelLog, sessions: list[Session]) -> str:
     """Fold ``sessions`` through the frozen Intel Message path, with the
-    trained model's Intel Keys and the canonical per-record keys."""
-    shards = make_shards(sessions)
-    parses = parse_batch(
-        BatchParseTask(
-            index=0,
-            batch_hash="",
-            slices=[
-                ParseSlice(
-                    index=shard.index,
-                    content_hash=shard.content_hash,
-                    messages=tuple(r.message for r in shard.session.records),
-                )
-                for shard in shards
-            ],
-        )
-    ).parses
-    merged = merge_shards(shards, parses, tau=intellog.config.spell_tau)
+    trained model's Intel Keys and the key of each record as a streaming
+    Spell pass over every record assigns it."""
+    spell = SpellParser(tau=intellog.config.spell_tau)
     key_groups = HWGraphBuilder(intellog.intel_keys).graph.key_groups
     fold = OracleFold()
-    for shard in shards:
-        session = shard.session
+    for session in sessions:
         messages = []
-        for record, key_id in zip(
-            session.records, merged.record_keys[shard.index]
-        ):
+        for record in session.records:
+            key_id = spell.consume(record.message).key_id
             message = intellog.extractor.to_intel_message(
                 intellog.intel_keys[key_id],
                 record.message,
@@ -211,7 +193,7 @@ def oracle_partial(intellog: IntelLog, sessions: list[Session]) -> str:
 
 
 def trained_partial(
-    sessions: list[Session], monkeypatch, workers: int
+    sessions: list[Session], monkeypatch
 ) -> tuple[IntelLog, str]:
     """Train ``sessions`` and capture the partial the trainer hands to
     :meth:`HWGraphBuilder.build`."""
@@ -224,7 +206,7 @@ def trained_partial(
 
     monkeypatch.setattr(HWGraphBuilder, "build", capturing_build)
     intellog = IntelLog()
-    intellog.train(sessions, workers=workers)
+    intellog.train(sessions)
     [partial] = captured
     return intellog, partial
 
@@ -296,20 +278,10 @@ CORPORA = {
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
 def test_trainer_fold_equals_intel_message_oracle(corpus, monkeypatch):
     sessions = CORPORA[corpus]()
-    intellog, got = trained_partial(sessions, monkeypatch, workers=1)
+    intellog, got = trained_partial(sessions, monkeypatch)
     want = oracle_partial(intellog, sessions)
     assert json.loads(got)["training_sessions"] == len(sessions)
     assert got == want
-
-
-def test_pool_fold_equals_intel_message_oracle(monkeypatch):
-    from repro.parallel import pipeline
-
-    sessions = simulated_corpus("mapreduce")
-    monkeypatch.setattr(pipeline, "derive_batch_target", lambda _n: 200)
-    intellog, got = trained_partial(sessions, monkeypatch, workers=2)
-    assert intellog.last_parallel_report.pool_workers == 2
-    assert got == oracle_partial(intellog, sessions)
 
 
 # -- lifespan classification --------------------------------------------------

@@ -1,18 +1,13 @@
 """Training does each per-record and per-session job once.
 
-* **Tokenize once** — phase 1 masks every message through the chunk
-  memo of :func:`repro.parsing.spell.mask_message`, so a whole training
-  run calls the regex chunk tokenizer exactly once per distinct chunk
-  and never the message-level ``words()``.
-* **Mask once** — inline, phase 2's plan rows align the raw tokens of
-  phase 1's ``mask_message`` call, so each training record is masked
-  exactly once; besides that, only Spell's form replay masks, one
-  sample per distinct form.
-* **Fold per batch** — each batch folds its sessions into one
-  :class:`~repro.graph.hwgraph.GraphPartial` and the parent merges the
-  partials in corpus order.  The hypothesis tests pin that merging is
-  exact: any split of a session stream into consecutive runs folds to
-  the same serialized HW-graph as the sequential fold.
+* **Tokenize once** — the parse pass masks every message through the
+  chunk memo of :func:`repro.parsing.spell.mask_message`, so a whole
+  training run calls the regex chunk tokenizer exactly once per
+  distinct chunk and never the message-level ``words()``.
+* **Mask once** — the fold pass's plan rows align the raw tokens of the
+  parse pass's ``mask_message`` call, so each training record is masked
+  exactly once; besides that, only Spell masks, one sample per
+  distinct form.
 * **No repeated fold work** — the fold, with labels sorted once and
   repeat key orders counted without a pair rescan, equals frozen copies
   of the fold that sorted per row and rescanned every instance.
@@ -31,9 +26,8 @@ import repro.nlp
 import repro.nlp.tokenizer
 import repro.parsing.spell
 from repro import IntelLog
-from repro.extraction.intelkey import IntelKey, IntelMessage
-from repro.graph.hwgraph import GraphPartial, HWGraphBuilder
-from repro.graph.subroutine import Subroutine, message_row
+from repro.graph.hwgraph import GraphPartial
+from repro.graph.subroutine import Subroutine
 from repro.parsing.records import Session
 from test_session_pass_diff import frozen_assign_instances
 
@@ -66,7 +60,7 @@ def test_training_tokenizes_each_distinct_chunk_once(monkeypatch):
     monkeypatch.setattr(repro.nlp.tokenizer, "words", forbidden_words)
     monkeypatch.setattr(repro.nlp, "words", forbidden_words)
 
-    IntelLog().train(corpus, workers=1)
+    IntelLog().train(corpus)
 
     distinct = {
         chunk
@@ -79,7 +73,7 @@ def test_training_tokenizes_each_distinct_chunk_once(monkeypatch):
 
 
 def test_training_masks_each_record_once(monkeypatch):
-    import repro.parallel.worker
+    import repro.core.train
 
     corpus = [
         Session.from_dict(json.loads(line))
@@ -95,140 +89,23 @@ def test_training_masks_each_record_once(monkeypatch):
             return real_mask_message(message)
         return mask_message
 
-    for module in (repro.parsing.spell, repro.parallel.worker):
+    distinct_forms = {
+        tuple(real_mask_message(record.message)[0])
+        for session in corpus
+        for record in session
+    }
+    for module in (repro.parsing.spell, repro.core.train):
         monkeypatch.setattr(
             module, "mask_message", counting(module.__name__)
         )
 
-    intellog = IntelLog()
-    intellog.train(corpus, workers=1)
+    IntelLog().train(corpus)
 
     records = sum(len(session.records) for session in corpus)
     # The per-record front end: once per training record.
-    assert calls["repro.parallel.worker"] / records == 1.0
-    # Besides it, only Spell's replay masks: one sample per distinct form.
-    report = intellog.last_parallel_report
-    assert calls["repro.parsing.spell"] == report.distinct_forms
-
-
-# -- fold per batch -----------------------------------------------------------
-
-
-def _key(key_id, entities, natural=True):
-    return IntelKey(
-        key_id=key_id,
-        template=(key_id,),
-        sample=key_id,
-        entities=tuple(entities),
-        natural_language=natural,
-    )
-
-
-#: Overlapping entities give keys in several groups, and groups that
-#: share keys, so lifespans and subroutines interact.
-KEYS = {
-    "K1": _key("K1", ["map task"]),
-    "K2": _key("K2", ["map task", "shuffle fetcher"]),
-    "K3": _key("K3", ["reduce task"]),
-    "K4": _key("K4", ["shuffle fetcher"]),
-    "K5": _key("K5", ["container"]),
-    "K6": _key("K6", ["container", "reduce task"]),
-    "K7": _key("K7", ["kv dump"], natural=False),
-}
-
-_identifiers = st.dictionaries(
-    st.sampled_from(["TASK", "ATTEMPT"]),
-    st.lists(st.sampled_from(["1", "2", "3"]), min_size=1, max_size=2),
-    max_size=2,
-)
-_message = st.builds(
-    lambda key_id, t, ids: IntelMessage(
-        key_id=key_id,
-        timestamp=float(t),
-        session_id="s",
-        message=key_id,
-        identifiers=ids,
-    ),
-    st.sampled_from(sorted(KEYS)),
-    st.integers(min_value=0, max_value=12),
-    _identifiers,
-)
-_session = st.lists(_message, max_size=10)
-
-
-def _cut(items, data, draw_name):
-    """Split ``items`` into consecutive runs at random boundaries."""
-    bounds = data.draw(
-        st.sets(st.integers(min_value=1, max_value=max(len(items) - 1, 1))),
-        label=draw_name,
-    )
-    edges = [0] + sorted(b for b in bounds if b < len(items)) + [len(items)]
-    return [items[a:b] for a, b in zip(edges, edges[1:])]
-
-
-@settings(max_examples=150, deadline=None)
-@given(sessions=st.lists(_session, min_size=1, max_size=14), data=st.data())
-def test_batch_partials_fold_to_the_sequential_graph(sessions, data):
-    sequential = HWGraphBuilder(KEYS)
-    for messages in sessions:
-        sequential.train_session(messages)
-    want = sequential.build().to_dict()
-
-    batched = HWGraphBuilder(KEYS)
-    for run in _cut(sessions, data, "batch boundaries"):
-        partial = GraphPartial()
-        for messages in run:
-            partial.add_session(
-                map(message_row, messages), batched.sorted_key_groups
-            )
-        batched.partial.merge(partial)
-    got = batched.build().to_dict()
-
-    # No sort_keys: the subroutines' insertion order is part of the model.
-    assert json.dumps(got) == json.dumps(want)
-
-
-_instance = st.lists(st.sampled_from("ABCDE"), min_size=1, max_size=6)
-
-
-@settings(max_examples=300, deadline=None)
-@given(instances=st.lists(_instance, max_size=12), data=st.data())
-def test_subroutine_merge_equals_sequential_update(instances, data):
-    sequential = Subroutine(signature=("TASK",))
-    for sequence in instances:
-        sequential.update(sequence)
-
-    runs = _cut(instances, data, "instance boundaries")
-    merged = Subroutine(signature=("TASK",))
-    for run in runs:
-        part = Subroutine(signature=("TASK",))
-        for sequence in run:
-            part.update(sequence)
-        merged.merge(part)
-
-    assert merged == sequential
-    assert list(merged.key_counts.items()) == list(
-        sequential.key_counts.items()
-    )
-
-
-def test_subroutine_merge_orientation_cases():
-    first = Subroutine(signature=())
-    first.update(["A", "B", "C"])
-    second = Subroutine(signature=())
-    second.update(["B", "A"])  # contradicts A<B
-    second.update(["C", "D"])  # new pair, seen one way only
-    first.merge(second)
-    # The earlier side's orientation is kept for compared pairs.
-    assert ("A", "B") in first.compared
-    assert ("B", "A") not in first.compared
-    assert ("A", "B") not in first.before
-    assert ("B", "C") in first.before
-    # C<D came in with the later side (orientation C, D) and survives.
-    assert ("C", "D") in first.before
-    assert first.keys == ["A", "B", "C", "D"]
-    assert first.key_counts == {"A": 2, "B": 2, "C": 2, "D": 1}
-    assert first.instance_lengths == [3, 2, 2]
+    assert calls["repro.core.train"] / records == 1.0
+    # Besides it, only Spell masks: one sample per distinct form.
+    assert calls["repro.parsing.spell"] == len(distinct_forms)
 
 
 # -- the fold against frozen copies -------------------------------------------
@@ -237,7 +114,7 @@ def test_subroutine_merge_orientation_cases():
 # key repeats counted by ``Counter``), ``Subroutine.update`` (every key
 # pair rescanned on every instance) and ``RelationMatrix.observe_session``
 # as they stood before the fold was trimmed.  The live fold must build
-# exactly the same partial, also when it is cut into merged partials.
+# exactly the same partial.
 
 
 class FrozenSubroutine:
@@ -409,8 +286,8 @@ def _row_stream(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(stream=_row_stream(), data=st.data())
-def test_fold_equals_frozen_fold(stream, data):
+@given(stream=_row_stream())
+def test_fold_equals_frozen_fold(stream):
     key_groups, sessions = stream
     frozen = FrozenFold()
     for rows in sessions:
@@ -420,42 +297,28 @@ def test_fold_equals_frozen_fold(stream, data):
         key_id: tuple(sorted(labels))
         for key_id, labels in key_groups.items()
     }
-    runs = _cut(sessions, data, "partial boundaries")
-    # The last run is folded into the merged partial after the merges,
-    # so folding continues on merged subroutines.
-    merged = GraphPartial()
-    for run in runs[:-1]:
-        part = GraphPartial()
-        for rows in run:
-            part.add_session(rows, sorted_groups)
-        merged.merge(part)
-    for rows in runs[-1] if runs else ():
-        merged.add_session(rows, sorted_groups)
+    partial = GraphPartial()
+    for rows in sessions:
+        partial.add_session(rows, sorted_groups)
 
-    assert _serialized_partial(merged) == frozen.serialized()
+    assert _serialized_partial(partial) == frozen.serialized()
 
 
-#: Few keys, so first-seen key orders repeat within and across runs.
+#: Few keys, so first-seen key orders repeat across instances.
 _repeating_instance = st.lists(
     st.sampled_from("ABC"), min_size=1, max_size=5
 )
 
 
 @settings(max_examples=300, deadline=None)
-@given(instances=st.lists(_repeating_instance, max_size=16), data=st.data())
-def test_subroutine_update_equals_frozen_update(instances, data):
+@given(instances=st.lists(_repeating_instance, max_size=16))
+def test_subroutine_update_equals_frozen_update(instances):
     frozen = FrozenSubroutine(("TASK",))
     for sequence in instances:
         frozen.update(sequence)
 
-    runs = _cut(instances, data, "instance boundaries")
-    merged = Subroutine(signature=("TASK",))
-    for run in runs[:-1]:
-        part = Subroutine(signature=("TASK",))
-        for sequence in run:
-            part.update(sequence)
-        merged.merge(part)
-    for sequence in runs[-1] if runs else ():
-        merged.update(sequence)
+    live = Subroutine(signature=("TASK",))
+    for sequence in instances:
+        live.update(sequence)
 
-    assert _serialized_subroutine(merged) == _serialized_subroutine(frozen)
+    assert _serialized_subroutine(live) == _serialized_subroutine(frozen)
