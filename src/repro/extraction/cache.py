@@ -3,19 +3,17 @@
 Extraction (§3: POS tagging the sample, aligning the template, classifying
 fields, parsing operations) is a pure function of ``(template tokens,
 sample message)`` — everything else in the :class:`IntelKey` derives from
-those two.  :class:`ExtractionCache` memoises that function.  It has two
-owners:
+those two.  :class:`ExtractionCache` memoises that function.  Its one
+owner is the detector: every
+:class:`~repro.detection.detector.AnomalyDetector` owns one, built on
+its own extractor and bounded by the detector's memo cap, so an
+unexpected message that repeats (a retried fetch or connect line) is
+extracted once.  Training keeps no memo: it extracts each log key once,
+and a memo over the 59,873-line paper-scale corpus recorded 0 hits in
+86 lookups.
 
-* each training run (:func:`repro.core.train.train`) extracts its
-  Intel Keys through a fresh instance on the model's own extractor;
-* every :class:`~repro.detection.detector.AnomalyDetector` owns one,
-  built on its own extractor and bounded by the detector's memo cap, so
-  an unexpected message that repeats (a retried fetch or connect line)
-  is extracted once.
-
-The cached value is stored key-id-agnostic (``key_id=""``) because the
-same template can receive different canonical ids in different training
-runs; :meth:`ExtractionCache.extract` stamps the requested id on the way
+The cached value is stored key-id-agnostic (``key_id=""``);
+:meth:`ExtractionCache.extract` stamps the requested id on the way
 out.  Intel Keys hold only tuples and frozen field specs, so the stamped
 copy shares no mutable state with the memo.
 """

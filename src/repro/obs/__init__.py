@@ -4,7 +4,10 @@ Metric primitives (:mod:`repro.obs.registry`), hierarchical timing
 (:mod:`repro.obs.span`), and exporters (:mod:`repro.obs.export`).
 Subsystems accept a :class:`MetricsRegistry` at construction or via an
 ``instrument()`` hook; nothing in the package imports the rest of
-``repro``, so every layer can depend on it without cycles.
+``repro``, so every layer can depend on it without cycles.  Nor does it
+load the HTTP/TLS stack (``http``, ``socketserver``, ``email``,
+``ssl``) until a :class:`MetricsServer` starts, so a process without a
+metrics endpoint does not pay its 6.5 MB of RSS.
 
 Spans cost a few microseconds each, so hot loops do not open them per
 item: the stream runtime times its stages with ``perf_counter`` deltas

@@ -10,6 +10,13 @@ Two serializations of one registry:
   labels, stable shapes) written by ``--metrics-out`` on exit and
   rendered back by ``repro stats``.
 
+Only a running endpoint needs the HTTP/TLS stack: ``http.server`` pulls
+in ``http.client``, ``socketserver``, ``email`` and ``ssl``, so
+:meth:`MetricsServer.start` imports it and builds the request handler
+then, once per process.  Importing this module stays light: ``import
+repro.obs`` after ``import repro`` adds about 0.2 MB of RSS, and
+``http.server`` would add 6.5 MB more.
+
 The snapshot's ``snapshot_unix_s`` stamp is the one sanctioned
 wall-clock read in the observability layer: it labels *when the export
 happened* for operators correlating snapshots with cluster events, and
@@ -20,15 +27,18 @@ allowlist for ``repro/obs``).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .registry import Histogram, MetricsRegistry
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from http.server import ThreadingHTTPServer
 
 __all__ = [
     "SNAPSHOT_FORMAT",
@@ -205,47 +215,59 @@ def render_snapshot(snapshot: dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-class _MetricsHandler(BaseHTTPRequestHandler):
-    registry: MetricsRegistry  # injected by MetricsServer
-    #: Extra JSON routes: path -> zero-arg callable returning a
-    #: JSON-serialisable object (e.g. ``/tenants`` on the serve fleet).
-    #: This is the *live* mapping owned by the MetricsServer — routes
-    #: added via :meth:`MetricsServer.add_json_route` after startup are
-    #: visible to the next request (the handler reads per request).
-    json_routes: dict[str, Any] = {}
+@functools.cache
+def _metrics_handler() -> type:
+    """The ``/metrics`` request handler class, built on first use.
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        path = self.path.split("?", 1)[0]
-        route = self.json_routes.get(path)
-        if route is not None:
-            body = json.dumps(
-                route(), indent=2, sort_keys=True
-            ).encode("utf-8")
+    ``http.server`` pulls in ``http.client``, ``socketserver``,
+    ``email`` and ``ssl``; only a running endpoint needs them, so they
+    are imported here rather than with the module.
+    """
+    from http.server import BaseHTTPRequestHandler
+
+    class _MetricsHandler(BaseHTTPRequestHandler):
+        registry: MetricsRegistry  # injected by MetricsServer
+        #: Extra JSON routes: path -> zero-arg callable returning a
+        #: JSON-serialisable object (e.g. ``/tenants`` on the serve fleet).
+        #: This is the *live* mapping owned by the MetricsServer — routes
+        #: added via :meth:`MetricsServer.add_json_route` after startup are
+        #: visible to the next request (the handler reads per request).
+        json_routes: dict[str, Any] = {}
+
+        def do_GET(self) -> None:  # noqa: N802 - http.server API
+            path = self.path.split("?", 1)[0]
+            route = self.json_routes.get(path)
+            if route is not None:
+                body = json.dumps(
+                    route(), indent=2, sort_keys=True
+                ).encode("utf-8")
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+                return
+            if path not in ("/metrics", "/"):
+                routes = ", ".join(sorted(self.json_routes) or ())
+                self.send_error(
+                    404,
+                    "only /metrics is served"
+                    + (f" (plus {routes})" if routes else ""),
+                )
+                return
+            body = prometheus_text(self.registry).encode("utf-8")
             self.send_response(200)
-            self.send_header("Content-Type", "application/json")
+            self.send_header(
+                "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
+            )
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
             self.wfile.write(body)
-            return
-        if path not in ("/metrics", "/"):
-            routes = ", ".join(sorted(self.json_routes) or ())
-            self.send_error(
-                404,
-                "only /metrics is served"
-                + (f" (plus {routes})" if routes else ""),
-            )
-            return
-        body = prometheus_text(self.registry).encode("utf-8")
-        self.send_response(200)
-        self.send_header(
-            "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
-        )
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
 
-    def log_message(self, format: str, *args: Any) -> None:
-        """Silence per-request stderr logging (scrapes are periodic)."""
+        def log_message(self, format: str, *args: Any) -> None:
+            """Silence per-request stderr logging (scrapes are periodic)."""
+
+    return _MetricsHandler
 
 
 class MetricsServer:
@@ -280,6 +302,8 @@ class MetricsServer:
 
     def start(self) -> "MetricsServer":
         """Bind and serve; idempotent while already running."""
+        from http.server import ThreadingHTTPServer
+
         # Socket creation is real IO — do it outside the lock, then
         # publish under the lock.  A concurrent start() that lost the
         # publication race closes its own socket and defers.
@@ -288,7 +312,7 @@ class MetricsServer:
         # are single dict lookups (atomic under the GIL); writes happen
         # under self._lock.
         handler = type(
-            "_BoundMetricsHandler", (_MetricsHandler,),
+            "_BoundMetricsHandler", (_metrics_handler(),),
             {
                 "registry": self._registry,
                 "json_routes": self._json_routes,

@@ -1,14 +1,18 @@
-"""Cold start: the production paths import no third-party package.
+"""Cold start: the production paths import no third-party package and
+no HTTP stack.
 
 Every ``repro`` process pays for what it imports before it reads a
 line, and numpy plus networkx cost more than the whole package.  Only
 the simulators, the chaos injectors, a jittered retry and
-``HWGraph.to_networkx`` need them.  Each test here runs one production
-path to completion in a fresh interpreter under ``-X importtime`` and
-reads back every module it imported: train, detect, a followed file
-streamed to a sink with a checkpoint, a served tenant, and the
-``repro detect`` CLI.  Two positive controls show the probe sees numpy
-and networkx when they do load.
+``HWGraph.to_networkx`` need them.  Likewise ``http.server`` pulls in
+``http.client``, ``socketserver``, ``email`` and ``ssl`` (about 6.5 MB
+of RSS), which only a running metrics endpoint (``MetricsServer``,
+``--metrics-port``) needs.  Each test here runs one production path to
+completion in a fresh interpreter under ``-X importtime`` and reads
+back every module it imported: train, detect, a followed file streamed
+to a sink with a checkpoint, a served tenant, and the ``repro detect``
+and ``repro watch --once`` CLIs.  Three positive controls show the
+probe sees numpy, networkx and ``http`` when they do load.
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ GOLDEN = Path(__file__).parent / "golden"
 CORPUS = GOLDEN / "corpus.jsonl"
 DETECT_FIXTURE = GOLDEN / "detect_reports" / "mapreduce.json"
 HEAVY = ("numpy", "networkx")
+#: ``urllib`` is left out: a site hook may import it before ``repro``.
+HTTP_STACK = ("http", "socketserver", "ssl", "email")
 
 
 def run_fresh(args: list[str], cwd: Path) -> tuple[set[str], str]:
@@ -69,7 +75,7 @@ def run_script(script: str, cwd: Path, **values: str) -> tuple[set, dict]:
 
 
 def assert_lean(imported: set[str]) -> None:
-    assert not [name for name in HEAVY if name in imported]
+    assert not [name for name in HEAVY + HTTP_STACK if name in imported]
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +178,18 @@ def test_cli_detect_imports_no_third_party(workspace):
     assert_lean(imported)
 
 
+def test_cli_watch_once_imports_no_third_party(workspace):
+    imported, stdout = run_fresh(
+        ["-m", "repro.cli", "watch", "--model", "model.json",
+         "--follow", "detect.log", "--once",
+         "--checkpoint", "watch.ckpt.json"],
+        workspace,
+    )
+    assert [json.loads(line) for line in stdout.splitlines()]
+    assert (workspace / "watch.ckpt.json").exists()
+    assert_lean(imported)
+
+
 # -- positive controls: the probe sees the packages when they load -------------
 
 
@@ -200,3 +218,34 @@ def test_to_networkx_still_returns_a_digraph(tmp_path):
     assert out["type"] == "DiGraph"
     assert out["nodes"] == out["groups"] > 0
     assert "networkx" in imported
+
+
+def test_metrics_server_imports_the_http_stack(tmp_path):
+    # The scrape is a raw socket request: urllib.request would import
+    # http.client itself and hide whether the server loaded the stack.
+    imported, out = run_script("""
+        import json
+        import socket
+        import sys
+        from repro.obs import MetricsRegistry, MetricsServer
+        registry = MetricsRegistry()
+        registry.counter("cold_scrapes_total", "probe").inc()
+        before = "http.server" in sys.modules
+        server = MetricsServer(registry, port=0)
+        try:
+            address = ("127.0.0.1", server.port)
+            with socket.create_connection(address, timeout=10) as conn:
+                conn.sendall(b"GET /metrics HTTP/1.0\\r\\n\\r\\n")
+                response = b"".join(iter(lambda: conn.recv(65536), b""))
+        finally:
+            server.stop()
+        print(json.dumps({{
+            "before": before,
+            "after": "http.server" in sys.modules,
+            "response": response.decode("utf-8"),
+        }}))
+    """, tmp_path)
+    assert out["response"].startswith("HTTP/1.0 200")
+    assert "cold_scrapes_total 1" in out["response"]
+    assert (out["before"], out["after"]) == (False, True)
+    assert "http" in imported

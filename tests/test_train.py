@@ -1,6 +1,7 @@
 """Tests for the trainer (:mod:`repro.core.train`): its equivalence with
-streaming Spell and with the fused serial loop, the extraction memo,
-and what a training run installs on the model.
+streaming Spell and with the fused serial loop, the extraction memo
+the detector keeps, how often training extracts, and what a training
+run installs on the model.
 
 The hypothesis suites pin the two invariants the two-pass trainer rests
 on: consuming the first record of each distinct masked form gives the
@@ -17,7 +18,6 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.train
 from repro import IntelLog
 from repro.core.train import TrainingSummary, parse
 from repro.extraction.cache import ExtractionCache
@@ -263,17 +263,17 @@ class TestExtractionCache:
 # -- training runs ------------------------------------------------------------
 
 
-def recording_caches(monkeypatch) -> list[ExtractionCache]:
-    """Make the trainer's extraction memos inspectable after the run."""
-    caches: list[ExtractionCache] = []
+def recording_extractions(monkeypatch) -> list[tuple[tuple[str, ...], str]]:
+    """Record the (template tokens, sample) of every Intel Key built."""
+    built: list[tuple[tuple[str, ...], str]] = []
+    build_intel_key = InformationExtractor.build_intel_key
 
-    class RecordingCache(ExtractionCache):
-        def __init__(self, *args, **kwargs) -> None:
-            super().__init__(*args, **kwargs)
-            caches.append(self)
+    def recording(self, key):
+        built.append((tuple(key.tokens), key.sample))
+        return build_intel_key(self, key)
 
-    monkeypatch.setattr(repro.core.train, "ExtractionCache", RecordingCache)
-    return caches
+    monkeypatch.setattr(InformationExtractor, "build_intel_key", recording)
+    return built
 
 
 class TestTrain:
@@ -306,11 +306,11 @@ class TestTrain:
             == ModelStore.from_intellog(fresh).digest()
         )
 
-    def test_cache_holds_only_last_run(self, monkeypatch):
-        """Each run extracts through a memo of its own: training A then
-        B on one instance has exactly B's traffic, the same as a fresh
-        instance trained on B alone."""
-        caches = recording_caches(monkeypatch)
+    def test_retrain_extracts_only_its_own_keys(self, monkeypatch):
+        """Training keeps nothing from an earlier run: training A then
+        B on one instance extracts exactly B's log keys, the same as a
+        fresh instance trained on B alone."""
+        built = recording_extractions(monkeypatch)
         corpus_a = sessions_of_templates()
         corpus_b = [
             Session(
@@ -330,23 +330,26 @@ class TestTrain:
         model_a = IntelLog()
         model_a.train(corpus_a)
         keys_a = {(tuple(k.tokens), k.sample) for k in model_a.spell.keys()}
+        first = len(built)
         model_a.train(corpus_b)
         keys_b = {(tuple(k.tokens), k.sample) for k in model_a.spell.keys()}
         assert keys_a and keys_b and not keys_a & keys_b
+        retrained = built[first:]
+        del built[:]
         fresh = IntelLog()
         fresh.train(corpus_b)
-        _first, retrained, fresh_cache = caches
-        assert retrained.misses == len(keys_b)
-        assert retrained.stats() == fresh_cache.stats()
+        assert sorted(retrained) == sorted(keys_b)
+        assert retrained == built
 
     def test_extracts_each_log_key_once(self, monkeypatch):
-        """Total lookups = one pass over the key table: the trainer
+        """One extraction per entry of the key table: the trainer
         extracts every log key once, and only there."""
-        caches = recording_caches(monkeypatch)
+        built = recording_extractions(monkeypatch)
         intellog = IntelLog()
         intellog.train(sessions_of_templates())
-        [cache] = caches
-        assert sum(cache.stats()) == len(intellog.spell)
+        assert built == [
+            (tuple(key.tokens), key.sample) for key in intellog.spell.keys()
+        ]
 
     def test_training_extracts_with_the_models_extractor(self):
         """A user's naming filter shapes the trained Intel Keys and

@@ -12,25 +12,19 @@ implementation it replaced is kept below as the oracle
   or hosts each get the oracle's extraction, which pins the memo key to
   (masked tokens, whole message) rather than the masked form alone;
 * reports of one repeated message share no mutable state;
-* detection's memo is the detector's own — training keeps none past
-  its run — and importing the detector does not import
-  ``repro.parallel``.
+* detection's memo is the detector's own: training keeps none.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro
 from repro import IntelLog
 from repro.detection.detector import AnomalyDetector, _extraction_summary
 from repro.detection.report import Anomaly, AnomalyKind
@@ -237,26 +231,6 @@ def test_detection_leaves_the_training_memo_alone(mr_model, mr_simulator):
     assert {
         key_id: key.to_dict() for key_id, key in mr_model.intel_keys.items()
     } == trained
-
-
-def test_detector_import_skips_the_training_pool():
-    src = str(Path(repro.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH", "")) if p
-    )
-    result = subprocess.run(
-        [sys.executable, "-X", "importtime", "-c",
-         "import repro.detection.detector"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    imported = [
-        line.rsplit("|", 1)[-1].strip()
-        for line in result.stderr.splitlines()
-        if line.startswith("import time:")
-    ]
-    assert "repro.detection.detector" in imported
-    assert not [m for m in imported if m.startswith("repro.parallel")]
 
 
 # -- observability -------------------------------------------------------------
