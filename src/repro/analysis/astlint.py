@@ -18,7 +18,11 @@ Rules (codes registered in :mod:`repro.analysis.diagnostics`):
   order-sensitive context (``for`` loops, list/dict/generator
   comprehensions, ``list()``/``tuple()``/``enumerate()``): the order
   varies with ``PYTHONHASHSEED``, so models trained from it would not be
-  byte-stable — sort first;
+  byte-stable — sort first.  In ``repro/detection`` and ``repro/graph``,
+  whose iteration orders reach reports, an attribute annotated
+  ``set[...]``/``frozenset[...]`` (``x.attr``), or an item of one
+  annotated ``dict[..., set[...]]`` (``x.attr[k]``, ``x.attr.get(k)``),
+  counts as a set too;
 * ``PY001`` — mutable default argument (list/dict/set literal or
   constructor call);
 * ``PY002`` — bare ``except:``, or ``except Exception:`` whose body is
@@ -91,6 +95,12 @@ class ModuleContext:
     default_rng_aliases: set[str] = field(default_factory=set)
     #: Parsed suppression pragmas for this module (see suppress.py).
     pragmas: SuppressionIndex | None = None
+    #: Set-typed attribute names DET003 sees in this module
+    #: (:func:`set_attributes`); empty outside its scope.
+    set_attrs: dict[str, str] = field(default_factory=dict)
+    #: ids of generator expressions passed straight to an
+    #: order-insensitive call (``sorted(x for x in s)``).
+    unordered_generators: set[int] = field(default_factory=set)
 
     def suppressed(self, line: int, code: str) -> bool:
         if self.pragmas is not None and self.pragmas.allows(line, code):
@@ -214,16 +224,106 @@ class WallClockRule(LintRule):
                 return
 
 
+#: Calls whose result does not depend on the order of the iterable
+#: they consume (a generator expression passed to one is not flagged).
+_ORDER_INSENSITIVE_CALLS = frozenset({
+    "sorted", "set", "frozenset", "sum", "min", "max", "any", "all", "len",
+})
+
+#: Packages whose set-typed attributes DET003 tracks: their iteration
+#: orders reach detection reports and model bytes.
+SET_ATTR_SCOPE = ("repro/detection/", "repro/graph/")
+
+#: Attribute kinds :func:`set_attributes` records.
+_SET, _DICT_OF_SET = "set", "dict of set"
+
+
+def _in_set_attr_scope(path: str) -> bool:
+    normalised = path.replace("\\", "/")
+    return any(fragment in normalised for fragment in SET_ATTR_SCOPE)
+
+
+def _annotation_kind(node: ast.AST | None) -> str | None:
+    """``_SET`` for a set/frozenset annotation, ``_DICT_OF_SET`` for a
+    dict whose values are one (``| None`` is looked through)."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        try:
+            node = ast.parse(node.value, mode="eval").body
+        except SyntaxError:
+            return None
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        sides = [node.left, node.right]
+        kinds = {
+            _annotation_kind(side) for side in sides
+            if not (isinstance(side, ast.Constant) and side.value is None)
+        }
+        return kinds.pop() if len(kinds) == 1 else None
+    head = node.value if isinstance(node, ast.Subscript) else node
+    name = _dotted_suffix(head)[-1:] if head is not None else ()
+    if name and name[0] in ("set", "frozenset", "Set", "FrozenSet"):
+        return _SET
+    if (
+        name and name[0] in ("dict", "Dict", "defaultdict", "DefaultDict")
+        and isinstance(node, ast.Subscript)
+        and isinstance(node.slice, ast.Tuple)
+        and len(node.slice.elts) == 2
+        and _annotation_kind(node.slice.elts[1]) == _SET
+    ):
+        return _DICT_OF_SET
+    return None
+
+
+def set_attributes(trees: Iterable[ast.AST]) -> dict[str, str]:
+    """Attribute name -> kind, for every attribute the ``trees``
+    annotate as a set or a dict of sets: class-body annotations
+    (dataclass fields) and ``self.name: ...`` in methods.  Names are
+    matched without their class, so a name annotated with two kinds,
+    or with a non-set type anywhere, is left out."""
+    kinds: dict[str, set[str | None]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                targets = [
+                    (stmt.target.id, stmt.annotation)
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                ]
+            elif (
+                isinstance(node, ast.AnnAssign)
+                and isinstance(node.target, ast.Attribute)
+                and isinstance(node.target.value, ast.Name)
+                and node.target.value.id == "self"
+            ):
+                targets = [(node.target.attr, node.annotation)]
+            else:
+                continue
+            for name, annotation in targets:
+                kinds.setdefault(name, set()).add(
+                    _annotation_kind(annotation)
+                )
+    attrs: dict[str, str] = {}
+    for name, found in sorted(kinds.items()):
+        kind = found.pop() if len(found) == 1 else None
+        if kind is not None:
+            attrs[name] = kind
+    return attrs
+
+
 class SetIterationRule(LintRule):
     """DET003: set iteration where the resulting *order* is observable.
 
-    Flags only expressions that are sets *by construction* — ``{a, b}``
+    Flags expressions that are sets *by construction* — ``{a, b}``
     literals, set comprehensions and bare ``set(...)`` / ``frozenset(...)``
-    calls — feeding an order-sensitive consumer.  Iterating a set-typed
-    *variable* is invisible to a per-node syntactic rule; the golden
-    suite's PYTHONHASHSEED runs are the behavioural backstop for those.
-    ``sorted(set(...))``, membership tests and aggregations (``sum``,
-    ``max``...) are order-insensitive and stay clean.
+    calls — and, in :data:`SET_ATTR_SCOPE`, attributes annotated as
+    sets or items of dicts annotated as holding sets
+    (``ModuleContext.set_attrs``), feeding an order-sensitive consumer.
+    Other set-typed *variables* are invisible to a per-node syntactic
+    rule; the golden suite's PYTHONHASHSEED runs are the behavioural
+    backstop for those.  ``sorted(set(...))``, membership tests and
+    aggregations (``sum``, ``max``...) are order-insensitive and stay
+    clean, and so does a generator expression handed straight to one
+    (``sorted(str(x) for x in s)``).
     """
 
     code = "DET003"
@@ -233,8 +333,9 @@ class SetIterationRule(LintRule):
     _order_sensitive_calls = {"list", "tuple", "enumerate"}
 
     @staticmethod
-    def _set_expr(node: ast.AST) -> str | None:
-        """A description of ``node`` when it is a set by construction."""
+    def _set_expr(node: ast.AST, ctx: ModuleContext) -> str | None:
+        """A description of ``node`` when it is a set by construction,
+        or a set-typed attribute or dict item that ``ctx`` tracks."""
         if isinstance(node, ast.Set):
             return "a set literal"
         if isinstance(node, ast.SetComp):
@@ -242,13 +343,33 @@ class SetIterationRule(LintRule):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             if node.func.id in ("set", "frozenset"):
                 return f"a {node.func.id}() call"
+        attrs = ctx.set_attrs
+        if not attrs:
+            return None
+        if isinstance(node, ast.Attribute) and attrs.get(node.attr) == _SET:
+            return f"the set attribute '{node.attr}'"
+        if isinstance(node, ast.Subscript):
+            holder = node.value
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get"
+        ):
+            holder = node.func.value
+        else:
+            return None
+        if (
+            isinstance(holder, ast.Attribute)
+            and attrs.get(holder.attr) == _DICT_OF_SET
+        ):
+            return f"a set item of '{holder.attr}'"
         return None
 
     def check(
         self, node: ast.AST, ctx: ModuleContext
     ) -> Iterator[Diagnostic]:
         if isinstance(node, (ast.For, ast.AsyncFor)):
-            what = self._set_expr(node.iter)
+            what = self._set_expr(node.iter, ctx)
             if what:
                 yield self.diagnostic(
                     f"for-loop iterates {what}; iteration order depends "
@@ -257,8 +378,10 @@ class SetIterationRule(LintRule):
                 )
         elif isinstance(node, (ast.ListComp, ast.DictComp,
                                ast.GeneratorExp)):
+            if id(node) in ctx.unordered_generators:
+                return
             for gen in node.generators:
-                what = self._set_expr(gen.iter)
+                what = self._set_expr(gen.iter, ctx)
                 if what:
                     yield self.diagnostic(
                         f"comprehension iterates {what}; element order "
@@ -272,7 +395,7 @@ class SetIterationRule(LintRule):
                 and node.func.id in self._order_sensitive_calls
                 and node.args
             ):
-                what = self._set_expr(node.args[0])
+                what = self._set_expr(node.args[0], ctx)
                 if what:
                     yield self.diagnostic(
                         f"{node.func.id}() materialises {what} in hash "
@@ -372,16 +495,30 @@ class Linter:
     """Walks Python sources once, dispatching nodes to registered rules."""
 
     def __init__(
-        self, rules: Sequence[type[LintRule]] = DEFAULT_RULES
+        self,
+        rules: Sequence[type[LintRule]] = DEFAULT_RULES,
+        set_attrs: dict[str, str] | None = None,
     ) -> None:
         self.rules: list[LintRule] = [rule() for rule in rules]
+        #: Set-typed attributes of the linted package
+        #: (:func:`set_attributes`); without them, a module in scope is
+        #: checked against its own annotations.
+        self.set_attrs = set_attrs or {}
 
     # -- context pre-pass ---------------------------------------------------
 
     @staticmethod
     def _gather_context(tree: ast.Module, ctx: ModuleContext) -> None:
         for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in _ORDER_INSENSITIVE_CALLS
+                and node.args
+                and isinstance(node.args[0], ast.GeneratorExp)
+            ):
+                ctx.unordered_generators.add(id(node.args[0]))
+            elif isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.name == "random":
                         ctx.random_aliases.add(alias.asname or "random")
@@ -429,6 +566,8 @@ class Linter:
             source_lines=source.splitlines(),
             pragmas=pragmas,
         )
+        if _in_set_attr_scope(path):
+            ctx.set_attrs = self.set_attrs or set_attributes([tree])
         # Pragma errors (unknown code, missing justification) are
         # findings themselves — a broken suppression must not pass CI.
         return list(pragmas.diagnostics) + self.lint_tree(tree, ctx)
@@ -461,11 +600,31 @@ def lint_source(source: str, path: str = "<string>") -> DiagnosticReport:
     return report
 
 
+def _package_files(files: list[Path]) -> list[Path]:
+    """Every module of the ``repro`` package holding a linted module in
+    :data:`SET_ATTR_SCOPE`: attribute names are matched without their
+    class, so the whole package decides which of them are sets."""
+    roots: set[Path] = set()
+    for path in files:
+        if _in_set_attr_scope(str(path)):
+            parts = path.resolve().parts
+            anchor = len(parts) - 1 - parts[::-1].index("repro")
+            roots.add(Path(*parts[:anchor + 1]))
+    return sorted({module for root in roots for module in root.rglob("*.py")})
+
+
 def lint_paths(paths: Iterable[str | Path]) -> DiagnosticReport:
     """Lint every ``.py`` file under ``paths`` with the default rules."""
-    linter = Linter()
+    files = list(iter_python_files(paths))
+    trees: list[ast.Module] = []
+    for module in _package_files(files):
+        try:
+            trees.append(ast.parse(module.read_text(encoding="utf-8")))
+        except SyntaxError:
+            continue  # reported when the module itself is linted
+    linter = Linter(set_attrs=set_attributes(trees))
     report = DiagnosticReport()
-    for path in iter_python_files(paths):
+    for path in files:
         report.extend(linter.lint_file(path))
     return report
 

@@ -62,7 +62,8 @@ DIAGNOSTIC_CODES: dict[str, tuple[Severity, str]] = {
                "wall-clock time source (time.time / datetime.now / ...) in "
                "library code (breaks replay determinism)"),
     "DET003": (Severity.ERROR,
-               "iteration over a set/frozenset expression in an "
+               "iteration over a set/frozenset expression (or, in "
+               "detection and graph, a set-annotated attribute) in an "
                "order-sensitive context (order varies with "
                "PYTHONHASHSEED; sort first)"),
     "PY001": (Severity.ERROR,

@@ -127,8 +127,8 @@ class IntelLog:
         (the §6.4 query workflow; see :mod:`repro.query`).
 
         Each session is matched in one :meth:`SpellParser.match_batch`
-        call, and the matches' tokens and captures are reused by the
-        same rule the detector applies (:func:`match_captures`)."""
+        call, and the matches' captures are reused where they stand in
+        for the Intel Key's alignment (:func:`match_captures`)."""
         if self.graph is None:
             raise NotTrainedError("call train() first")
         out: list[IntelMessage] = []

@@ -2,28 +2,29 @@
 
 For each incoming session the detector
 
-1. matches every log message against the learned log keys, one Spell
-   form-memo lookup per distinct message: the message's chunk-level
-   masked form gives the key and a capture recipe resolved once per
-   model (:mod:`repro.parsing.spell`), so the captures are slices and
-   joins of the message's chunks — a message with
-   no matching key is an **unexpected log message**; IntelLog still runs
-   the full §3 extraction on it so the report carries entities,
-   identifiers, values, localities and operations for diagnosis.  That
-   extraction is a pure function of (masked tokens, message), so each
-   detector memoises it in its own
+1. resolves every log message to what detection needs of it, one memo
+   lookup per distinct chunk-level masked form: a *row recipe*,
+   compiled once per form from the Spell form memo's entry
+   (:mod:`repro.parsing.spell`) and the matched key's
+   :class:`~repro.graph.subroutine.KeyPlan`, names the Intel Key, the
+   groups it feeds and, per identifier or value field, which capture of
+   the message's chunks fills it.  A message with no matching key is an
+   **unexpected log message**; IntelLog still runs the full §3
+   extraction on it so the report carries entities, identifiers,
+   values, localities and operations for diagnosis.  That extraction is
+   a pure function of (masked tokens, message), so each detector
+   memoises it in its own
    :class:`~repro.extraction.cache.ExtractionCache` — retried fetch and
    connect lines repeat the same message — while the per-record summary
    and group lookup still run on every record, so no two reports share
    a mutable value;
 2. turns every other matched record into one row — timestamp, Intel
    Key id, identifier values, identifier types — filed under the entity
-   groups its key feeds.  What a row needs of the key (its groups, and
-   which capture is an identifier or a value of which name) is compiled
-   into one :class:`~repro.graph.subroutine.KeyPlan` per Intel Key when
-   the detector is built, so the per-record step only scatters the match
-   captures (re-aligned on the raw tokens only when the Intel Key's
-   template differs from the matched log key's).  Once the
+   groups its key feeds.  A value capture that reads as a number is no
+   identifier.  Forms whose captures cannot stand in for the alignment
+   against the Intel Key's template (a key with no constant, a template
+   that differs from the Intel Key's, a misaligned or ``_PER_RECORD``
+   form) re-align each message's raw tokens instead.  Once the
    session is complete, each group's rows are split into subroutine
    instances and checked against the trained HW-graph: missing critical
    Intel Keys in subroutine instances, order violations, unexpected keys
@@ -37,6 +38,7 @@ reported (paper §5).
 from __future__ import annotations
 
 import time
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass
 from operator import itemgetter
@@ -46,19 +48,24 @@ from typing import (
     Callable,
     Container,
     ContextManager,
+    Sequence,
 )
 
 from ..extraction.cache import ExtractionCache
 from ..extraction.idvalue import FieldRole
 from ..extraction.intelkey import IntelKey
-from ..extraction.pipeline import InformationExtractor
+from ..extraction.pipeline import InformationExtractor, to_number
 from ..graph.hwgraph import HWGraph
 from ..graph.lifespan import BEFORE, PARENT
 from ..graph.subroutine import KeyPlan, Row, split_instances
 from ..parsing.records import LogRecord, Session
 from ..parsing.spell import (
+    _PER_RECORD,
+    LogKey,
     MatchResult,
     SpellParser,
+    _join_pieces,
+    chunk_form,
     extract_parameters,
     mask_message,
 )
@@ -71,11 +78,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: sessions for its absence to be reported (guards against optional groups).
 _GROUP_PRESENCE_THRESHOLD = 0.999
 
-#: Entry cap of each per-detector memo (the subroutine verdict memo, the
-#: hierarchy-pair memo and the unexpected-message extraction memo); a
-#: full memo is reset wholesale (as the chunk memo is at
-#: ``_CHUNK_MEMO_CAP``).  Only memory moves, never a report: all three
-#: memoize pure functions.
+#: Entry cap of each per-detector memo (the row recipes, the subroutine
+#: verdict memo, the hierarchy-pair memo and the unexpected-message
+#: extraction memo); a full memo is reset wholesale (as the chunk memo
+#: is at ``_CHUNK_MEMO_CAP``).  Only memory moves, never a report: all
+#: four memoize pure functions.
 _MEMO_CAP = 4096
 
 
@@ -88,24 +95,54 @@ def match_captures(
     alignment against an Intel Key's ``template``, else ``None``.
 
     They are exactly what ``extract_parameters(template, raw tokens)``
-    would recompute (the alignment detection and
-    :meth:`InformationExtractor.to_intel_message` fall back to) when
-    the matched log key's template IS the Intel Key's template, the key
-    has a constant (the reserved all-star key's match parameters use a
-    different convention) and the match aligned.
-    The per-key half of the rule is cached in ``verdicts`` by key id:
-    templates are frozen while matching.
+    would recompute (the alignment
+    :meth:`InformationExtractor.to_intel_message` falls back to) when
+    :func:`_captures_align` holds for the matched key and the match
+    aligned.  The per-key half of the rule is cached in ``verdicts`` by
+    key id: templates are frozen while matching.
     """
     key_id = match.key.key_id
     same_template = verdicts.get(key_id)
     if same_template is None:
-        same_template = verdicts[key_id] = bool(
-            match.key.constant_tokens()
-        ) and tuple(match.key.tokens) == template
+        same_template = verdicts[key_id] = _captures_align(
+            match.key, template
+        )
     if same_template and not match.misaligned:
         return match.parameters
     return None
 
+
+def _captures_align(key: LogKey, template: tuple[str, ...]) -> bool:
+    """Whether an aligned match of ``key`` captures what aligning the
+    raw tokens against an Intel Key's ``template`` would: the key's
+    template IS that template and has a constant (the reserved all-star
+    key's captures use a different convention)."""
+    return bool(key.constant_tokens()) and tuple(key.tokens) == template
+
+
+#: What detection reads of one record, a pure function of its message
+#: under the frozen model (:meth:`AnomalyDetector.resolve`): ``None``
+#: when no key matches; else ``(groups, key id, identifier values,
+#: identifier types)``, the row without its timestamp, and with its
+#: values as a tuple: a stream carries a resolution per open record,
+#: and a frozenset costs at least 216 bytes.  ``groups`` is empty when
+#: the record files no row (an ignored key, a key with no Intel Key or
+#: one that feeds no group) and None when its re-alignment failed,
+#: which makes it an unexpected message.
+Resolved = tuple[
+    "tuple[str, ...] | None", str, tuple[str, ...], tuple[str, ...]
+] | None
+
+_NO_ROW: Resolved = ((), "", (), ())
+_UNALIGNED: Resolved = (None, "", (), ())
+
+#: The identifier values of a row without any, shared: each empty
+#: ``frozenset()`` is a new object.
+_NO_VALUES: frozenset[str] = frozenset()
+
+#: Row recipe kinds: the resolution is the same for every message of
+#: the form, is built from its chunks, or needs its raw tokens.
+_FIXED, _ROW, _REALIGN = range(3)
 
 _timestamp = itemgetter(0)
 
@@ -180,9 +217,11 @@ class AnomalyDetector:
             if node.critical
             and node.session_count / total >= _GROUP_PRESENCE_THRESHOLD
         )
-        # Per log key: may match-time captures stand in for the Intel
-        # Key template alignment?  (:func:`match_captures`.)
-        self._captures_ok: dict[str, bool] = {}
+        # Chunk-level masked form -> row recipe (:meth:`_row_recipe`),
+        # built from the Spell form memo's entries and dropped with
+        # them: when the memo's epoch moves, every recipe goes.
+        self._rows: dict[tuple[str, ...], tuple] = {}
+        self._rows_epoch = spell._form_memo.epoch
         # The session-close checks are pure over the frozen model, and
         # subroutine instances and sets of present groups repeat heavily
         # across sessions, so both are memoized, each reset wholesale at
@@ -242,20 +281,22 @@ class AnomalyDetector:
         self,
         session: Session,
         *,
-        matches: list["MatchResult | None"] | None = None,
+        resolved: list[Resolved] | None = None,
     ) -> SessionReport:
         """Consume one complete session and report its anomalies.
 
-        ``matches``, one per record in session order, are reused instead
-        of matching the session here."""
+        ``resolved``, one :meth:`resolve` result per record in session
+        order, is used instead of resolving the session here."""
         if self._m_sessions is None:
-            return self._detect_session_inner(session, None, matches)
+            return self._detect_session_inner(session, None, resolved)
         tracer = self._tracer
         if tracer is None:
-            report = self._detect_session_inner(session, None, matches)
+            report = self._detect_session_inner(session, None, resolved)
         else:
             with tracer.span("detect.session"):
-                report = self._detect_session_inner(session, tracer, matches)
+                report = self._detect_session_inner(
+                    session, tracer, resolved
+                )
         assert self._m_records and self._m_anomalies
         self._m_sessions.inc()
         self._m_records.inc(report.message_count)
@@ -263,63 +304,188 @@ class AnomalyDetector:
             self._m_anomalies.labels(kind=anomaly.kind.value).inc()
         return report
 
+    def resolve(self, messages: Sequence[str]) -> list[Resolved]:
+        """Each message's :data:`Resolved`, in one batch.
+
+        A distinct message costs one ``split()``, a chunk-memo hit per
+        chunk, one row-recipe lookup by its chunk-level form and the
+        row build; a repeated one, a dict hit.  The Spell form memo is
+        read only to compile a form's recipe.  The Spell instruments
+        move as one :meth:`SpellParser.match_batch` of ``messages``
+        moves them: per message its match path and result, per
+        distinct message one form-memo hit or miss, per misaligned
+        match one note.  Must not run concurrently with
+        :meth:`SpellParser.consume`.
+        """
+        spell = self.spell
+        rows = self._rows
+        epoch = spell._form_memo.epoch
+        if epoch != self._rows_epoch:
+            rows.clear()
+            self._rows_epoch = epoch
+        metrics = spell._metrics
+        start = time.perf_counter() if metrics is not None else 0.0
+        # Distinct message -> (resolution, match path, misaligned key).
+        seen: dict[str, tuple[Resolved, str, LogKey | None]] = {}
+        out: list[Resolved] = []
+        resolved_forms = 0
+        misaligned: list[str] = []
+        for message in messages:
+            entry = seen.get(message)
+            if entry is None:
+                chunks = message.split()
+                form = chunk_form(chunks)
+                recipe = rows.get(form)
+                if recipe is None:
+                    recipe, fresh = self._row_recipe(form)
+                    resolved_forms += fresh
+                    if len(rows) >= _MEMO_CAP:
+                        rows.clear()
+                    rows[form] = recipe
+                path, kind, payload, bad = recipe
+                if kind == _ROW:
+                    result = _row(payload, chunks)
+                elif kind == _FIXED:
+                    result = payload
+                else:
+                    result, bad = self._realign(payload, message)
+                entry = seen[message] = (result, path, bad)
+                if bad is not None:
+                    misaligned.append(message)
+            out.append(entry[0])
+        if metrics is None:
+            for message in misaligned:
+                spell._note_misalignment(seen[message][2])
+            return out
+        elapsed = time.perf_counter() - start
+        counts = Counter(messages)
+        paths: dict[str, int] = {}
+        hits = 0
+        for message, count in counts.items():
+            result, path, _bad = seen[message]
+            paths[path] = paths.get(path, 0) + count
+            if result is not None:
+                hits += count
+        spell._count_batch(elapsed, paths, hits, len(seen), resolved_forms)
+        for message in misaligned:
+            spell._note_misalignment(seen[message][2], counts[message])
+        return out
+
+    def _row_recipe(self, form: tuple[str, ...]) -> tuple[tuple, bool]:
+        """The row recipe of a chunk-level form, and whether the Spell
+        form memo had to resolve the form for it.
+
+        A recipe is ``(match path, kind, payload, misaligned key)``:
+        ``_FIXED`` with the resolution every message of the form gets;
+        ``_ROW`` with ``(groups, key id, slots)`` when the form's Spell
+        captures are the plan's captures, each slot ``(capture, type
+        name, is a value)`` for an identifier or value field, the
+        capture a Spell recipe's (``_Capture`` in
+        :mod:`repro.parsing.spell`); or
+        ``_REALIGN`` with ``(key, plan, Spell recipe)`` when each
+        message's raw tokens decide (:meth:`_realign`).  The misaligned
+        key is set when every message of the form is misaligned.
+        """
+        (best_idx, path, captures), fresh = self.spell.form_entry(form)
+        if best_idx is None:
+            return (path, _FIXED, None, None), fresh
+        key = self.spell._keys[best_idx]
+        # No plan: an ignored key-value dump, or no Intel Key.
+        plan = self._plans.get(key.key_id)
+        if captures is _PER_RECORD or (
+            plan is not None
+            and not (
+                captures.__class__ is tuple
+                and _captures_align(key, plan.template)
+            )
+        ):
+            return (path, _REALIGN, (key, plan, captures), None), fresh
+        bad = key if captures is None else None
+        if plan is None or not plan.groups:
+            return (path, _FIXED, _NO_ROW, bad), fresh
+        slots = tuple(
+            (capture, *slot)
+            for slot, capture in zip(plan.slots, captures)
+            if slot is not None
+        )
+        if not slots:
+            return (
+                path, _FIXED, (plan.groups, plan.key_id, (), ()),
+                None,
+            ), fresh
+        return (path, _ROW, (plan.groups, plan.key_id, slots), None), fresh
+
+    @staticmethod
+    def _realign(
+        payload: tuple, message: str
+    ) -> tuple[Resolved, LogKey | None]:
+        """A ``_REALIGN`` form's message resolved on its raw tokens, and
+        its key when the match is misaligned."""
+        key, plan, captures = payload
+        raw = mask_message(message)[1]
+        if captures is _PER_RECORD:
+            aligned = extract_parameters(key.tokens, raw) is not None
+        else:
+            aligned = captures is not None
+        bad = None if aligned else key
+        if plan is None:
+            return _NO_ROW, bad
+        texts = extract_parameters(plan.template, raw)
+        if texts is None:
+            return _UNALIGNED, bad
+        slots = tuple(
+            (i, *slot)
+            for i, slot in enumerate(plan.slots[:len(texts)])
+            if slot is not None
+        )
+        return _row((plan.groups, plan.key_id, slots), texts), bad
+
     def _detect_session_inner(
         self,
         session: Session,
         tracer: "Tracer | None",
-        matches: list["MatchResult | None"] | None,
+        resolved: list[Resolved] | None,
     ) -> SessionReport:
         report = SessionReport(session_id=session.session_id)
 
-        # Records are matched in one batch up front (memoized per
-        # distinct message), then each matched record's captures are
-        # scattered into one row per record; when the caller already
-        # matched the records (:meth:`detect_batch` across sessions, or
-        # a stream's live pass), its results are reused verbatim and no
-        # match span is recorded here.  The row loop is timed as a
-        # whole, as one pre-measured span.
+        # Records are resolved in one batch up front (memoized per
+        # distinct message), then each record with a row is filed
+        # under its groups; when the caller already resolved the
+        # records (:meth:`detect_batch` across sessions, or a stream's
+        # live pass), its resolutions are used and no match span is
+        # recorded here.  The row loop is timed as a whole, as one
+        # pre-measured span.
         records = list(session)
-        if matches is None:
+        if resolved is None:
             t0 = time.perf_counter()
-            matches = self.spell.match_batch(
-                [record.message for record in records]
-            )
+            resolved = self.resolve([record.message for record in records])
             if tracer is not None:
                 tracer.record("detect.match", time.perf_counter() - t0)
         t0 = time.perf_counter() if tracer is not None else 0.0
-        plans = self._plans
-        captures_ok = self._captures_ok
         group_rows: dict[str, list[Row]] = {}
-        for record, match in zip(records, matches):
-            report.message_count += 1
-            if match is None:
-                report.anomalies.append(
-                    self._unexpected_message(record)
-                )
+        matched = 0
+        for record, result in zip(records, resolved):
+            if result is None:
+                report.anomalies.append(self._unexpected_message(record))
                 continue
-            report.matched_count += 1
-            # No plan: an ignored key-value dump, or no Intel Key.
-            plan = plans.get(match.key.key_id)
-            if plan is None:
-                continue
-            captures = match_captures(match, plan.template, captures_ok)
-            if captures is None:
-                captures = extract_parameters(
-                    plan.template, mask_message(record.message)[1]
+            matched += 1
+            groups = result[0]
+            if groups:
+                values = result[2]
+                row = (
+                    record.timestamp, result[1],
+                    frozenset(values) if values else _NO_VALUES, result[3],
                 )
-                if captures is None:
-                    report.anomalies.append(
-                        self._unexpected_message(record)
-                    )
-                    continue
-            if plan.groups:
-                row = plan.row(record.timestamp, captures)
-                for label in plan.groups:
+                for label in groups:
                     rows = group_rows.get(label)
                     if rows is None:
                         group_rows[label] = [row]
                     else:
                         rows.append(row)
+            elif groups is None:
+                report.anomalies.append(self._unexpected_message(record))
+        report.message_count = len(records)
+        report.matched_count = matched
 
         span: Callable[[str], ContextManager[Any]] = nullcontext
         if tracer is not None:
@@ -337,19 +503,19 @@ class AnomalyDetector:
     def detect_batch(
         self, sessions: list[Session]
     ) -> list[SessionReport]:
-        """Detect many sessions with one cross-session match batch.
+        """Detect many sessions with one cross-session :meth:`resolve`.
 
-        All records are matched in a single :meth:`SpellParser.match_batch`
-        call — log vocabularies repeat heavily across sessions of one
-        job, so the batch memo collapses most of the per-record match
-        cost — then the per-session extraction and HW-graph checks run
-        over the precomputed results.  Per-session reports are identical
+        All records are resolved in a single batch — log vocabularies
+        repeat heavily across sessions of one job, so the batch's
+        message memo and the row recipes collapse most of the
+        per-record cost — then the per-session HW-graph checks run over
+        the precomputed resolutions.  Per-session reports are identical
         to calling :meth:`detect_session` per session.
         """
         records_by_session = [list(session) for session in sessions]
         tracer = self._tracer
         t0 = time.perf_counter() if tracer is not None else 0.0
-        matches = self.spell.match_batch(
+        resolved = self.resolve(
             [
                 record.message
                 for records in records_by_session
@@ -361,10 +527,10 @@ class AnomalyDetector:
         reports: list[SessionReport] = []
         pos = 0
         for session, records in zip(sessions, records_by_session):
-            session_matches = matches[pos:pos + len(records)]
+            session_resolved = resolved[pos:pos + len(records)]
             pos += len(records)
             reports.append(
-                self.detect_session(session, matches=session_matches)
+                self.detect_session(session, resolved=session_resolved)
             )
         return reports
 
@@ -562,6 +728,29 @@ class AnomalyDetector:
                         group=a,
                     )
                 )
+
+
+def _row(payload: tuple, chunks: Sequence[str]) -> Resolved:
+    """A row (without its timestamp) built from ``(groups, key id,
+    slots)`` over a message's chunks or re-aligned captures: a value
+    that reads as a number is skipped, as
+    :meth:`InformationExtractor.to_intel_message` files it apart from
+    the identifiers."""
+    groups, key_id, slots = payload
+    values: list[str] = []
+    types: list[str] = []
+    for capture, name, is_value in slots:
+        if capture.__class__ is int:
+            text = chunks[capture]
+        elif capture.__class__ is slice:
+            text = " ".join(chunks[capture])
+        else:
+            text = _join_pieces(capture, chunks)
+        if is_value and to_number(text) is not None:
+            continue
+        values.append(text)
+        types.append(name)
+    return groups, key_id, tuple(values), tuple(types)
 
 
 def _extraction_summary(

@@ -178,7 +178,7 @@ class HWGraph:
         for label, node in self.groups.items():
             for child in node.children:
                 graph.add_edge(label, child, relation=PARENT)
-            for later in node.before:
+            for later in sorted(node.before):
                 graph.add_edge(label, later, relation=BEFORE)
         return graph
 
@@ -288,7 +288,7 @@ class HWGraph:
                 )
                 node.model.subroutines[signature] = sub
             graph.groups[label] = node
-            for key_id in node.key_ids:
+            for key_id in sorted(node.key_ids):
                 graph.key_groups.setdefault(key_id, set()).add(label)
         return graph
 
@@ -365,7 +365,7 @@ class HWGraphBuilder:
         for label in list(graph.groups):
             if graph.groups[label].session_count == 0:
                 removed = graph.groups.pop(label)
-                for key_id in removed.key_ids:
+                for key_id in sorted(removed.key_ids):
                     graph.key_groups.get(key_id, set()).discard(label)
 
         # Every directed verdict, from the observed pairs only: a pair

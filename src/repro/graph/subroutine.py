@@ -27,10 +27,12 @@ from ..extraction.pipeline import to_number
 
 
 #: One log message as Algorithm 2 reads it: ``(timestamp, Intel Key id,
-#: identifier values, identifier types)``.  Training and detection both
-#: scatter each record's captures straight into a row through the
-#: record's :class:`KeyPlan`; :func:`message_row` adapts an Intel
-#: Message.
+#: identifier values, identifier types)``.  Training scatters each
+#: record's captures straight into a row through the record's
+#: :class:`KeyPlan`; detection reads it through a row recipe compiled
+#: from the plan per chunk-level form
+#: (:meth:`~repro.detection.detector.AnomalyDetector.resolve`);
+#: :func:`message_row` adapts an Intel Message.
 Row = tuple[float, str, frozenset[str], tuple[str, ...]]
 
 

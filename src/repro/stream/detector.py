@@ -4,10 +4,10 @@ The paper's detection phase (§4.2) has two halves with different latency
 profiles, and the streaming detector splits them accordingly:
 
 * **unexpected log messages** are recognizable the instant a record
-  arrives — :meth:`StreamingDetector.observe` matches each record
+  arrives — :meth:`StreamingDetector.observe` resolves each record
   against the learned log keys and emits a lightweight
-  :class:`LiveAlert` immediately, so operators see novel messages while
-  the job is still running;
+  :class:`LiveAlert` immediately when its form matches no key, so
+  operators see novel messages while the job is still running;
 * **erroneous HW-graph instances** (incomplete subroutines, missing
   critical keys, order violations, missing groups, hierarchy breaks)
   need the whole session — :meth:`StreamingDetector.finalize` runs them
@@ -18,9 +18,11 @@ profiles, and the streaming detector splits them accordingly:
 time-sorted closed session, which makes stream/batch report parity exact
 *by construction*: the same detector code produces the authoritative
 :class:`~repro.detection.report.SessionReport` in both modes.  Each
-record is matched once: the tracker carries the live pass's match to
-``finalize`` (a pure function of the message under the frozen model);
-only sessions restored from a checkpoint are matched again at close.
+record is resolved once: the tracker carries the live pass's
+resolution (:meth:`AnomalyDetector.resolve`, a pure function of the
+message under the frozen model) to ``finalize``; only sessions restored
+from a checkpoint, or open across a model swap
+(:meth:`SessionTracker.forget_matches`), are resolved again at close.
 The full §3 extraction for unexpected messages runs once, at finalize
 time.
 """
@@ -30,10 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..detection.detector import AnomalyDetector
+from ..detection.detector import AnomalyDetector, Resolved
 from ..detection.report import SessionReport
 from ..parsing.records import LogRecord
-from ..parsing.spell import MatchResult
 from .tracker import ClosedSession
 
 __all__ = ["LiveAlert", "StreamingDetector"]
@@ -67,31 +68,31 @@ class StreamingDetector:
 
     def observe(
         self, record: LogRecord
-    ) -> tuple[LiveAlert | None, MatchResult | None]:
+    ) -> tuple[LiveAlert | None, Resolved]:
         """Cheap per-record check: is this message's log key known?
 
-        Returns ``(alert, match)``: a :class:`LiveAlert` for unexpected
-        messages (``None`` for messages the model recognizes) and the
-        record's match, which the caller carries to :meth:`finalize`.
-        The alert is purely advisory — the authoritative anomaly (with
-        full five-field extraction) appears in the session's report.
+        Returns ``(alert, resolved)``: a :class:`LiveAlert` for
+        unexpected messages (``None`` for messages the model
+        recognizes) and the record's resolution, which the caller
+        carries to :meth:`finalize`.  The alert is purely advisory —
+        the authoritative anomaly (with full five-field extraction)
+        appears in the session's report.
         """
-        match = self.detector.spell.match(record.message)
-        return (self._alert(record) if match is None else None), match
+        return self.observe_batch((record,))[0]
 
     def observe_batch(
         self, records: Sequence[LogRecord]
-    ) -> list[tuple[LiveAlert | None, MatchResult | None]]:
-        """Batched :meth:`observe`: one ``match_batch`` for the whole
-        poll batch (duplicate messages match once), same per-record
-        pairs.  The runtime feeds entire source batches through here so
-        the match cost amortizes across the batch."""
-        matches = self.detector.spell.match_batch(
+    ) -> list[tuple[LiveAlert | None, Resolved]]:
+        """Batched :meth:`observe`: one :meth:`AnomalyDetector.resolve`
+        for the whole poll batch (duplicate messages resolve once), same
+        per-record pairs.  The runtime feeds entire source batches
+        through here so the cost amortizes across the batch."""
+        resolved = self.detector.resolve(
             [record.message for record in records]
         )
         return [
-            ((self._alert(record) if match is None else None), match)
-            for record, match in zip(records, matches)
+            ((self._alert(record) if result is None else None), result)
+            for record, result in zip(records, resolved)
         ]
 
     @staticmethod
@@ -106,7 +107,7 @@ class StreamingDetector:
 
     def finalize(self, closed: ClosedSession) -> SessionReport:
         """Full HW-graph-instance checks on a closed session, reusing
-        the live matches it carries (if any)."""
+        the live resolutions it carries (if any)."""
         return self.detector.detect_session(
-            closed.session, matches=closed.matches
+            closed.session, resolved=closed.matches
         )

@@ -1002,8 +1002,9 @@ class StreamRuntime:
         return self.stats
 
     def _ingest(self, records: list, start: float) -> None:
-        """Live-check a batch (one match per record) and feed it to the
-        tracker, which carries each match to the session's close.
+        """Live-check a batch (one resolution per record) and feed it
+        to the tracker, which carries each resolution to the session's
+        close.
 
         The tracker takes the batch in slices that end at stats
         boundaries, one ``observe_batch`` call each.  Each slice's live

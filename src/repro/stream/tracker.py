@@ -15,13 +15,15 @@ The batch pipeline buffers every record and calls
   active session is **evicted** (closed early), keeping memory bounded
   no matter how many containers a job spawns.
 
-Closed sessions come back time-sorted, with the live Spell match each
-record arrived with, ready for detection.  Idle expiry pops a min-heap
-keyed on ``last_seen``, so per-record work does not grow with the number
-of open sessions.  The runtime feeds records a stretch at a time through
+Closed sessions come back time-sorted, with the live resolution each
+record arrived with (its match, as
+:meth:`~repro.detection.detector.AnomalyDetector.resolve` gives it),
+ready for detection; the tracker never looks inside one.  Idle expiry
+pops a min-heap keyed on ``last_seen``, so per-record work does not
+grow with the number of open sessions.  The runtime feeds records a stretch at a time through
 ``observe_batch``; ``observe`` is its one-record form.
 
-The tracker state (without matches) round-trips through
+The tracker state (without resolutions) round-trips through
 ``state_dict()`` / ``load_state()`` for checkpointing.  A checkpoint
 writes it from ``state_json_parts()``: the same text as
 sorted-key ``json.dumps(state_dict())``, but each open session keeps
@@ -37,10 +39,9 @@ import json
 import re
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ..parsing.records import LogRecord, Session, session_bucket
-from ..parsing.spell import MatchResult
 
 __all__ = [
     "DEFAULT_END_MARKERS",
@@ -50,7 +51,7 @@ __all__ = [
 ]
 
 #: ``observe``'s default ``match``: the record came without its live
-#: match, so its session is matched again at close.
+#: resolution, so its session is resolved again at close.
 _UNMATCHED: object = object()
 
 #: Session-end message markers recognized out of the box: the *final*
@@ -68,6 +69,28 @@ DEFAULT_END_MARKERS = (
 )
 
 
+#: Characters with a meaning in an end-marker pattern (compiled without
+#: flags); a marker with none of them matches exactly its own text.
+_REGEX_META = frozenset(".^$*+?{}[]\\|()")
+
+
+def _is_literal(pattern: str) -> bool:
+    return _REGEX_META.isdisjoint(pattern)
+
+
+def _substring_test(markers: tuple[str, ...]) -> Callable[[str], bool]:
+    """Whether a message holds one of the literal ``markers``: what the
+    markers' regex search finds, without the regex engine."""
+
+    def is_end(message: str) -> bool:
+        for marker in markers:
+            if marker in message:
+                return True
+        return False
+
+    return is_end
+
+
 @dataclass(slots=True)
 class TrackerConfig:
     """Tunables for online session assembly."""
@@ -76,7 +99,8 @@ class TrackerConfig:
     idle_timeout: float = 300.0
     #: Hard cap on concurrently tracked sessions (LRU eviction above it).
     max_open_sessions: int = 10_000
-    #: Regexes that mark a session's final message.
+    #: Regexes that mark a session's final message (searched anywhere
+    #: in it).
     end_markers: tuple[str, ...] = DEFAULT_END_MARKERS
 
 
@@ -86,9 +110,9 @@ class ClosedSession:
 
     session: Session
     reason: str  # "end_marker" | "idle" | "evicted" | "flush"
-    #: Live match per record in ``session`` order, or ``None`` if any
-    #: record came without one (e.g. restored from a checkpoint).
-    matches: list[MatchResult | None] | None = None
+    #: Live resolution per record in ``session`` order, or ``None`` if
+    #: any record came without one (e.g. restored from a checkpoint).
+    matches: list[object] | None = None
     #: Content-addressed identity stamped by the runtime at finalize
     #: time (see :func:`repro.stream.resilience.finalization_id`);
     #: carried through sinks so downstream consumers can dedupe.
@@ -101,7 +125,7 @@ class _Open:
     last_seen: float  # event time of the newest record
     touched: int = 0  # observe() sequence number of the newest record
     pushed: int = 0  # sequence number of its live heap item
-    matches: list[MatchResult | None] | None = field(default_factory=list)
+    matches: list[object] | None = field(default_factory=list)
     #: Sorted-key JSON of ``session.records[:encoded_count]``, one piece
     #: per save that found new records (pieces join with ``", "``): what
     #: ``state_json_parts`` has encoded so far.  It dies with the entry
@@ -121,6 +145,16 @@ class SessionTracker:
             re.compile("|".join(f"(?:{p})" for p in markers))
             if markers else None
         )
+        # The end-marker test ``observe_batch`` runs on every record:
+        # plain substring tests when every marker is a literal (half
+        # the regex search's cost on the default markers), else the
+        # compiled regex.
+        self._is_end: Callable[[str], object] | None = (
+            None if self._marker is None
+            else _substring_test(markers)
+            if all(_is_literal(p) for p in markers)
+            else self._marker.search
+        )
         #: One live ``(time, seq, key)`` item per open entry; ``time`` is
         #: a lower bound of its ``last_seen``.  Items whose ``seq`` is no
         #: open entry's ``pushed`` are stale and skipped when popped.
@@ -135,10 +169,10 @@ class SessionTracker:
     def observe(
         self,
         record: LogRecord,
-        match: MatchResult | None | object = _UNMATCHED,
+        match: object = _UNMATCHED,
     ) -> list[ClosedSession]:
-        """Ingest one record, with its live match if the caller has it;
-        return any sessions this closed."""
+        """Ingest one record, with its live resolution if the caller
+        has it; return any sessions this closed."""
         return [
             closed for _, closed in self.observe_batch((record,), (match,))
         ]
@@ -146,10 +180,10 @@ class SessionTracker:
     def observe_batch(
         self,
         records: Sequence[LogRecord],
-        matches: Sequence[MatchResult | None | object],
+        matches: Sequence[object],
     ) -> list[tuple[int, ClosedSession]]:
         """Ingest ``records`` in order, ``matches[i]`` being the live
-        match of ``records[i]`` as :meth:`observe` takes it; return
+        resolution of ``records[i]`` as :meth:`observe` takes it; return
         ``(i, closed)`` for each session closed, in closing order, ``i``
         being the index of the record whose arrival closed it.
 
@@ -161,7 +195,7 @@ class SessionTracker:
         move_to_end = open_.move_to_end
         heap = self._heap
         seq = self._seq
-        search = self._marker.search if self._marker is not None else None
+        is_end = self._is_end
         idle_timeout = self.config.idle_timeout
         cap = self.config.max_open_sessions
         watermark = self.watermark
@@ -192,12 +226,12 @@ class SessionTracker:
                     if match is _UNMATCHED:
                         entry.matches = None
                     else:
-                        entry.matches.append(match)  # type: ignore[arg-type]
+                        entry.matches.append(match)
                 entry.touched = next(seq)
                 if timestamp > watermark:
                     watermark = timestamp
 
-                if search is not None and search(record.message):
+                if is_end is not None and is_end(record.message):
                     del open_[key]
                     closed.append((i, self._close(entry, "end_marker")))
                 if heap and heap[0][0] <= watermark - idle_timeout:
@@ -245,7 +279,7 @@ class SessionTracker:
         return closed
 
     def forget_matches(self) -> None:
-        """Open sessions are matched again at close (model replaced)."""
+        """Open sessions are resolved again at close (model replaced)."""
         for entry in self._open.values():
             entry.matches = None
 

@@ -184,6 +184,12 @@ class TestRules:
         )
         assert len(report) == 0
 
+    def test_det003_generator_into_sorted_is_fine(self):
+        report = lint_source(
+            "def f(xs):\n    return sorted(str(x) for x in set(xs))\n"
+        )
+        assert len(report) == 0
+
     def test_py001_mutable_defaults(self):
         for default in ("[]", "{}", "set()", "list()", "dict()"):
             report = lint_source(f"def f(x={default}):\n    return x\n")
@@ -313,6 +319,122 @@ class TestRules:
     def test_findings_carry_file_and_line(self):
         report = lint_source("import time\nt = time.time()\n", "mod.py")
         assert report.diagnostics[0].location == "mod.py:2"
+
+
+#: A graph with set-typed attributes, and a detector iterating them
+#: in order-sensitive contexts.
+SET_ATTR_FIXTURE = textwrap.dedent(
+    """
+    from dataclasses import dataclass, field
+
+    @dataclass
+    class Graph:
+        key_groups: dict[str, set[str]] = field(default_factory=dict)
+        ignored: frozenset[str] = frozenset()
+        names: list[str] = field(default_factory=list)
+
+    class Detector:
+        def __init__(self, graph: Graph) -> None:
+            self.graph = graph
+            self.seen: set[str] | None = None
+
+        def plans(self, key_id):
+            return tuple(self.graph.key_groups.get(key_id, ()))
+
+        def labels(self, key_id):
+            return [label for label in self.graph.key_groups[key_id]]
+
+        def ignored(self):
+            for key in self.graph.ignored:
+                print(key)
+
+        def seen_list(self):
+            return list(self.seen)
+    """
+)
+
+#: The same attributes read order-insensitively, or sorted first.
+SET_ATTR_CLEAN = textwrap.dedent(
+    """
+    from dataclasses import dataclass, field
+
+    @dataclass
+    class Graph:
+        key_groups: dict[str, set[str]] = field(default_factory=dict)
+        ignored: frozenset[str] = frozenset()
+        names: list[str] = field(default_factory=list)
+
+    def plans(graph, key_id):
+        groups = tuple(sorted(graph.key_groups.get(key_id, ())))
+        for key in sorted(graph.ignored):
+            print(key)
+        for name in graph.names:
+            print(name)
+        for key_id, labels in graph.key_groups.items():
+            print(key_id, len(labels))
+        return groups, key_id in graph.ignored, sorted(
+            label for label in graph.key_groups[key_id]
+        )
+    """
+)
+
+
+class TestSetTypedAttributes:
+    """DET003 on attributes annotated ``set[...]``, ``frozenset[...]``
+    or ``dict[..., set[...]]``, in ``repro/detection`` and
+    ``repro/graph``."""
+
+    def test_detection_module_is_flagged(self):
+        report = lint_source(
+            SET_ATTR_FIXTURE, "src/repro/detection/fixture.py"
+        )
+        assert report.codes == {"DET003"}
+        lines = sorted(
+            int(d.location.rsplit(":", 1)[1]) for d in report.diagnostics
+        )
+        source = SET_ATTR_FIXTURE.splitlines()
+        assert [source[line - 1].strip() for line in lines] == [
+            "return tuple(self.graph.key_groups.get(key_id, ()))",
+            "return [label for label in self.graph.key_groups[key_id]]",
+            "for key in self.graph.ignored:",
+            "return list(self.seen)",
+        ]
+
+    def test_graph_module_is_flagged(self):
+        report = lint_source(SET_ATTR_FIXTURE, "src/repro/graph/fixture.py")
+        assert len(report) == 4
+
+    def test_other_packages_are_not_flagged(self):
+        report = lint_source(SET_ATTR_FIXTURE, "src/repro/stream/fixture.py")
+        assert len(report) == 0
+
+    def test_sorted_and_unordered_uses_are_clean(self):
+        report = lint_source(SET_ATTR_CLEAN, "src/repro/graph/fixture.py")
+        assert len(report) == 0, report.render()
+
+    def test_a_name_with_two_kinds_is_left_out(self):
+        source = SET_ATTR_FIXTURE.replace(
+            "names: list[str]", "ignored_too: list[str]"
+        ) + "\nclass Other:\n    ignored: tuple[str, ...] = ()\n"
+        report = lint_source(source, "src/repro/detection/fixture.py")
+        assert len(report) == 3
+
+    def test_peer_modules_annotate_the_attributes(self, tmp_path):
+        """Linting the detector alone still sees the graph package's
+        annotations."""
+        graph, detection = (
+            tmp_path / "repro" / "graph", tmp_path / "repro" / "detection"
+        )
+        graph.mkdir(parents=True)
+        detection.mkdir()
+        (graph / "hw.py").write_text(
+            "class HW:\n    key_groups: dict[str, set[str]] = {}\n"
+        )
+        (detection / "det.py").write_text(
+            "def plans(graph, key_id):\n"
+            "    return tuple(graph.key_groups.get(key_id, ()))\n"
+        )
+        assert lint_paths([detection / "det.py"]).codes == {"DET003"}
 
 
 class TestRunners:

@@ -140,6 +140,23 @@ class FrozenSessionPassDetector(AnomalyDetector):
         self._frozen_hierarchy_pairs = None
         self._frozen_best_match_memo: dict = {}
         self._frozen_check_memo: dict = {}
+        self._captures_ok: dict[str, bool] = {}
+
+    def detect_batch(self, sessions):
+        """Frozen copy of the cross-session batch: one ``match_batch``
+        over every record, each session's slice of matches handed to
+        its ``_detect_session_inner``."""
+        records_by_session = [list(session) for session in sessions]
+        matches = self.spell.match_batch(
+            [r.message for records in records_by_session for r in records]
+        )
+        reports, pos = [], 0
+        for session, records in zip(sessions, records_by_session):
+            reports.append(self.detect_session(
+                session, resolved=matches[pos:pos + len(records)]
+            ))
+            pos += len(records)
+        return reports
 
     def _detect_session_inner(self, session, tracer, matches):
         report = SessionReport(session_id=session.session_id)
